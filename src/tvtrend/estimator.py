@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .diffops import build_delta, polynomial_basis
+from .diffops import build_delta, difference_coefficients, polynomial_basis
 
 ALGORITHMS = ("admm", "dp_k1", "synthesis_cd")
 
@@ -203,13 +202,20 @@ def _polish(y, k, lam, active, signs, tol_kkt, rounds=60):
     return None
 
 
-def _banded_upper(sp_matrix, bw):
-    m = sp_matrix.shape[0]
-    ab = np.zeros((bw + 1, m))
-    coo = sp_matrix.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if 0 <= j - i <= bw:
-            ab[bw - (j - i), j] = v
+def _admm_system_banded(n, k, rho):
+    """(2/n) I + rho D'D in upper banded (cholesky_banded) format.
+
+    Row r of D carries the stencil c on columns r..r+k, so the d-th
+    superdiagonal of D'D collects c_l c_{l+d} over the m = n - k rows.
+    """
+    c = difference_coefficients(k)
+    m = n - k
+    ab = np.zeros((k + 1, n))
+    for d in range(k + 1):
+        for l in range(k + 1 - d):
+            ab[k - d, l + d:l + d + m] += c[l] * c[l + d]
+    ab *= rho
+    ab[k] += 2.0 / n
     return ab
 
 
@@ -217,20 +223,11 @@ def _fit_admm(y, cfg):
     n = len(y)
     k = cfg.k
     op = build_delta(n, k)
-    D = scipy.sparse.csr_matrix(
-        scipy.sparse.diags(
-            [(-1) ** l * math.comb(k, l) for l in range(k, -1, -1)],
-            offsets=list(range(k + 1)),
-            shape=(op.m, n),
-        )
-    )
-    DtD = (D.T @ D).tocsr()
     rho = cfg.rho
     alpha = cfg.over_relaxation
 
     def factor(rho):
-        M = scipy.sparse.identity(n, format="csr") * (2.0 / n) + rho * DtD
-        return scipy.linalg.cholesky_banded(_banded_upper(M, k), lower=False)
+        return scipy.linalg.cholesky_banded(_admm_system_banded(n, k, rho), lower=False)
 
     chol = factor(rho)
     f = y.copy()

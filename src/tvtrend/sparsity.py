@@ -7,9 +7,11 @@ positive part of
 
 with weights w_j = ||psi_j^{-S}||_n lambda0(u) / lambda built from the
 dictionary column lengths (zero at active and mock rows).  Three routes to
-it live here: a direct concave-maximization oracle for small n, the energy
-n ||D' q||_2^2 of a feasible interpolating vector (always an upper bound),
-and the closed-form segment-sum bound with the shipped constants.
+it live here: the exact value from the box-constrained least-squares dual,
+certified by the primal value at the recovered maximizer, the dual value and
+their gap, for any n; the energy n ||D' q||_2^2 of a feasible interpolating
+vector (always an upper bound); and the closed-form segment-sum bound with
+the shipped constants.
 """
 
 from __future__ import annotations
@@ -18,16 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .constants import ck_sparsity
 from .diffops import block_column_sqnorms, build_delta
 from .interpolants import InterpolatingVector, _cap_violations, delta_k_energy
 from .theory import lambda0
-
-
-class UnreliableOracleError(RuntimeError):
-    """Restart disagreement too large to trust the direct maximization."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def effective_sparsity_via_interpolant(vec, weights=None, feasibility_tol=1e-9):
         vec = InterpolatingVector(S=vec.S, mode=vec.mode, q=vec.q, caps=caps)
     violations = _cap_violations(vec, feasibility_tol)
     if violations:
-        from .interpolants import InfeasibleInterpolantError
+        from tvtrend.interpolants import InfeasibleInterpolantError
 
         worst = ", ".join(f"row {j}: |q|={a:.6f} > cap={c:.6f}" for j, a, c in violations[:5])
         raise InfeasibleInterpolantError(
@@ -83,240 +80,108 @@ def effective_sparsity_via_interpolant(vec, weights=None, feasibility_tol=1e-9):
     return delta_k_energy(vec)
 
 
-def _box_ls_cd(A, b, caps, sweeps=4000, tol=1e-13):
-    """min ||b - A xi||_2^2 over |xi_j| <= caps_j by cyclic coordinate
-    descent with clipping.
+def _box_least_squares(A, b, caps):
+    """Exact minimizer of ||b - A xi||_2 over |xi_j| <= caps_j.
 
-    A has independent columns here, so the problem is strictly convex and
-    the sweeps converge linearly; pure numpy, no solver dependency.
+    Bounded-variable least squares (Stark & Parker 1995).  Each face, the
+    free coordinates with the others held at their bounds, is solved exactly
+    with lstsq.  The free coordinates step from the current point toward the
+    face solution and stop at the first coordinate that meets its bound,
+    which is bound; once the face solution is feasible, the bound coordinate
+    whose optimality condition is most violated is released.  The start
+    binds every coordinate the face solution leaves the box by at once,
+    which saves about one lstsq per bound coordinate.  A has independent
+    columns, so the minimizer is unique.  Coordinate descent is no
+    substitute: D'D has condition number about n^{2k} and the sweeps stall
+    at k = 3.
     """
     m = A.shape[1]
     xi = np.zeros(m)
-    r = b.copy()
-    g = np.sum(A * A, axis=0)
-    for _ in range(sweeps):
-        delta = 0.0
-        for j in range(m):
-            new = xi[j] + (A[:, j] @ r) / g[j]
-            new = min(max(new, -caps[j]), caps[j])
-            step = new - xi[j]
-            if step != 0.0:
-                r -= step * A[:, j]
-                xi[j] = new
-                delta = max(delta, abs(step))
-        if delta <= tol * max(1.0, float(np.max(np.abs(xi)))):
+    at = np.zeros(m)  # +1 / -1 at the upper / lower bound, 0 free
+
+    def settle(clip):
+        while True:
+            free = np.nonzero(at == 0)[0]
+            rhs = b - A @ np.where(at == 0, 0.0, xi)
+            z = np.linalg.lstsq(A[:, free], rhs, rcond=None)[0]
+            hit = np.nonzero(np.abs(z) > caps[free])[0]
+            if not len(hit):
+                xi[free] = z
+                return
+            if not clip:
+                x0 = xi[free]
+                edge = np.sign(z[hit]) * caps[free[hit]]
+                steps = (edge - x0[hit]) / (z[hit] - x0[hit])
+                i = int(np.argmin(steps))
+                xi[free] = x0 + steps[i] * (z - x0)
+                hit = hit[i:i + 1]
+            at[free[hit]] = np.sign(z[hit])
+            xi[free[hit]] = at[free[hit]] * caps[free[hit]]
+
+    settle(clip=True)
+    for _ in range(4 * m + 4):  # safety bound; the caller certifies the result
+        r = b - A @ xi
+        g = A.T @ r  # g_j > 0: the residual shrinks as xi_j grows
+        slack = np.where(at != 0, caps * np.abs(g) - xi * g, 0.0)
+        if not np.any(slack > 1e-12 * (r @ r)):
             break
+        at[int(np.argmax(slack))] = 0.0
+        settle(clip=False)
     return xi
 
 
 @dataclass(frozen=True)
 class DirectSparsityResult:
+    """Effective sparsity with its primal-dual certificate.
+
+    ``max_value`` is the objective at ``maximizer`` (a primal lower bound on
+    the maximum), ``dual_value`` = sqrt(n) ||D_S' q_S - D_off' xi||_2 an upper
+    bound from the box-feasible xi, and ``gap`` their difference.
+    """
+
     gamma_sq: float
     max_value: float
-    restart_values: np.ndarray
-    spread: float
+    dual_value: float
+    gap: float
     reliable: bool
     maximizer: np.ndarray
 
 
-def effective_sparsity_direct(S, weights=None, restarts=50, iters=10_000,
-                              seed=0, n_cap=64, spread_tol=1e-3):
-    """Direct small-n oracle for the effective sparsity.
+def effective_sparsity_direct(S, weights=None, seed=0):
+    """Exact effective sparsity through the box-constrained dual
 
-    Projected supergradient ascent of the concave, 1-homogeneous objective
-    over the ball ||f||_n <= 1 (step c/sqrt(t)), batched over random
-    restarts, followed by a sign-pattern fixed-point polish.  The run is
-    flagged unreliable when the per-restart optima disagree by more than
-    ``spread_tol`` relative.  Returns the squared positive part of the max.
+        max { q_S' (Df)_S - sum_{j off S} c_j |(Df)_j| : ||f||_n = 1 }
+          = min { sqrt(n) ||D_S' q_S - D_off' xi||_2 : |xi_j| <= c_j },
+
+    c_j = 1 - w_j (1 without weights).  The dual is solved exactly, the
+    maximizer is f = sqrt(n) r / ||r||_2 with r = D_S' q_S - D_off' xi, and
+    the result is certified by the primal value at f, the dual value and
+    their gap: ``reliable`` means gap <= 1e-6 dual + 1e-12.  ``gamma_sq`` is
+    the squared positive part of the primal value.  ``seed`` is accepted and
+    ignored; the computation is deterministic.
     """
     n, k = S.n, S.k
-    if n > n_cap:
-        raise ValueError(f"direct oracle restricted to n <= {n_cap} (got {n})")
     op = build_delta(n, k)
     D = op.to_dense()
     active_pos = np.array([t - k - 1 for t in S.t], dtype=int)
     off_pos = np.setdiff1d(np.arange(op.m), active_pos)
-    qs = np.asarray(S.q_S, dtype=float)
-    coef = np.ones(len(off_pos))
-    if weights is not None:
-        coef = 1.0 - weights.w[off_pos]
-    D_S = D[active_pos]
-    D_off = D[off_pos]
-    c_S = D_S.T @ qs if len(active_pos) else np.zeros(n)
-
-    def value(F):
-        dofF = F @ D_off.T
-        return F @ c_S - np.abs(dofF) @ coef
-
-    def supergrad(F):
-        sg = np.sign(F @ D_off.T)
-        return c_S[None, :] - (sg * coef[None, :]) @ D_off
-
-    rng = np.random.default_rng(seed)
-    F = rng.standard_normal((restarts, n))
-    F *= math.sqrt(n) / np.linalg.norm(F, axis=1, keepdims=True)
-    g0 = np.linalg.norm(supergrad(F), axis=1)
-    step_c = math.sqrt(n) / np.maximum(g0, 1e-12)
-    best_val = value(F)
-    best_F = F.copy()
-    track_every = 4
-    for t in range(1, iters + 1):
-        F = F + (step_c / math.sqrt(t))[:, None] * supergrad(F)
-        norms = np.linalg.norm(F, axis=1)
-        scale = np.minimum(1.0, math.sqrt(n) / np.maximum(norms, 1e-300))
-        F *= scale[:, None]
-        if t % track_every == 0 or t == iters:
-            vals = value(F)
-            improved = vals > best_val
-            best_val[improved] = vals[improved]
-            best_F[improved] = F[improved]
-
-    # fixed-point polish: the maximizer in a fixed sign pattern is the
-    # normalized subgradient direction; iterate until the pattern stabilizes
-    F = best_F
-    for _ in range(64):
-        C = supergrad(F)
-        norms = np.linalg.norm(C, axis=1, keepdims=True)
-        newF = math.sqrt(n) * C / np.maximum(norms, 1e-300)
-        vals = value(newF)
-        improved = vals > best_val
-        if not np.any(improved):
-            break
-        best_val[improved] = vals[improved]
-        best_F[improved] = newF[improved]
-        F = np.where(improved[:, None], newF, F)
-
-    # face polish: the maximizer zeroes a whole set of off-pattern
-    # differences (a piecewise-polynomial face), typically freeing only rows
-    # within k-1 of an active row (the augmented-null-space structure).
-    # Candidate zero sets: threshold sets of the current differences, plus
-    # the structured faces that free a band around each active row.
-    structured = []
-    for width in range(0, k):
-        for side in ("both", "left", "right"):
-            keep = np.zeros(len(off_pos), dtype=bool)
-            for t in active_pos:
-                if side in ("both", "left"):
-                    keep |= (off_pos >= t - width) & (off_pos < t)
-                if side in ("both", "right"):
-                    keep |= (off_pos > t) & (off_pos <= t + width)
-            structured.append(~keep)
-    # the exact optimal face, from a dependency-free coordinate-descent
-    # solve of the box-constrained dual least-squares problem: rows whose
-    # dual coordinate sits strictly inside its box carry zero differences
-    xi_star = _box_ls_cd(D_off.T, c_S, coef)
-    interior = np.abs(xi_star) < coef * (1.0 - 1e-9) + 1e-15
-    structured.insert(0, interior)
-
-    qr_cache = {}
-
-    def face_projector(zero):
-        key = zero.tobytes()
-        Q = qr_cache.get(key)
-        if Q is None:
-            Q, _ = np.linalg.qr(D_off[zero].T, mode="reduced")
-            qr_cache[key] = Q
-        return Q
-
-    def face_candidate(f):
-        d = f @ D_off.T
-        scale = max(float(np.max(np.abs(d), initial=0.0)), 1e-300)
-        faces = [np.abs(d) <= theta * scale
-                 for theta in (0.0, 1e-8, 1e-5, 1e-3, 1e-2, 1e-1, 1.1)]
-        faces.extend(structured)
-        best_v, best_f = -np.inf, None
-        for zero in faces:
-            sg = np.where(zero, 0.0, np.sign(d))
-            c = c_S - D_off.T @ (sg * coef)
-            Q = None
-            if np.any(zero):
-                Q = face_projector(zero)
-                c = c - Q @ (Q.T @ c)
-            nc = np.linalg.norm(c)
-            if nc <= 1e-12:
-                # flat face: any point of the face attains the linear part;
-                # keep the projection of the current iterate
-                c = f - Q @ (Q.T @ f) if Q is not None else f.copy()
-                nc = np.linalg.norm(c)
-                if nc <= 1e-12:
-                    continue
-            cand = math.sqrt(n) * c / nc
-            v = float(value(cand[None, :])[0])
-            if v > best_v:
-                best_v, best_f = v, cand
-        return best_v, best_f
-
-    # exchange pass: from each restart's face fixpoint, try releasing one
-    # zero row at a time (QR column deletion keeps this linear per trial)
-    def single_release(f, v0):
-        d = f @ D_off.T
-        scale = max(float(np.max(np.abs(d), initial=0.0)), 1e-300)
-        zero0 = np.abs(d) <= 1e-9 * scale
-        sg0 = np.where(zero0, 0.0, np.sign(d))
-        idx_zero = np.nonzero(zero0)[0]
-        if not len(idx_zero):
-            return v0, None
-        base = D_off[zero0].T
-        Q0, R0 = np.linalg.qr(base, mode="reduced")
-        c_base = c_S - D_off.T @ (sg0 * coef)
-        best_v, best_f = v0, None
-        for pos, j in enumerate(idx_zero):
-            if len(idx_zero) > 1:
-                Qz, _ = scipy.linalg.qr_delete(Q0, R0, pos, which="col")
-                Qz = Qz[:, : len(idx_zero) - 1]
-            else:
-                Qz = None
-            for sgn in (1.0, -1.0):
-                c = c_base - sgn * coef[j] * D_off[j]
-                if Qz is not None:
-                    c = c - Qz @ (Qz.T @ c)
-                nc = np.linalg.norm(c)
-                if nc <= 1e-12:
-                    continue
-                cand = math.sqrt(n) * c / nc
-                v = float(value(cand[None, :])[0])
-                if v > best_v:
-                    best_v, best_f = v, cand
-        return best_v, best_f
-
-    def polish_one(r):
-        tiny = 1e-13 * max(1.0, abs(best_val[r]))
-        f = best_F[r]
-        for _ in range(20):
-            v, cand = face_candidate(f)
-            if cand is None or v <= best_val[r] + tiny:
-                break
-            best_val[r] = v
-            best_F[r] = cand
-            f = cand
-        for _ in range(4):
-            v, cand = single_release(best_F[r], best_val[r])
-            if cand is None or v <= best_val[r] + tiny:
-                break
-            best_val[r] = v
-            best_F[r] = cand
-            f = cand
-            for _ in range(10):
-                v2, cand2 = face_candidate(f)
-                if cand2 is None or v2 <= best_val[r] + tiny:
-                    break
-                best_val[r] = v2
-                best_F[r] = cand2
-                f = cand2
-
-    for r in range(restarts):
-        polish_one(r)
-
-    v_star = float(np.max(best_val))
-    spread = float((v_star - np.min(best_val)) / max(abs(v_star), 1.0))
-    gamma_sq = max(v_star, 0.0) ** 2
+    caps = np.ones(len(off_pos)) if weights is None else 1.0 - weights.w[off_pos]
+    c = D[active_pos].T @ np.asarray(S.q_S, dtype=float)
+    A = D[off_pos].T
+    r = c - A @ _box_least_squares(A, c, caps)
+    norm_r = float(np.linalg.norm(r))
+    # r = 0 only for an empty active set; a constant attains the value 0 there
+    f = math.sqrt(n) * r / norm_r if norm_r > 0 else np.ones(n)
+    primal = float(f @ c - caps @ np.abs(A.T @ f))
+    dual = math.sqrt(n) * norm_r
+    gap = dual - primal
     return DirectSparsityResult(
-        gamma_sq=gamma_sq,
-        max_value=v_star,
-        restart_values=best_val,
-        spread=spread,
-        reliable=spread <= spread_tol,
-        maximizer=best_F[int(np.argmax(best_val))],
+        gamma_sq=max(primal, 0.0) ** 2,
+        max_value=primal,
+        dual_value=dual,
+        gap=gap,
+        reliable=bool(gap <= 1e-6 * dual + 1e-12),
+        maximizer=f,
     )
 
 

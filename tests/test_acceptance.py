@@ -166,7 +166,7 @@ def test_halfpower_energy_growth():
 def test_effective_sparsity_sandwich():
     t0 = time.time()
     rng = np.random.default_rng(111)
-    n_total, n_unreliable, failures = 0, 0, []
+    n_total, failures = 0, []
     while n_total < 200:
         S = sample_sandwich_instance(rng)
         lam = theory.lambda_threshold(S.n, S.k, S.n_max, U, s=S.s)
@@ -174,18 +174,18 @@ def test_effective_sparsity_sandwich():
         vec = itp.build_noisy(S, weights=w)
         energy = sp.effective_sparsity_via_interpolant(vec, weights=w)
         closed = sp.gamma_closed_form(S)
-        res = sp.effective_sparsity_direct(S, weights=w, seed=1000 + n_total)
+        res = sp.effective_sparsity_direct(S, weights=w)
+        ref = sparsity_dual_reference(S, weights=w)
         n_total += 1
-        if not res.reliable:
-            n_unreliable += 1
-            continue
-        if not (res.gamma_sq <= energy * (1 + 1e-9) + 1e-12
+        if not (res.reliable
+                and abs(res.gamma_sq - ref) <= 1e-6 * ref + 1e-12
+                and res.gamma_sq <= energy * (1 + 1e-9) + 1e-12
                 and energy <= closed * (1 + 1e-12)):
-            failures.append((S.n, S.k, S.t, res.gamma_sq, energy, closed))
-    passed = not failures and n_unreliable < 0.05 * n_total
+            failures.append((S.n, S.k, S.t, res.gamma_sq, res.gap, ref, energy, closed))
+    passed = not failures
     record("sparsity-sandwich", passed,
-           f"{n_total} instances; failures {len(failures)}; "
-           f"unreliable {n_unreliable} ({100 * n_unreliable / n_total:.1f}%)",
+           f"{n_total} instances; failures {len(failures)} "
+           "(uncertified, off bvls or outside the sandwich)",
            time.time() - t0, 300.0)
 
 

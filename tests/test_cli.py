@@ -70,6 +70,17 @@ class TestSolve:
                        "--report", str(tmp_path / "r.json")])
         assert rc == 3
 
+    def test_linalg_failure_is_numeric_exit(self, signal, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which would otherwise exit 2 (usage)
+        def failing_fit(y, cfg):
+            raise np.linalg.LinAlgError("237-th leading minor not positive definite")
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        path, _ = signal
+        rc = cli.main(["solve", "--input", str(path), "--k", "4", "--lambda", "0.1"])
+        assert rc == 3
+        assert "leading minor" in capsys.readouterr().err
+
     def test_report_contents(self, tmp_path, signal):
         path, _ = signal
         rep = tmp_path / "rep.json"
@@ -128,6 +139,16 @@ class TestVerify:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["passed"] and report["suite"] == "lemma36"
+
+    def test_sparsity_suite_passes(self, tmp_path):
+        out = tmp_path / "rep.json"
+        rc = cli.main(["verify", "--suite", "sparsity", "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] and report["suite"] == "sparsity"
+        (check,) = report["checks"]
+        assert check["detail"]["instances"] == 12
+        assert 0.0 <= check["detail"]["worst_gap"] <= 1e-6
 
 
 class TestSimulate:

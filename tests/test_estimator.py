@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tv_dual_reference
+from conftest import dense_delta, tv_dual_reference
 from tvtrend import estimator as est
 from tvtrend.diffops import falling_factorial_basis, polynomial_basis
 
@@ -78,6 +78,19 @@ class TestFitBasics:
             u = rng.standard_normal(op.m)
             h = op.apply_transpose(u)
             np.testing.assert_allclose(est.dual_witness(h, k), u, atol=1e-9)
+
+
+class TestAdmmSystem:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bands_match_dense(self, k):
+        for n in (7, 64, 300):
+            for rho in (0.37, 1.0, 2.0 ** 20):
+                Dd = dense_delta(n, k)
+                M = (2.0 / n) * np.eye(n) + rho * (Dd.T @ Dd)
+                expected = np.zeros((k + 1, n))
+                for d in range(k + 1):
+                    expected[k - d, d:] = np.diagonal(M, d)
+                assert np.array_equal(est._admm_system_banded(n, k, rho), expected)
 
 
 class TestCertificates:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_active_set, sparsity_dual_reference
+from conftest import dense_delta, random_active_set, sparsity_dual_reference
 from tvtrend import sparsity as sp
-from tvtrend.diffops import ActiveSet, block_column_sqnorms, build_delta
+from tvtrend.diffops import ActiveSet, block_column_sqnorms
 from tvtrend.interpolants import InfeasibleInterpolantError, InterpolatingVector, build_noisy
 from tvtrend.theory import lambda0, lambda_threshold
 
@@ -40,56 +40,69 @@ class TestWeights:
             assert np.all(w.w >= 0.0)
 
 
+def _objective(S, weights, f):
+    """q_S' (Df)_S - sum_{j off S} (1 - w_j) |(Df)_j| from a dense operator."""
+    d = dense_delta(S.n, S.k) @ f
+    active = [t - S.k - 1 for t in S.t]
+    off = np.setdiff1d(np.arange(len(d)), active)
+    caps = 1.0 - weights.w[off] if weights is not None else np.ones(len(off))
+    return float(np.asarray(S.q_S, dtype=float) @ d[active] - caps @ np.abs(d[off]))
+
+
+def _assert_certified(S, weights, res):
+    assert res.reliable
+    assert 0.0 <= res.gap <= 1e-6 * res.dual_value + 1e-12
+    assert res.gap == pytest.approx(res.dual_value - res.max_value, rel=1e-12, abs=1e-15)
+    assert np.linalg.norm(res.maximizer) == pytest.approx(math.sqrt(S.n), rel=1e-12)
+    assert res.max_value == pytest.approx(_objective(S, weights, res.maximizer),
+                                          rel=1e-9, abs=1e-12)
+    ref = sparsity_dual_reference(S, weights=weights)
+    assert res.gamma_sq == pytest.approx(ref, rel=1e-6, abs=1e-12)
+
+
 class TestDirectOracle:
     def test_empty_set_is_zero(self):
         S = _active(24, 1, (), ())
-        res = sp.effective_sparsity_direct(S, restarts=8, iters=300, seed=1)
+        res = sp.effective_sparsity_direct(S)
         assert res.gamma_sq == 0.0
         assert res.max_value <= 0.0
+        assert res.gap == 0.0 and res.reliable
 
     def test_homogeneity_of_objective(self, rng):
         # the maximand is 1-homogeneous: doubling f doubles the value
         S = _active(20, 1, (8, 14), (1, -1))
-        op = build_delta(20, 1)
-        D = op.to_dense()
-        qs = np.array(S.q_S, dtype=float)
-        active = [t - 2 for t in S.t]
-        off = np.setdiff1d(np.arange(op.m), active)
-
-        def value(f):
-            d = D @ f
-            return qs @ d[active] - np.sum(np.abs(d[off]))
-
         f = rng.standard_normal(20)
-        assert value(2.5 * f) == pytest.approx(2.5 * value(f), rel=1e-12)
+        assert _objective(S, None, 2.5 * f) == pytest.approx(2.5 * _objective(S, None, f),
+                                                             rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_agrees_with_dual_reference(self, k):
-        # independent oracle: box-constrained least squares on the dual side
+        # independent oracle: scipy's bvls on the dual side
         rng = np.random.default_rng(100 + k)
         for _ in range(4):
             S = random_active_set(rng, k, max_s=2, max_mult=2)
-            if S.n > 64:
-                continue
             lam = lambda_threshold(S.n, k, S.n_max, U, s=S.s)
             w = sp.compute_weights(S, U, lam)
-            res = sp.effective_sparsity_direct(S, weights=w, restarts=16, iters=3000,
-                                               seed=7)
-            ref = sparsity_dual_reference(S, weights=w)
-            assert res.reliable
-            assert res.gamma_sq == pytest.approx(ref, rel=1e-4, abs=1e-8)
-            assert res.gamma_sq <= ref * (1 + 1e-6)  # primal never exceeds the max
+            _assert_certified(S, w, sp.effective_sparsity_direct(S, weights=w))
 
     def test_noiseless_agrees_with_dual_reference(self):
         S = _active(30, 1, (12, 21), (1, -1))
-        res = sp.effective_sparsity_direct(S, restarts=16, iters=3000, seed=3)
-        ref = sparsity_dual_reference(S)
-        assert res.gamma_sq == pytest.approx(ref, rel=1e-4)
+        _assert_certified(S, None, sp.effective_sparsity_direct(S))
 
-    def test_size_cap(self):
-        S = _active(100, 1, (50,), (1,))
-        with pytest.raises(ValueError):
-            sp.effective_sparsity_direct(S)
+    def test_no_size_cap(self):
+        # k = 3 well past the former n <= 64 limit of the direct oracle
+        S = _active(152, 3, (40, 80, 115), (1, -1, -1))
+        lam = lambda_threshold(S.n, 3, S.n_max, U, s=S.s)
+        w = sp.compute_weights(S, U, lam)
+        _assert_certified(S, w, sp.effective_sparsity_direct(S, weights=w))
+
+    def test_former_underestimate(self):
+        # instance 31 of the acceptance sampler (seed 111): the supergradient
+        # oracle this replaced returned a value 67% below the maximum here
+        S = _active(62, 3, (18, 33, 48), (-1, -1, 1))
+        lam = lambda_threshold(S.n, 3, S.n_max, U, s=S.s)
+        w = sp.compute_weights(S, U, lam)
+        _assert_certified(S, w, sp.effective_sparsity_direct(S, weights=w))
 
     def test_lambda_monotonicity(self):
         # larger lambda shrinks the weights, weakly decreasing the noisy value
@@ -98,9 +111,7 @@ class TestDirectOracle:
         vals = []
         for mult in (1.0, 2.0, 8.0):
             w = sp.compute_weights(S, U, lam1 * mult)
-            res = sp.effective_sparsity_direct(S, weights=w, restarts=12, iters=2000,
-                                               seed=11)
-            vals.append(res.gamma_sq)
+            vals.append(sp.effective_sparsity_direct(S, weights=w).gamma_sq)
         assert vals[0] >= vals[1] - 1e-8 >= vals[2] - 2e-8
 
 
@@ -110,14 +121,11 @@ class TestInterpolantBound:
         rng = np.random.default_rng(200 + k)
         for _ in range(4):
             S = random_active_set(rng, k, max_s=2, max_mult=2)
-            if S.n > 64:
-                continue
             lam = lambda_threshold(S.n, k, S.n_max, U, s=S.s)
             w = sp.compute_weights(S, U, lam)
             vec = build_noisy(S, weights=w)
             energy = sp.effective_sparsity_via_interpolant(vec, weights=w)
-            res = sp.effective_sparsity_direct(S, weights=w, restarts=12, iters=2000,
-                                               seed=17)
+            res = sp.effective_sparsity_direct(S, weights=w)
             assert res.gamma_sq <= energy * (1 + 1e-9)
 
     def test_infeasible_vector_rejected(self):
