@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .diffops import (ActiveSet, augmented_nullspace_basis, block_dictionary,
-                      build_delta)
-from .estimator import FitConfig, fit
+from .diffops import (DENSE_CAP_DEFAULT, ActiveSet, block_column_sqnorms,
+                      polynomial_basis)
+from .estimator import FitConfig, dual_witness, fit
 from .sparsity import gamma_closed_form
 
 SCHEMA_VERSION = 1
@@ -162,40 +162,89 @@ def resolve_lambda(cfg, S):
     return cfg.lambda_scale * theory.lambda_threshold(cfg.n, cfg.k, S.n_max, cfg.u, s=S.s)
 
 
+@dataclass(frozen=True)
+class EventGeometry:
+    """What events U and V need of an active set S; O(n) in size.
+
+    ``segments`` holds, for each block of Psi^{-S}, its 0-based coordinate
+    slice and an orthonormal basis of the degree < k polynomials on it (the
+    augmented null space, block by block).  ``psi_scale`` holds
+    sqrt(n) ||psi_j^{-S}|| for the dictionary columns in row order.
+    """
+
+    k: int
+    segments: tuple
+    psi_scale: np.ndarray
+
+    @classmethod
+    def from_active_set(cls, S):
+        blocks = S.blocks()
+        longest = max(nb for _a, _b, nb in blocks)
+        if longest > DENSE_CAP_DEFAULT:
+            raise ConfigError(
+                f"segment length {longest} exceeds the cap {DENSE_CAP_DEFAULT} on the "
+                "per-segment column lengths; use more jumps (s0) or a smaller n"
+            )
+        segments = tuple((a - 1, b, polynomial_basis(nb, min(S.k, nb))) for a, b, nb in blocks)
+        _rows, sqnorms = block_column_sqnorms(S)
+        return cls(k=S.k, segments=segments, psi_scale=math.sqrt(S.n) * np.sqrt(sqnorms))
+
+
+def event_statistics(geom, eps):
+    """The statistics of events U and V for one noise vector, in O(n).
+
+    Returns (max_j |eps' psi_j^{-S}| / (sqrt(n) ||psi_j^{-S}||), ||Nbar' eps||_2)
+    with Nbar an orthonormal basis of the augmented null space.  Each
+    segment's noise is projected off the segment's polynomials once: the
+    coefficients make up Nbar' eps, and since the segment's columns of
+    Psi^{-S} are falling-factorial columns with that projection applied,
+    ``dual_witness`` of the residual (k suffix sums) gives eps' psi_j^{-S}.
+    The left half of a segment's columns is taken from the reversed residual
+    instead (prefix sums; reversing the coordinates maps psi_j to
+    (-1)^k psi_{n_b+k+1-j}), as ``pinv_column_sqnorms`` does for the
+    lengths: long falling-factorial columns would amplify the rounding left
+    in the residual's polynomial part.  The segments' columns ascend in row
+    order, as ``psi_scale`` does.
+    """
+    k = geom.k
+    coefs, witness = [], []
+    for lo, hi, basis in geom.segments:
+        e = eps[lo:hi]
+        c = basis.T @ e
+        coefs.append(c)
+        if hi - lo > k:
+            r = e - basis @ c
+            u = dual_witness(r, k)
+            half = (len(u) - 1) // 2
+            u[:half] = (-1) ** k * dual_witness(r[::-1], k)[::-1][:half]
+            witness.append(u)
+    corr = np.abs(np.concatenate(witness)) / geom.psi_scale
+    return float(np.max(corr)), float(np.linalg.norm(np.concatenate(coefs)))
+
+
 @dataclass
 class _Prepared:
     cfg: ExperimentConfig
     f0: np.ndarray
     S: ActiveSet
     lam: float
-    gamma: float
-    psi: np.ndarray
-    psi_norms: np.ndarray
-    nbar: np.ndarray
+    bound_rhs: float
+    events: EventGeometry
     lam0: float
     sqrt_rbar_2v: float
 
 
 def prepare(cfg):
     f0, S = generate_signal(cfg)
+    events = EventGeometry.from_active_set(S)
     lam = resolve_lambda(cfg, S)
     gamma = math.sqrt(gamma_closed_form(S))
-    op = build_delta(cfg.n, cfg.k)
-    bd = block_dictionary(op, S)
-    nbar = augmented_nullspace_basis(op, S)
-    Q, _ = np.linalg.qr(nbar)
+    # adaptive oracle bound at the oracle comparator (f = f0, S = truth)
+    rhs = theory.adaptive_bound_rhs(f0, f0, S, lam, cfg.u, cfg.v, gamma).total
     lam0 = theory.lambda0(cfg.u, cfg.n, cfg.n - cfg.k - S.s)
-    sqrt_rbar_2v = math.sqrt(bd.r_bar) + math.sqrt(2.0 * cfg.v)
-    return _Prepared(cfg=cfg, f0=f0, S=S, lam=lam, gamma=gamma,
-                     psi=bd.columns, psi_norms=np.sqrt(bd.col_sqnorms),
-                     nbar=Q, lam0=lam0, sqrt_rbar_2v=sqrt_rbar_2v)
-
-
-def bound_rhs(prep):
-    """Adaptive oracle bound at the oracle comparator (f = f0, S = truth)."""
-    bb = theory.adaptive_bound_rhs(prep.f0, prep.f0, prep.S, prep.lam,
-                                   prep.cfg.u, prep.cfg.v, prep.gamma)
-    return bb.total
+    sqrt_rbar_2v = math.sqrt(cfg.k * (S.s + 1)) + math.sqrt(2.0 * cfg.v)
+    return _Prepared(cfg=cfg, f0=f0, S=S, lam=lam, bound_rhs=rhs,
+                     events=events, lam0=lam0, sqrt_rbar_2v=sqrt_rbar_2v)
 
 
 def run_trial(prep, trial):
@@ -208,14 +257,12 @@ def run_trial(prep, trial):
                            algorithm=cfg.algorithm))
     dt = time.perf_counter() - t0
     mse = float(np.sum((res.f_hat - prep.f0) ** 2)) / cfg.n
-    rhs = bound_rhs(prep)
-    corr = np.abs(eps @ prep.psi) / (math.sqrt(cfg.n) * prep.psi_norms)
-    event_u = bool(np.max(corr, initial=0.0) <= prep.lam0)
-    event_v = bool(np.linalg.norm(prep.nbar.T @ eps) <= prep.sqrt_rbar_2v)
-    return TrialRecord(trial_id=trial, mse=mse, bound_rhs=rhs,
-                       inequality_held=mse <= rhs, event_u_held=event_u,
-                       event_v_held=event_v, kkt_residual=res.kkt_residual,
-                       runtime=dt, converged=res.converged)
+    corr, proj = event_statistics(prep.events, eps)
+    return TrialRecord(trial_id=trial, mse=mse, bound_rhs=prep.bound_rhs,
+                       inequality_held=mse <= prep.bound_rhs,
+                       event_u_held=corr <= prep.lam0,
+                       event_v_held=proj <= prep.sqrt_rbar_2v,
+                       kkt_residual=res.kkt_residual, runtime=dt, converged=res.converged)
 
 
 _WORKER_PREP = None
@@ -338,8 +385,8 @@ def summary_json(summary):
 def rate_sweep(cfg, n_values, trials=100):
     """Median prediction error over a grid of n, with the log-log slope.
 
-    Events and dense dictionaries are skipped; only the fit and the error
-    enter.  Returns (per-n medians, fitted slope of log median vs log n).
+    Events are skipped; only the fit and the error enter.  Returns (per-n
+    medians, fitted slope of log median vs log n).
     """
     medians = {}
     for n in n_values:

@@ -178,6 +178,20 @@ class TestSimulate:
         assert csv.read_text().splitlines()[0].startswith("trial_id,")
         assert json.loads(summ.read_text())["n_trials"] == 4
 
+    def test_past_the_old_dense_cap(self, tmp_path):
+        path = self.config(tmp_path, n=8192, s0=4, replications=3, algorithm="dp_k1")
+        csv = tmp_path / "trials.csv"
+        rc = cli.main(["simulate", "--config", str(path), "--out-csv", str(csv),
+                       "--out-json", str(tmp_path / "summary.json")])
+        assert rc == 0
+        assert len(csv.read_text().splitlines()) == 4
+
+    def test_segment_over_cap_is_a_usage_error(self, tmp_path, capsys):
+        path = self.config(tmp_path, n=32768, s0=4, replications=1, algorithm="dp_k1")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "segment length 6554 exceeds the cap 4096" in err
+
 
 class TestLambdaRules:
     def test_threshold_rule(self, tmp_path, signal):

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import dense_pinv, random_active_set
 from tvtrend import experiments as exp
 from tvtrend import theory
-from tvtrend.diffops import build_delta
+from tvtrend.diffops import augmented_nullspace_basis, build_delta
 from tvtrend.sparsity import gamma_closed_form
 
 
@@ -134,6 +136,112 @@ class TestTrials:
         monkeypatch.setenv("TVTREND_THREADS", "2")
         exp.run_monte_carlo(c, csv_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _exact_event_u(eps, k):
+    """max_j |eps' psi_j| / (sqrt(n) ||psi_j||) over the columns of the
+    pseudo-inverse of Delta(k) on n = len(eps) points, in exact rational
+    arithmetic: psi_j is the falling-factorial column at row j less its
+    least-squares polynomial part."""
+    n = len(eps)
+    basis = []  # orthogonal basis of the degree < k polynomials
+
+    def perp(v):
+        for b in basis:
+            c = sum(x * y for x, y in zip(v, b)) / sum(y * y for y in b)
+            v = [x - c * y for x, y in zip(v, b)]
+        return v
+
+    for p in range(k):
+        basis.append(perp([Fraction(i) ** p for i in range(n)]))
+    e = perp([Fraction(float(x)) for x in eps])
+    best = 0.0
+    for j in range(k + 1, n + 1):
+        ff = [Fraction(math.comb(i - j + k - 1, k - 1)) if i >= j else Fraction(0)
+              for i in range(1, n + 1)]
+        psi = perp(ff)
+        num = sum(x * y for x, y in zip(e, ff))
+        best = max(best, abs(float(num)) / math.sqrt(float(sum(x * x for x in psi))))
+    return best / math.sqrt(n)
+
+
+def _nbytes(obj):
+    """Bytes of all numpy arrays reachable through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return sum(_nbytes(v) for v in obj)
+    return 0
+
+
+class TestEvents:
+    # The SVD pseudo-inverse of an order-4 block of up to 96 points is itself
+    # accurate only to about 1e-11 (against exact arithmetic, see below).
+    DENSE_RTOL = {1: 1e-12, 2: 1e-12, 3: 1e-12, 4: 5e-11}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_event_u_matches_dense_dictionary(self, k, rng):
+        for _ in range(25):
+            S = random_active_set(rng, k)
+            cols = []
+            for a, b, nb in S.blocks():
+                if nb <= k:
+                    continue
+                block = np.zeros((S.n, nb - k))
+                block[a - 1:b] = dense_pinv(nb, k)
+                cols.append(block)
+            psi = np.concatenate(cols, axis=1)
+            eps = rng.standard_normal(S.n)
+            ref = np.max(np.abs(eps @ psi) / (math.sqrt(S.n) * np.linalg.norm(psi, axis=0)))
+            corr, _ = exp.event_statistics(exp.EventGeometry.from_active_set(S), eps)
+            assert corr == pytest.approx(ref, rel=self.DENSE_RTOL[k], abs=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_event_u_exact_arithmetic(self, k, rng):
+        S = random_active_set(rng, k, max_s=0)
+        eps = rng.standard_normal(S.n)
+        corr, _ = exp.event_statistics(exp.EventGeometry.from_active_set(S), eps)
+        assert corr == pytest.approx(_exact_event_u(eps, k), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_event_v_matches_nullspace_basis(self, k, rng):
+        S = random_active_set(rng, k)
+        Q = augmented_nullspace_basis(build_delta(S.n, k), S)
+        eps = rng.standard_normal(S.n)
+        _, proj = exp.event_statistics(exp.EventGeometry.from_active_set(S), eps)
+        assert proj == pytest.approx(np.linalg.norm(Q.T @ eps), rel=1e-12, abs=0)
+
+    def test_prepared_holds_no_dense_dictionary(self):
+        prep = exp.prepare(cfg(n=4096, k=1, s0=4, replications=1, seed=0,
+                               algorithm="dp_k1"))
+        assert _nbytes(prep) < 1 << 20
+
+    def test_bound_computed_once_per_config(self, monkeypatch):
+        calls = []
+        original = exp.theory.adaptive_bound_rhs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(exp.theory, "adaptive_bound_rhs", counted)
+        exp.run_monte_carlo(cfg(replications=5))
+        assert len(calls) == 1
+
+    def test_past_the_old_dense_cap(self, tmp_path, monkeypatch):
+        c = cfg(n=8192, k=1, s0=4, replications=3, algorithm="dp_k1")
+        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        records, _ = exp.run_monte_carlo(c, csv_path=p1)
+        assert [r.trial_id for r in records] == [0, 1, 2]
+        monkeypatch.setenv("TVTREND_THREADS", "2")
+        exp.run_monte_carlo(c, csv_path=p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_segment_cap_reported(self):
+        with pytest.raises(exp.ConfigError, match=r"segment length 6554 exceeds the cap 4096"):
+            exp.prepare(cfg(n=32768, k=1, s0=4, replications=1, algorithm="dp_k1"))
 
 
 class TestWilson:
