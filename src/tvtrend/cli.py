@@ -21,7 +21,7 @@ import numpy as np
 
 from . import experiments, theory, verify
 from .diffops import ActiveSet
-from .estimator import FitConfig, fit
+from .estimator import ALGORITHMS, FitConfig, fit
 from .interpolants import InfeasibleInterpolantError, build_noiseless, build_noisy
 from .sparsity import compute_weights, gamma_closed_form
 
@@ -226,7 +226,7 @@ def build_parser():
     sp.add_argument("--s0", type=int, default=0)
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--u", type=float, default=math.log(20.0))
-    sp.add_argument("--algorithm", choices=("admm", "dp_k1", "synthesis_cd"), default="admm")
+    sp.add_argument("--algorithm", choices=ALGORITHMS, default="admm")
     sp.add_argument("--tol-kkt", type=float, default=1e-8)
     sp.add_argument("--max-iter", type=int, default=50_000)
     sp.add_argument("--out", default=None, help="fitted signal CSV")

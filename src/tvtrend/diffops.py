@@ -178,25 +178,40 @@ def pinv_columns(n, k, cap=DENSE_CAP_DEFAULT):
     return tail
 
 
-def pinv_column_sqnorms(n, k, cap=DENSE_CAP_DEFAULT):
-    """Squared column lengths of Delta(k)^+.
+def dual_witness(h, k):
+    """The unique u with Delta(k)' u = h (when h is orthogonal to degree < k
+    polynomials), without a linear solve; columnwise for a 2-D h.
 
-    Anti-projection norms are computed on the right half of the index set,
+    u_j equals the inner product of h with the falling-factorial column at
+    row j, which telescopes into k repeated suffix sums of h; exact up to
+    rounding of additions, immune to the n^{2k} conditioning of the Gram
+    system.
+    """
+    z = np.asarray(h, dtype=float)
+    for _ in range(k):
+        z = z[::-1].cumsum(axis=0)[::-1]
+    return z[k:]
+
+
+def pinv_column_sqnorms(n, k):
+    """Squared column lengths of Delta(k)^+, in O(nk).
+
+    Column j is the falling-factorial column phi_j with its polynomial part
+    projected out, so ||psi_j||^2 = ||phi_j||^2 - ||Q' phi_j||^2 for an
+    orthonormal polynomial basis Q: ||phi_j||^2 is a cumulative sum of
+    squared binomials C(t+k-1, k-1)^2 and Q' phi_j is ``dual_witness`` of
+    each column of Q.  Both are taken on the right half of the index set,
     where the falling-factorial columns have comparable size to their
     anti-projections (no cancellation), and mirrored by the reversal
     symmetry ||psi_j|| = ||psi_{n+k+1-j}||.
     """
-    op = DiffOperator(n, k)
-    if n > cap:
-        raise DenseCapExceededError(f"n={n} exceeds the dense cap {cap}")
-    m = op.m
-    psi = falling_factorial_basis(n, k)
-    Q, _ = np.linalg.qr(psi[:, :k])
+    m = DiffOperator(n, k).m
     half0 = (m - 1) // 2
-    tail = psi[:, k + half0:]
-    tail -= Q @ (Q.T @ tail)
-    tail -= Q @ (Q.T @ tail)
-    right = np.sum(tail ** 2, axis=0)
+    binom = np.ones(m - half0)
+    for _ in range(k - 1):
+        binom = binom.cumsum()
+    proj = dual_witness(polynomial_basis(n, k)[half0:], k)
+    right = np.cumsum(binom ** 2)[::-1] - np.sum(proj ** 2, axis=1)
     out = np.empty(m)
     out[half0:] = right
     out[:half0] = right[::-1][:half0]
@@ -368,49 +383,39 @@ class BlockDictionary:
         return self.S.k * (self.S.s + 1)
 
 
-def _block_column_layout(S):
-    """Yield (segment index, global row j, block length, local column) tuples."""
-    for i, (a, b, nb) in enumerate(S.blocks(), start=1):
-        if nb <= S.k:
-            continue
-        for rho in range(S.k + 1, nb + 1):
-            yield i, a - 1 + rho, nb, rho, a
-
-
 def block_column_sqnorms(S):
     """Squared lengths of the Psi^{-S} columns, keyed by surviving row index.
 
-    Uses the per-block pseudo-inverse Gram diagonal; no dense columns formed.
+    Block by block from the per-block pseudo-inverse column lengths; the
+    rows ascend and no dense columns are formed.  Returns (rows, sqnorms)
+    as arrays.
     """
-    rows, sqn = [], []
-    for _i, j, nb, rho, _a in _block_column_layout(S):
-        rows.append(j)
-        sqn.append(_cached_pinv_sqnorms(nb, S.k)[rho - S.k - 1])
-    order = np.argsort(rows)
-    return tuple(np.asarray(rows)[order]), np.asarray(sqn, dtype=float)[order]
+    rows, sqn = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for a, b, nb in S.blocks():
+        if nb > S.k:
+            rows.append(np.arange(a + S.k, b + 1))
+            sqn.append(_cached_pinv_sqnorms(nb, S.k))
+    return np.concatenate(rows), np.concatenate(sqn)
 
 
 def block_dictionary(op, S, cap=DENSE_CAP_DEFAULT):
     """Materialize Psi^{-S} for the active set S (dense, small n).
 
-    Each column is the corresponding column of the pseudo-inverse of the
-    segment block, embedded at the block coordinates; the result is
-    orthogonal to the augmented null space (block-wise polynomials).
+    Each block's columns are the pseudo-inverse of the segment block,
+    embedded at the block coordinates; the result is orthogonal to the
+    augmented null space (block-wise polynomials).
     """
     if (op.n, op.k) != (S.n, S.k):
         raise ValueError("operator and active set disagree on (n, k)")
     if op.n > cap:
         raise DenseCapExceededError(f"n={op.n} exceeds the dense cap {cap}")
-    entries = list(_block_column_layout(S))
-    entries.sort(key=lambda e: e[1])
-    cols = np.zeros((op.n, len(entries)))
-    rows = []
-    pinv_cache = {}
-    for idx, (_i, j, nb, rho, a) in enumerate(entries):
-        if nb not in pinv_cache:
-            pinv_cache[nb] = pinv_columns(nb, S.k, cap=cap)
-        cols[a - 1: a - 1 + nb, idx] = pinv_cache[nb][:, rho - S.k - 1]
-        rows.append(j)
+    blocks = [(a, b, nb) for a, b, nb in S.blocks() if nb > S.k]
+    rows = [j for a, b, _nb in blocks for j in range(a + S.k, b + 1)]
+    cols = np.zeros((op.n, len(rows)))
+    col = 0
+    for a, b, nb in blocks:
+        cols[a - 1:b, col:col + nb - S.k] = pinv_columns(nb, S.k, cap=cap)
+        col += nb - S.k
     sqn = np.sum(cols ** 2, axis=0)
     return BlockDictionary(S=S, col_rows=tuple(rows), columns=cols, col_sqnorms=sqn)
 

@@ -11,7 +11,7 @@ whose residual, box excess and sign mismatch are folded into
 form with a banded Cholesky factorization of (2/n) I + rho D'D, over-relaxed
 updates and residual-balanced rho, plus an exact active-set polish once the
 support settles.  An independent taut-string dynamic program is available for
-k = 1, and a synthesis-form coordinate descent as a slow cross-check.
+k = 1.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diffops import build_delta, difference_coefficients, polynomial_basis
+from .diffops import build_delta, difference_coefficients, dual_witness, polynomial_basis
 
-ALGORITHMS = ("admm", "dp_k1", "synthesis_cd")
+ALGORITHMS = ("admm", "dp_k1")
 
 
 @dataclass(frozen=True)
@@ -74,21 +74,6 @@ def polynomial_fit(y, k):
     y = np.asarray(y, dtype=float)
     Q = polynomial_basis(len(y), k)
     return Q @ (Q.T @ y)
-
-
-def dual_witness(h, k):
-    """The unique u with Delta(k)' u = h (when h is orthogonal to degree < k
-    polynomials), without a linear solve.
-
-    u_j equals the inner product of h with the falling-factorial column at
-    row j, which telescopes into k repeated suffix sums of h; exact up to
-    rounding of additions, immune to the n^{2k} conditioning of the Gram
-    system.
-    """
-    z = np.asarray(h, dtype=float)
-    for _ in range(k):
-        z = z[::-1].cumsum()[::-1]
-    return z[k:]
 
 
 def lambda_max(y, k):
@@ -357,51 +342,6 @@ def _fit_dp_k1(y, cfg):
                      lam=cfg.lam, k=1)
 
 
-def _fit_synthesis_cd(y, cfg, sweeps=2000):
-    """Coordinate descent on the synthesis form f = poly part + Delta^+ b.
-
-    The dictionary columns are orthogonal to the polynomial block, so the
-    polynomial coefficients decouple; cyclic soft-threshold updates on b,
-    then the shared active-set polish and certificate.
-    """
-    n = len(y)
-    k = cfg.k
-    from .diffops import pinv_columns
-
-    Psi = pinv_columns(n, k)
-    g = np.sum(Psi ** 2, axis=0)
-    P = polynomial_basis(n, k)
-    y_perp = y - P @ (P.T @ y)
-    b = np.zeros(n - k)
-    r = y_perp.copy()
-    thr = n * cfg.lam
-    it = 0
-    for sweep in range(sweeps):
-        max_delta = 0.0
-        for j in range(n - k):
-            rho_j = Psi[:, j] @ r + g[j] * b[j]
-            new = np.sign(rho_j) * max(abs(rho_j) - thr, 0.0) / g[j]
-            if new != b[j]:
-                r -= (new - b[j]) * Psi[:, j]
-                max_delta = max(max_delta, abs(new - b[j]))
-                b[j] = new
-        it = sweep + 1
-        if max_delta <= 1e-12 * max(1.0, np.max(np.abs(b))):
-            break
-    supp = np.nonzero(b)[0]
-    polished = _polish(y, k, cfg.lam, supp + k + 1, np.sign(b[supp]), cfg.tol_kkt)
-    if polished is not None:
-        f_hat, u, kkt = polished
-        return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, k),
-                         kkt_residual=kkt, dual=u, iters=it, converged=True,
-                         lam=cfg.lam, k=k)
-    f_hat = polynomial_fit(y, k) + Psi @ b
-    u, kkt = _certificate(y, f_hat, cfg.lam, k, cfg.tol_kkt)
-    return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, k),
-                     kkt_residual=kkt, dual=u, iters=it, converged=kkt <= cfg.tol_kkt,
-                     lam=cfg.lam, k=k)
-
-
 def fit(y, cfg):
     """Solve the penalized problem; the result is flagged converged only when
     the KKT certificate meets ``cfg.tol_kkt``."""
@@ -419,8 +359,6 @@ def fit(y, cfg):
                          lam=0.0, k=cfg.k)
     if cfg.algorithm == "dp_k1":
         return _fit_dp_k1(y, cfg)
-    if cfg.algorithm == "synthesis_cd":
-        return _fit_synthesis_cd(y, cfg)
     return _fit_admm(y, cfg)
 
 

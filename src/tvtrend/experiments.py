@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .diffops import (DENSE_CAP_DEFAULT, ActiveSet, block_column_sqnorms,
-                      polynomial_basis)
-from .estimator import FitConfig, dual_witness, fit
+from .diffops import ActiveSet, block_column_sqnorms, dual_witness, polynomial_basis
+from .estimator import FitConfig, fit
 from .sparsity import gamma_closed_form
 
 SCHEMA_VERSION = 1
@@ -178,14 +177,8 @@ class EventGeometry:
 
     @classmethod
     def from_active_set(cls, S):
-        blocks = S.blocks()
-        longest = max(nb for _a, _b, nb in blocks)
-        if longest > DENSE_CAP_DEFAULT:
-            raise ConfigError(
-                f"segment length {longest} exceeds the cap {DENSE_CAP_DEFAULT} on the "
-                "per-segment column lengths; use more jumps (s0) or a smaller n"
-            )
-        segments = tuple((a - 1, b, polynomial_basis(nb, min(S.k, nb))) for a, b, nb in blocks)
+        segments = tuple((a - 1, b, polynomial_basis(nb, min(S.k, nb)))
+                         for a, b, nb in S.blocks())
         _rows, sqnorms = block_column_sqnorms(S)
         return cls(k=S.k, segments=segments, psi_scale=math.sqrt(S.n) * np.sqrt(sqnorms))
 

@@ -519,22 +519,23 @@ def _build(S, exponent_rule, mode, weights=None, feasibility_tol=1e-12):
         caps = np.where(np.isinf(caps), caps, caps - w)
     vec = InterpolatingVector(S=S, mode=mode, q=q, caps=caps)
     if weights is not None:
-        violations = _cap_violations(vec, feasibility_tol)
-        if violations:
-            worst = ", ".join(f"row {j}: |q|={a:.6f} > cap={c:.6f}" for j, a, c in violations[:5])
-            raise InfeasibleInterpolantError(
-                f"{len(violations)} entries exceed their caps (lambda too small?): {worst}",
-                violations=violations,
-            )
+        _require_feasible(vec, feasibility_tol)
     return vec
 
 
-def _cap_violations(vec, tol):
-    bad = np.abs(vec.q) > vec.caps + tol
-    rows = np.nonzero(bad)[0]
+def _require_feasible(vec, tol):
+    """Raise ``InfeasibleInterpolantError`` if |q_j| exceeds cap_j + tol
+    anywhere; ``violations`` lists (row, |q|, cap), least slack first."""
+    rows = np.nonzero(np.abs(vec.q) > vec.caps + tol)[0]
+    if not len(rows):
+        return
     viol = [(int(r + vec.k + 1), float(abs(vec.q[r])), float(vec.caps[r])) for r in rows]
     viol.sort(key=lambda v: v[2] - v[1])
-    return viol
+    worst = ", ".join(f"row {j}: |q|={a:.6f} > cap={c:.6f}" for j, a, c in viol[:5])
+    raise InfeasibleInterpolantError(
+        f"{len(viol)} entries exceed their caps (lambda too small?): {worst}",
+        violations=viol,
+    )
 
 
 def build_noiseless(S):

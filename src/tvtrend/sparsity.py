@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import ck_sparsity
 from .diffops import block_column_sqnorms, build_delta
-from .interpolants import InterpolatingVector, _cap_violations, delta_k_energy
+from .interpolants import InterpolatingVector, _require_feasible, delta_k_energy
 from .theory import lambda0
 
 
@@ -51,10 +51,9 @@ def compute_weights(S, u, lam):
     rows, sqn = block_column_sqnorms(S)
     l0 = lambda0(u, S.n, S.n - S.k - S.s)
     w = np.zeros(m)
+    w[rows - S.k - 1] = np.sqrt(sqn / S.n) * l0 / lam
     free = np.zeros(m, dtype=bool)
-    for j, q in zip(rows, sqn):
-        w[j - S.k - 1] = math.sqrt(q / S.n) * l0 / lam
-        free[j - S.k - 1] = True
+    free[rows - S.k - 1] = True
     return Weights(S=S, u=u, lam=lam, lam0=l0, w=w, free_mask=free)
 
 
@@ -68,15 +67,7 @@ def effective_sparsity_via_interpolant(vec, weights=None, feasibility_tol=1e-9):
     if weights is not None:
         caps = np.where(np.isinf(vec.caps), np.inf, 1.0 - weights.w)
         vec = InterpolatingVector(S=vec.S, mode=vec.mode, q=vec.q, caps=caps)
-    violations = _cap_violations(vec, feasibility_tol)
-    if violations:
-        from tvtrend.interpolants import InfeasibleInterpolantError
-
-        worst = ", ".join(f"row {j}: |q|={a:.6f} > cap={c:.6f}" for j, a, c in violations[:5])
-        raise InfeasibleInterpolantError(
-            f"interpolating vector infeasible at {len(violations)} rows: {worst}",
-            violations=violations,
-        )
+    _require_feasible(vec, feasibility_tol)
     return delta_k_energy(vec)
 
 

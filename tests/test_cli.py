@@ -91,6 +91,13 @@ class TestSolve:
         assert report["kkt_residual"] <= 1e-8
         assert set(report) >= {"objective", "iters", "lambda", "n"}
 
+    def test_removed_algorithm_rejected(self, signal):
+        path, _ = signal
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--input", str(path), "--k", "2", "--lambda", "0.1",
+                      "--algorithm", "synthesis_cd"])
+        assert exc.value.code == 2
+
 
 class TestBounds:
     def test_deterministic_json(self, tmp_path):
@@ -186,11 +193,14 @@ class TestSimulate:
         assert rc == 0
         assert len(csv.read_text().splitlines()) == 4
 
-    def test_segment_over_cap_is_a_usage_error(self, tmp_path, capsys):
+    def test_segments_past_the_old_length_cap(self, tmp_path):
+        # 6554-point segments, longer than DENSE_CAP_DEFAULT
         path = self.config(tmp_path, n=32768, s0=4, replications=1, algorithm="dp_k1")
-        assert cli.main(["simulate", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "segment length 6554 exceeds the cap 4096" in err
+        csv = tmp_path / "trials.csv"
+        rc = cli.main(["simulate", "--config", str(path), "--out-csv", str(csv),
+                       "--out-json", str(tmp_path / "summary.json")])
+        assert rc == 0
+        assert len(csv.read_text().splitlines()) == 2
 
 
 class TestLambdaRules:

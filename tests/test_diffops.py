@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ class TestPinv:
             assert np.linalg.matrix_rank(D) == 40 - k  # null space has dim k
 
 
+def _exact_sqnorms(n, k):
+    """Squared column lengths of Delta(k)^+ in exact rational arithmetic:
+    each falling-factorial column less its least-squares polynomial part."""
+    basis = []  # orthogonal basis of the degree < k polynomials, with squared lengths
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    for p in range(k):
+        v = [Fraction(i) ** p for i in range(n)]
+        for b, bb in basis:
+            c = dot(v, b) / bb
+            v = [x - c * y for x, y in zip(v, b)]
+        basis.append((v, dot(v, v)))
+    out = []
+    for j in range(k + 1, n + 1):
+        phi = [Fraction(math.comb(i - j + k - 1, k - 1)) if i >= j else Fraction(0)
+               for i in range(1, n + 1)]
+        out.append(float(dot(phi, phi) - sum(dot(phi, b) ** 2 / bb for b, bb in basis)))
+    return np.array(out)
+
+
 class TestColumnNorms:
     def test_k1_frozen_example(self):
         # (j-1)(n-j+1)/n at n=4, j=2 -> 0.75
@@ -176,6 +199,18 @@ class TestColumnNorms:
             j = np.arange(k + 1, n)
             exact = dop.column_norm_exact(n, k, j)
             assert np.all(dop.column_norm_bound(n, k, j) >= exact - 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sqnorms_past_the_dense_range(self, k):
+        n = 65536
+        np.testing.assert_allclose(dop.pinv_column_sqnorms(n, k),
+                                   dop.column_norm_exact(n, k, np.arange(k + 1, n + 1)),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [29, 96])
+    def test_k4_sqnorms_exact_arithmetic(self, n):
+        np.testing.assert_allclose(dop.pinv_column_sqnorms(n, 4), _exact_sqnorms(n, 4),
+                                   rtol=1e-12, atol=0)
 
     def test_symmetry(self):
         # ||psi_j||^2 == ||psi_{n+k+1-j}||^2

@@ -174,16 +174,6 @@ class TestTautString:
             est.fit(np.ones(10), est.FitConfig(lam=0.1, k=2, algorithm="dp_k1"))
 
 
-class TestSynthesisCD:
-    def test_matches_admm(self, rng):
-        y = noisy_piecewise(rng, 70, 2, 2)
-        lam = 0.25 * est.lambda_max(y, 2)
-        r_cd = est.fit(y, est.FitConfig(lam=lam, k=2, algorithm="synthesis_cd"))
-        r_ad = est.fit(y, est.FitConfig(lam=lam, k=2))
-        assert r_cd.converged
-        np.testing.assert_allclose(r_cd.f_hat, r_ad.f_hat, atol=1e-8)
-
-
 class TestBasicInequality:
     def test_self_comparator(self, rng):
         y = noisy_piecewise(rng, 100, 2, 2)

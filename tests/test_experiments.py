@@ -9,7 +9,7 @@ import pytest
 from conftest import dense_pinv, random_active_set
 from tvtrend import experiments as exp
 from tvtrend import theory
-from tvtrend.diffops import augmented_nullspace_basis, build_delta
+from tvtrend.diffops import augmented_nullspace_basis, build_delta, column_norm_exact
 from tvtrend.sparsity import gamma_closed_form
 
 
@@ -239,9 +239,19 @@ class TestEvents:
         exp.run_monte_carlo(c, csv_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_segment_cap_reported(self):
-        with pytest.raises(exp.ConfigError, match=r"segment length 6554 exceeds the cap 4096"):
-            exp.prepare(cfg(n=32768, k=1, s0=4, replications=1, algorithm="dp_k1"))
+    def test_segments_past_the_old_length_cap(self):
+        # five segments of about 6554 points, longer than DENSE_CAP_DEFAULT
+        prep = exp.prepare(cfg(n=32768, k=1, s0=4, replications=1, algorithm="dp_k1"))
+        scale = prep.events.psi_scale
+        start = 0
+        for lo, hi, _basis in prep.events.segments:
+            nb = hi - lo
+            j = np.arange(2, nb + 1)
+            ref = math.sqrt(32768) * np.sqrt(column_norm_exact(nb, 1, j))
+            np.testing.assert_allclose(scale[start:start + nb - 1], ref, rtol=1e-12, atol=0)
+            start += nb - 1
+        assert start == len(scale)
+        assert min(hi - lo for lo, hi, _basis in prep.events.segments) > 4096
 
 
 class TestWilson:
