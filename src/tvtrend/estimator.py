@@ -10,8 +10,12 @@ whose residual, box excess and sign mismatch are folded into
 ``FitResult.kkt_residual``.  The default algorithm is ADMM on the analysis
 form with a banded Cholesky factorization of (2/n) I + rho D'D, over-relaxed
 updates and residual-balanced rho, plus an exact active-set polish once the
-support settles.  An independent taut-string dynamic program is available for
-k = 1.
+support settles; the polish runs only when the support or signs of the
+iterate differ from the last polished ones.  For lambda >= lambda_max the fit
+first tries the polynomial fit, which is the minimizer there, and returns it
+with ``iters == 0`` ("certified without ADMM") when its certificate passes;
+otherwise ADMM runs as usual.  An independent taut-string dynamic program is
+available for k = 1.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ import scipy.linalg
 from .diffops import build_delta, difference_coefficients, dual_witness, polynomial_basis
 
 ALGORITHMS = ("admm", "dp_k1")
+
+# Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded validate
+# their inputs and look these up again on every call of the ADMM loop.
+_PBTRF, _PBTRS = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ def _polish(y, k, lam, active, signs, tol_kkt, rounds=60):
     """Active-set refinement: drop sign-inconsistent rows, add rows whose
     dual exceeds the box, accept only on a verified certificate."""
     n = len(y)
-    active = np.asarray(sorted(active), dtype=int)
+    active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
@@ -176,7 +184,7 @@ def _polish(y, k, lam, active, signs, tol_kkt, rounds=60):
         if kkt <= tol_kkt:
             return f_hat, u, kkt
         over = np.abs(u) > 1.0 + 1e-12
-        over[[t - k - 1 for t in active]] = False
+        over[active - k - 1] = False
         if not np.any(over):
             return None
         worst = int(np.argmax(np.abs(u) * over))
@@ -207,42 +215,60 @@ def _admm_system_banded(n, k, rho):
 def _fit_admm(y, cfg):
     n = len(y)
     k = cfg.k
-    op = build_delta(n, k)
+    m = n - k
     rho = cfg.rho
     alpha = cfg.over_relaxation
+    two_y = (2.0 / n) * y
+    # D' q = (-1)^k diff(q zero-padded by k on both sides, k); only the slice
+    # pad[k:k + m] is ever written, so the padding stays zero.
+    pad = np.zeros(m + 2 * k)
+    body = pad[k:k + m]
+    sign_t = (-1.0) ** k
 
     def factor(rho):
-        return scipy.linalg.cholesky_banded(_admm_system_banded(n, k, rho), lower=False)
+        chol, info = _PBTRF(_admm_system_banded(n, k, rho), lower=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+        return chol
 
     chol = factor(rho)
     f = y.copy()
-    z = op.apply(f)
-    w = np.zeros(op.m)
-    thresh_scale = math.sqrt(op.m)
+    z = np.diff(f, k)
+    w = np.zeros(m)
+    thresh_scale = math.sqrt(m)
     best = None
-    last_polish_iter = -1
+    polished_supp = polished_signs = None
     for it in range(1, cfg.max_iter + 1):
-        rhs = (2.0 / n) * y + rho * op.apply_transpose(z - w)
-        f = scipy.linalg.cho_solve_banded((chol, False), rhs)
-        Df = op.apply(f)
+        np.subtract(z, w, out=body)
+        rhs = two_y + (sign_t * rho) * np.diff(pad, k)
+        f, _ = _PBTRS(chol, rhs, lower=0)
+        Df = np.diff(f, k)
         Df_rel = alpha * Df + (1.0 - alpha) * z
         z_old = z
         v = Df_rel + w
         z = np.sign(v) * np.maximum(np.abs(v) - 2.0 * cfg.lam / rho, 0.0)
-        w = w + Df_rel - z
-        r_norm = np.linalg.norm(Df - z)
-        s_norm = rho * np.linalg.norm(op.apply_transpose(z - z_old))
-        scale = max(np.linalg.norm(Df), np.linalg.norm(z), 1e-12)
+        w += Df_rel
+        w -= z
+        r = Df - z
+        r_norm = math.sqrt(r @ r)
+        np.subtract(z, z_old, out=body)
+        s = np.diff(pad, k)
+        s_norm = rho * math.sqrt(s @ s)
+        scale = max(math.sqrt(Df @ Df), math.sqrt(z @ z), 1e-12)
         settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
-        if settled or (it % 250 == 0 and it > last_polish_iter):
-            last_polish_iter = it
+        if settled or it % 250 == 0:
             supp = np.nonzero(z)[0]
-            polished = _polish(y, k, cfg.lam, supp + k + 1, np.sign(z[supp]), cfg.tol_kkt)
-            if polished is not None:
-                f_hat, u, kkt = polished
-                return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, k),
-                                 kkt_residual=kkt, dual=u, iters=it, converged=True,
-                                 lam=cfg.lam, k=k)
+            signs = np.sign(z[supp])
+            # _polish is a pure function of its arguments and every earlier
+            # call returned None, so a repeated (support, signs) is skipped.
+            if not (np.array_equal(supp, polished_supp) and np.array_equal(signs, polished_signs)):
+                polished = _polish(y, k, cfg.lam, supp + k + 1, signs, cfg.tol_kkt)
+                if polished is not None:
+                    f_hat, u, kkt = polished
+                    return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, k),
+                                     kkt_residual=kkt, dual=u, iters=it, converged=True,
+                                     lam=cfg.lam, k=k)
+                polished_supp, polished_signs = supp, signs
             u, kkt = _certificate(y, f, cfg.lam, k, cfg.tol_kkt)
             if best is None or kkt < best[2]:
                 best = (f.copy(), u, kkt, it)
@@ -359,6 +385,16 @@ def fit(y, cfg):
                          lam=0.0, k=cfg.k)
     if cfg.algorithm == "dp_k1":
         return _fit_dp_k1(y, cfg)
+    if cfg.lam >= lambda_max(y, cfg.k):
+        # The minimizer is the polynomial fit.  Above lambda_max ADMM's polish
+        # ends in this same empty-support solve, so the bits are the same; an
+        # uncertified candidate falls through to ADMM.
+        f_hat = _restricted_solve(y, cfg.k, cfg.lam, [], [])[0]
+        u, kkt = _certificate(y, f_hat, cfg.lam, cfg.k, cfg.tol_kkt)
+        if kkt <= cfg.tol_kkt:
+            return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, cfg.k),
+                             kkt_residual=kkt, dual=u, iters=0, converged=True,
+                             lam=cfg.lam, k=cfg.k)
     return _fit_admm(y, cfg)
 
 

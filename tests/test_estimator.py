@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_delta, tv_dual_reference
+from conftest import admm_reference, dense_delta, tv_dual_reference
 from tvtrend import estimator as est
 from tvtrend.diffops import falling_factorial_basis, polynomial_basis
 
@@ -91,6 +91,102 @@ class TestAdmmSystem:
                 for d in range(k + 1):
                     expected[k - d, d:] = np.diagonal(M, d)
                 assert np.array_equal(est._admm_system_banded(n, k, rho), expected)
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [50, 256])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_certified_without_admm(self, k, n, scale, rng):
+        y = noisy_piecewise(rng, n, k, 3)
+        lam = scale * est.lambda_max(y, k)
+        cfg = est.FitConfig(lam=lam, k=k)
+        res = est.fit(y, cfg)
+        assert res.converged and res.iters == 0
+        assert res.kkt_residual <= cfg.tol_kkt
+        assert np.array_equal(res.f_hat, est._restricted_solve(y, k, lam, [], [])[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_just_below_lambda_max_runs_admm(self, k, rng):
+        y = noisy_piecewise(rng, 256, k, 3)
+        res = est.fit(y, est.FitConfig(lam=0.99 * est.lambda_max(y, k), k=k))
+        assert res.converged and res.iters > 0
+        assert res.kkt_residual <= 1e-8
+
+    def test_rejected_candidate_falls_through(self, rng, monkeypatch):
+        y = noisy_piecewise(rng, 120, 2, 3)
+        lam = 2.0 * est.lambda_max(y, 2)
+        candidate = est._restricted_solve(y, 2, lam, [], [])[0]
+        certificate = est._certificate
+
+        def rejecting(y_, f_hat, lam_, k_, tol_kkt):
+            u, kkt = certificate(y_, f_hat, lam_, k_, tol_kkt)
+            return u, (1.0 if np.array_equal(f_hat, candidate) else kkt)
+
+        monkeypatch.setattr(est, "_certificate", rejecting)
+        res = est.fit(y, est.FitConfig(lam=lam, k=2, max_iter=300))
+        assert res.iters > 0
+        assert not np.array_equal(res.f_hat, candidate)
+        assert not res.converged or res.kkt_residual <= 1e-8
+        monkeypatch.setattr(est, "_certificate", lambda *a: (certificate(*a)[0], 1.0))
+        res = est.fit(y, est.FitConfig(lam=lam, k=2, max_iter=300))
+        assert not res.converged and res.iters == 300 and res.kkt_residual == 1.0
+
+
+# (n, k, lambda / lambda_max) with tol_kkt = 1e-300, which nothing meets: ADMM
+# settles and then triggers the polish on every iteration.  On the first the
+# best iterate comes from a trigger that repeats the support (783 triggers, one
+# support); the second visits two supports (86 triggers).
+NONCERTIFYING = [(64, 2, 0.1), (160, 1, 0.3)]
+
+
+def _noncertifying_input(n, k, frac):
+    y = noisy_piecewise(np.random.default_rng(20250809), n, k, 3)
+    return y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, tol_kkt=1e-300, max_iter=1000)
+
+
+class TestAdmmLoop:
+    @staticmethod
+    def assert_same_bits(res, ref):
+        assert np.array_equal(res.f_hat, ref.f_hat)
+        assert res.kkt_residual == ref.kkt_residual
+        assert res.iters == ref.iters and res.converged == ref.converged
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("frac", [0.1, 0.3])
+    def test_matches_reference_loop(self, k, n, frac, rng):
+        y = noisy_piecewise(rng, n, k, 4)
+        cfg = est.FitConfig(lam=frac * est.lambda_max(y, k), k=k)
+        res = est.fit(y, cfg)
+        assert res.converged
+        self.assert_same_bits(res, admm_reference(y, cfg))
+
+    @pytest.mark.parametrize("case", NONCERTIFYING)
+    def test_noncertifying_matches_reference_loop(self, case):
+        y, cfg = _noncertifying_input(*case)
+        res = est.fit(y, cfg)
+        assert not res.converged
+        self.assert_same_bits(res, admm_reference(y, cfg))
+
+    @pytest.mark.parametrize("case", NONCERTIFYING)
+    def test_each_support_polished_once(self, case, monkeypatch):
+        y, cfg = _noncertifying_input(*case)
+        calls = []
+        polish = est._polish
+
+        def counting(y_, k, lam, active, signs, tol_kkt):
+            calls.append((tuple(active), tuple(signs)))
+            return polish(y_, k, lam, active, signs, tol_kkt)
+
+        monkeypatch.setattr(est, "_polish", counting)
+        admm_reference(y, cfg)
+        triggered = list(calls)
+        calls.clear()
+        est.fit(y, cfg)
+        assert len(triggered) > len(set(triggered))
+        assert len(calls) == len(set(calls)) == len(set(triggered))
+        assert set(calls) == set(triggered)
 
 
 class TestCertificates:
