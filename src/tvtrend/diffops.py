@@ -154,6 +154,14 @@ def polynomial_basis(n, k):
     return Q
 
 
+@lru_cache(maxsize=32)
+def _cached_polynomial_basis(n, k):
+    """Read-only ``polynomial_basis(n, k)``, built once per (n, k)."""
+    out = polynomial_basis(n, k)
+    out.setflags(write=False)
+    return out
+
+
 def pinv_columns(n, k, cap=DENSE_CAP_DEFAULT):
     """Dense Moore-Penrose pseudo-inverse of Delta(k), shape (n, n-k).
 

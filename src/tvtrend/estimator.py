@@ -14,8 +14,8 @@ support settles; the polish runs only when the support or signs of the
 iterate differ from the last polished ones.  For lambda >= lambda_max the fit
 first tries the polynomial fit, which is the minimizer there, and returns it
 with ``iters == 0`` ("certified without ADMM") when its certificate passes;
-otherwise ADMM runs as usual.  An independent taut-string dynamic program is
-available for k = 1.
+otherwise ADMM runs as usual.  For k = 1 an independent exact solver is
+available, Condat's direct taut-string algorithm (``tv1d_exact``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diffops import build_delta, difference_coefficients, dual_witness, polynomial_basis
+from .diffops import _cached_polynomial_basis, build_delta, difference_coefficients, dual_witness
 
 ALGORITHMS = ("admm", "dp_k1")
 
@@ -46,6 +46,8 @@ class FitConfig:
     over_relaxation: float = 1.8
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError("lambda must be finite")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.tol_kkt <= 0:
@@ -80,7 +82,7 @@ def objective(f, y, lam, k):
 def polynomial_fit(y, k):
     """Least-squares projection onto degree < k discrete polynomials."""
     y = np.asarray(y, dtype=float)
-    Q = polynomial_basis(len(y), k)
+    Q = _cached_polynomial_basis(len(y), k)
     return Q @ (Q.T @ y)
 
 
@@ -114,15 +116,15 @@ def _certificate(y, f_hat, lam, k, tol_kkt):
 
 
 def _ff_columns(n, k, rows):
-    """Falling-factorial columns phi_j for 1-based rows j (Delta phi_j = e_j)."""
-    cols = np.zeros((n, len(rows)))
-    i = np.arange(1, n + 1)
-    for idx, j in enumerate(rows):
-        mask = i >= j
-        vals = np.ones(n)
-        for r in range(1, k):
-            vals = vals * (i - j + r) / r
-        cols[mask, idx] = vals[mask]
+    """Falling-factorial columns phi_j for 1-based rows j (Delta phi_j = e_j):
+    C(i - j + k - 1, k - 1) for i >= j, as the running product
+    prod_r (i - j + r) / r, and 0 above row j."""
+    shift = np.arange(1, n + 1)[:, None] - np.asarray(rows, dtype=int)
+    cols = np.ones(shift.shape)
+    for r in range(1, k):
+        cols *= shift + r
+        cols /= r
+    cols[shift < 0] = 0.0
     return cols
 
 
@@ -137,7 +139,7 @@ def _restricted_solve(y, k, lam, active, signs):
     Returns (f_hat, b) with b the differences at the active rows.
     """
     n = len(y)
-    P = polynomial_basis(n, k)
+    P = _cached_polynomial_basis(n, k)
     if len(active):
         Phi = _ff_columns(n, k, active)
         Phi -= P @ (P.T @ Phi)
@@ -148,7 +150,7 @@ def _restricted_solve(y, k, lam, active, signs):
         X = P
         scales = np.zeros(0)
         c = np.zeros(k)
-    Q, R = np.linalg.qr(X)
+    R = np.linalg.qr(X, mode="r")
     target = n * lam * c
     theta = np.zeros(X.shape[1])
     for _ in range(3):
@@ -297,19 +299,28 @@ def _fit_admm(y, cfg):
 def tv1d_exact(y, lam):
     """Exact minimizer of 0.5 ||y - x||_2^2 + lam sum |x_{i+1} - x_i|.
 
-    Direct taut-string dynamic program, one forward sweep with jump
-    backtracking; O(n) in practice.
+    Condat's direct algorithm (IEEE SPL 2013, "A direct algorithm for 1-D
+    total variation denoising"): one forward sweep over the taut string with
+    jump backtracking, O(n) in practice.  The sweep runs on Python floats
+    read once from y: they are IEEE doubles like numpy's float64 scalars, so
+    every operation rounds as it would on those, without the interpreter
+    overhead of numpy scalar indexing and arithmetic.  Each finished segment
+    is written into the output by one slice assignment.
     """
     y = np.asarray(y, dtype=float)
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     n = len(y)
     x = np.empty(n)
     if n == 0:
         return x
     if n == 1 or lam <= 0:
         return y.copy()
+    ys = y.tolist()
     k = k0 = kminus = kplus = 0
-    vmin = y[0] - lam
-    vmax = y[0] + lam
+    vmin = ys[0] - lam
+    vmax = ys[0] + lam
     umin = lam
     umax = -lam
     while True:
@@ -317,36 +328,38 @@ def tv1d_exact(y, lam):
             if umin < 0.0:
                 x[k0:kminus + 1] = vmin
                 k = k0 = kminus = kminus + 1
-                vmin = y[k]
+                vmin = ys[k]
                 umin = lam
-                umax = y[k] + lam - vmax
+                umax = ys[k] + lam - vmax
             elif umax > 0.0:
                 x[k0:kplus + 1] = vmax
                 k = k0 = kplus = kplus + 1
-                vmax = y[k]
+                vmax = ys[k]
                 umax = -lam
-                umin = y[k] - lam - vmin
+                umin = ys[k] - lam - vmin
             else:
                 x[k0:n] = vmin + umin / (k - k0 + 1)
                 return x
-        elif y[k + 1] + umin < vmin - lam:
+            continue
+        y_next = ys[k + 1]
+        if y_next + umin < vmin - lam:
             x[k0:kminus + 1] = vmin
             k = k0 = kminus = kplus = kminus + 1
-            vmin = y[k]
-            vmax = y[k] + 2.0 * lam
+            vmin = ys[k]
+            vmax = ys[k] + 2.0 * lam
             umin = lam
             umax = -lam
-        elif y[k + 1] + umax > vmax + lam:
+        elif y_next + umax > vmax + lam:
             x[k0:kplus + 1] = vmax
             k = k0 = kminus = kplus = kplus + 1
-            vmin = y[k] - 2.0 * lam
-            vmax = y[k]
+            vmin = ys[k] - 2.0 * lam
+            vmax = ys[k]
             umin = lam
             umax = -lam
         else:
             k += 1
-            umin += y[k] - vmin
-            umax += y[k] - vmax
+            umin += y_next - vmin
+            umax += y_next - vmax
             if umin >= lam:
                 vmin += (umin - lam) / (k - k0 + 1)
                 umin = lam

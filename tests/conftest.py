@@ -7,7 +7,7 @@ import scipy.optimize
 
 from tvtrend import estimator as est
 from tvtrend.constants import minimum_segment_length
-from tvtrend.diffops import ActiveSet, build_delta
+from tvtrend.diffops import ActiveSet, build_delta, polynomial_basis
 
 
 def dense_delta(n, k):
@@ -99,6 +99,120 @@ def admm_reference(y, cfg):
     return est.FitResult(f_hat=f_hat, objective=est.objective(f_hat, y, cfg.lam, k),
                          kkt_residual=kkt, dual=u, iters=cfg.max_iter, converged=False,
                          lam=cfg.lam, k=k)
+
+
+def ff_columns_reference(n, k, rows):
+    """Falling-factorial columns filled one column at a time; the vectorized
+    ``estimator._ff_columns`` must agree bit for bit."""
+    cols = np.zeros((n, len(rows)))
+    i = np.arange(1, n + 1)
+    for idx, j in enumerate(rows):
+        mask = i >= j
+        vals = np.ones(n)
+        for r in range(1, k):
+            vals = vals * (i - j + r) / r
+        cols[mask, idx] = vals[mask]
+    return cols
+
+
+def restricted_solve_reference(y, k, lam, active, signs):
+    """``estimator._restricted_solve`` with a fresh polynomial basis, the
+    column-by-column falling-factorial block and a full QR.  The estimator
+    must agree bit for bit.
+
+    Parametrizes f = P a + sum psi_j b_j with psi_j the dictionary columns
+    anti-projected against the orthonormal polynomial block (same
+    differences, far better conditioning), unit-rescaled, solved by QR with
+    two rounds of iterative refinement on the stationarity equations.
+    Returns (f_hat, b) with b the differences at the active rows.
+    """
+    n = len(y)
+    P = polynomial_basis(n, k)
+    if len(active):
+        Phi = ff_columns_reference(n, k, active)
+        Phi -= P @ (P.T @ Phi)
+        scales = np.linalg.norm(Phi, axis=0)
+        X = np.concatenate([P, Phi / scales], axis=1)
+        c = np.concatenate([np.zeros(k), signs / scales])
+    else:
+        X = P
+        scales = np.zeros(0)
+        c = np.zeros(k)
+    Q, R = np.linalg.qr(X)
+    target = n * lam * c
+    theta = np.zeros(X.shape[1])
+    for _ in range(3):
+        defect = X.T @ (y - X @ theta) - target
+        delta = scipy.linalg.solve_triangular(
+            R, scipy.linalg.solve_triangular(R.T, defect, lower=True))
+        theta += delta
+        if np.max(np.abs(defect)) <= 1e-14 * max(1.0, n * lam, float(np.max(np.abs(y)))):
+            break
+    f_hat = X @ theta
+    b = theta[k:] / scales if len(active) else np.zeros(0)
+    return f_hat, b
+
+
+def tv1d_reference(y, lam):
+    """Condat's direct taut-string algorithm on numpy scalars: the loop that
+    ``estimator.tv1d_exact`` runs on Python floats.  The two must agree bit
+    for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    x = np.empty(n)
+    if n == 0:
+        return x
+    if n == 1 or lam <= 0:
+        return y.copy()
+    k = k0 = kminus = kplus = 0
+    vmin = y[0] - lam
+    vmax = y[0] + lam
+    umin = lam
+    umax = -lam
+    while True:
+        if k == n - 1:
+            if umin < 0.0:
+                x[k0:kminus + 1] = vmin
+                k = k0 = kminus = kminus + 1
+                vmin = y[k]
+                umin = lam
+                umax = y[k] + lam - vmax
+            elif umax > 0.0:
+                x[k0:kplus + 1] = vmax
+                k = k0 = kplus = kplus + 1
+                vmax = y[k]
+                umax = -lam
+                umin = y[k] - lam - vmin
+            else:
+                x[k0:n] = vmin + umin / (k - k0 + 1)
+                return x
+        elif y[k + 1] + umin < vmin - lam:
+            x[k0:kminus + 1] = vmin
+            k = k0 = kminus = kplus = kminus + 1
+            vmin = y[k]
+            vmax = y[k] + 2.0 * lam
+            umin = lam
+            umax = -lam
+        elif y[k + 1] + umax > vmax + lam:
+            x[k0:kplus + 1] = vmax
+            k = k0 = kminus = kplus = kplus + 1
+            vmin = y[k] - 2.0 * lam
+            vmax = y[k]
+            umin = lam
+            umax = -lam
+        else:
+            k += 1
+            umin += y[k] - vmin
+            umax += y[k] - vmax
+            if umin >= lam:
+                vmin += (umin - lam) / (k - k0 + 1)
+                umin = lam
+                kminus = k
+            if umax <= -lam:
+                vmax += (umax + lam) / (k - k0 + 1)
+                umax = -lam
+                kplus = k
 
 
 def sparsity_dual_reference(S, weights=None):

@@ -81,6 +81,17 @@ class TestSolve:
         assert rc == 3
         assert "leading minor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["admm", "dp_k1"])
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_is_usage_error(self, tmp_path, signal, capsys, algorithm, lam):
+        path, _ = signal
+        out = tmp_path / "f.csv"
+        rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda", lam,
+                       "--algorithm", algorithm, "--out", str(out)])
+        assert rc == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_contents(self, tmp_path, signal):
         path, _ = signal
         rep = tmp_path / "rep.json"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import admm_reference, dense_delta, tv_dual_reference
+from conftest import (admm_reference, dense_delta, ff_columns_reference,
+                      restricted_solve_reference, tv1d_reference, tv_dual_reference)
 from tvtrend import estimator as est
-from tvtrend.diffops import falling_factorial_basis, polynomial_basis
+from tvtrend import experiments
+from tvtrend.diffops import _cached_polynomial_basis, falling_factorial_basis, polynomial_basis
 
 
 def noisy_piecewise(rng, n, k, s0, amp=8.0):
@@ -64,6 +66,10 @@ class TestFitBasics:
             est.FitConfig(lam=-1.0, k=1)
         with pytest.raises(ValueError):
             est.FitConfig(lam=1.0, k=1, algorithm="bogus")
+        for lam in (math.inf, -math.inf, math.nan, np.float64("nan")):
+            for algorithm in est.ALGORITHMS:
+                with pytest.raises(ValueError, match="finite"):
+                    est.FitConfig(lam=lam, k=1, algorithm=algorithm)
 
     def test_non_convergence_flagged(self, rng):
         y = rng.standard_normal(50)
@@ -268,6 +274,110 @@ class TestTautString:
     def test_requires_first_order(self):
         with pytest.raises(ValueError):
             est.fit(np.ones(10), est.FitConfig(lam=0.1, k=2, algorithm="dp_k1"))
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            est.tv1d_exact(np.arange(5.0), lam)
+
+
+def assert_matches_tv1d_reference(y, lam):
+    out = est.tv1d_exact(y, lam)
+    assert out.dtype == np.float64 and out.shape == np.shape(y)
+    assert np.array_equal(out, tv1d_reference(y, lam))
+    return out
+
+
+class TestTautStringBits:
+    """``tv1d_exact`` runs Condat's loop on Python floats; it must return the
+    same bits as the loop on numpy scalars (``conftest.tv1d_reference``)."""
+
+    def test_random_draws(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 600))
+            y = float(rng.choice([1e-3, 1.0, 1e3])) * rng.standard_normal(n)
+            assert_matches_tv1d_reference(y, float(rng.uniform(0.0, 3.0 * math.sqrt(n))))
+
+    def test_integer_valued_with_ties(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 200))
+            y = rng.integers(-3, 4, size=n).astype(float)
+            lam = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+            assert_matches_tv1d_reference(y, lam)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 7.0, 1e6])
+    def test_constant_and_monotone(self, lam):
+        for y in (np.full(50, 2.5), np.arange(50.0), -np.arange(50.0) ** 1.5):
+            assert_matches_tv1d_reference(y, lam)
+        np.testing.assert_allclose(est.tv1d_exact(np.full(50, 2.5), lam), 2.5, rtol=1e-15)
+
+    def test_small_n_and_zero_lambda(self, rng):
+        for n in (0, 1, 2):
+            y = rng.standard_normal(n)
+            for lam in (0.0, 0.3, 1e3):
+                assert_matches_tv1d_reference(y, lam)
+        y = rng.standard_normal(40)
+        np.testing.assert_array_equal(assert_matches_tv1d_reference(y, 0.0), y)
+
+    def test_large_lambda_flattens_to_mean(self, rng):
+        y = rng.standard_normal(300)
+        # lam above the largest |partial sum of (y - mean)| flattens the fit
+        lam = 2.0 * float(np.max(np.abs(np.cumsum(y - y.mean()))))
+        out = assert_matches_tv1d_reference(y, lam)
+        assert np.ptp(out) == 0.0
+        assert out[0] == pytest.approx(y.mean(), abs=1e-12)
+
+    def test_monte_carlo_trials(self):
+        cfg = experiments.ExperimentConfig(n=4096, k=1, s0=4, replications=1, seed=0,
+                                           algorithm="dp_k1")
+        prep = experiments.prepare(cfg)
+        for trial in range(50):
+            y = prep.f0 + experiments.trial_rng(cfg.seed, trial).standard_normal(cfg.n)
+            assert_matches_tv1d_reference(y, cfg.n * prep.lam)
+
+
+class TestPolishBits:
+    """The vectorized falling-factorial block, the R-only QR and the cached
+    polynomial basis leave the restricted solve bitwise unchanged."""
+
+    @staticmethod
+    def random_support(rng, n, k):
+        size = int(rng.integers(1, min(40, n - k) + 1))
+        return np.sort(rng.choice(np.arange(k + 1, n + 1), size, replace=False))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ff_columns_match_reference(self, k, rng):
+        for n in (k + 1, 37, 500):
+            for _ in range(5):
+                rows = self.random_support(rng, n, k)
+                assert np.array_equal(est._ff_columns(n, k, rows),
+                                      ff_columns_reference(n, k, rows))
+                assert np.array_equal(est._ff_columns(n, k, tuple(int(r) for r in rows)),
+                                      ff_columns_reference(n, k, rows))
+        assert est._ff_columns(20, k, []).shape == (20, 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_restricted_solve_matches_reference(self, k, rng):
+        for n in (64, 300, 1024):
+            y = noisy_piecewise(rng, n, k, 3)
+            lam = 0.2 * est.lambda_max(y, k)
+            cases = [(np.zeros(0, dtype=int), np.zeros(0))]
+            for _ in range(4):
+                rows = self.random_support(rng, n, k)
+                cases.append((rows, rng.choice([-1.0, 1.0], size=len(rows))))
+            for rows, signs in cases:
+                f_hat, b = est._restricted_solve(y, k, lam, rows, signs)
+                f_ref, b_ref = restricted_solve_reference(y, k, lam, rows, signs)
+                assert np.array_equal(f_hat, f_ref) and np.array_equal(b, b_ref)
+
+    def test_cached_basis_is_read_only(self):
+        P = _cached_polynomial_basis(64, 3)
+        assert P is _cached_polynomial_basis(64, 3)
+        assert np.array_equal(P, polynomial_basis(64, 3))
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
+        fresh = polynomial_basis(64, 3)
+        fresh[0, 0] = 1.0    # the public builder still returns a writable copy
 
 
 class TestBasicInequality:
