@@ -1,10 +1,9 @@
 """Trend filtering with certified optimality and effective-sparsity bounds."""
 
 from .constants import ck_asymptotic, ck_certified, ck_sparsity, minimum_segment_length
-from .diffops import (ActiveSet, BlockDictionary, DiffOperator, block_column_sqnorms,
-                      block_dictionary, build_delta, column_norm_bound,
-                      column_norm_exact, falling_factorial_basis, pinv_column_sqnorms,
-                      pinv_columns, write_dense_csv)
+from .diffops import (ActiveSet, DiffOperator, block_column_sqnorms, build_delta,
+                      column_norm_bound, column_norm_exact, falling_factorial_columns,
+                      pinv_column_sqnorms, write_dense_csv)
 from .estimator import (FitConfig, FitResult, check_basic_inequality, fit,
                         lambda_max, objective, polynomial_fit, tv1d_exact)
 from .experiments import ExperimentConfig, generate_signal, rate_sweep, run_monte_carlo

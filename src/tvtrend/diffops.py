@@ -1,4 +1,5 @@
-"""Discrete difference operators and their pseudo-inverse dictionaries.
+"""Discrete difference operators, falling-factorial columns and the
+lengths of their pseudo-inverse dictionaries.
 
 Conventions
 -----------
@@ -52,7 +53,7 @@ class DiffOperator:
     """Banded k-th order difference operator on R^n.
 
     Immutable; all methods are pure.  ``m = n - k`` rows, indexed by
-    ``row_index_set = [k+1, n]`` (1-based).
+    ``[k+1, n]`` (1-based).
     """
 
     n: int
@@ -69,10 +70,6 @@ class DiffOperator:
     @property
     def m(self):
         return self.n - self.k
-
-    @property
-    def row_index_set(self):
-        return range(self.k + 1, self.n + 1)
 
     def apply(self, f):
         """Delta(k) f, i.e. the k-th order differences of f (length n - k)."""
@@ -98,51 +95,10 @@ class DiffOperator:
             )
         return np.diff(np.eye(self.n), self.k, axis=0)
 
-    def gram_banded(self):
-        """Delta Delta' in upper banded (solveh_banded) format.
-
-        The Gram matrix is exactly Toeplitz with d-th off-diagonal
-        (-1)^d C(2k, k-d); every row of Delta(k) carries its full stencil.
-        """
-        k, m = self.k, self.m
-        ab = np.zeros((k + 1, m))
-        for d in range(min(k, m - 1) + 1):
-            ab[k - d, d:] = (-1) ** d * math.comb(2 * k, k - d)
-        return ab
-
 
 def build_delta(n, k):
     """Construct the k-th order difference operator for signals of length n."""
     return DiffOperator(int(n), int(k))
-
-
-def falling_factorial_basis(n, k):
-    """Complete dictionary Psi whose columns invert (boundary rows; Delta(k)).
-
-    Column j <= k is the degree-(j-1) discrete polynomial ramp C(i-1, j-1);
-    columns j > k are truncated ramps C(i-j+k-1, k-1) 1{i >= j}, obtained by
-    repeated cumulative summation of the order-(k-1) basis.
-    """
-    DiffOperator(n, k)
-    psi = np.tri(n)
-    for order in range(2, k + 1):
-        tail = psi[:, order - 1:]
-        psi[:, order - 1:] = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
-    return psi
-
-
-def boundary_value_rows(n, k):
-    """The k x n block A(k) completing Delta(k) to an invertible map.
-
-    Row i takes the (i-1)-th order difference of the first i entries, so the
-    stacked matrix (A(k); Delta(k)) has the falling-factorial basis as its
-    exact inverse.
-    """
-    A = np.zeros((k, n))
-    for i in range(1, k + 1):
-        for j in range(1, i + 1):
-            A[i - 1, j - 1] = (-1) ** (i + j) * math.comb(i - 1, j - 1)
-    return A
 
 
 def polynomial_basis(n, k):
@@ -154,36 +110,25 @@ def polynomial_basis(n, k):
     return Q
 
 
+def falling_factorial_columns(n, k, rows):
+    """Falling-factorial columns phi_j for 1-based rows j (Delta phi_j = e_j):
+    C(i - j + k - 1, k - 1) for i >= j, as the running product
+    prod_r (i - j + r) / r, and 0 above row j."""
+    shift = np.arange(1, n + 1)[:, None] - np.asarray(rows, dtype=int)
+    cols = np.ones(shift.shape)
+    for r in range(1, k):
+        cols *= shift + r
+        cols /= r
+    cols[shift < 0] = 0.0
+    return cols
+
+
 @lru_cache(maxsize=32)
 def _cached_polynomial_basis(n, k):
     """Read-only ``polynomial_basis(n, k)``, built once per (n, k)."""
     out = polynomial_basis(n, k)
     out.setflags(write=False)
     return out
-
-
-def pinv_columns(n, k, cap=DENSE_CAP_DEFAULT):
-    """Dense Moore-Penrose pseudo-inverse of Delta(k), shape (n, n-k).
-
-    Computed through the stacked-inverse identity: the columns are the
-    falling-factorial columns with their polynomial component projected out
-    (with one reorthogonalization pass).  This route involves no linear
-    solve and sidesteps the n^{2k} conditioning of the Gram matrix, which
-    makes the normal-equations route D'(DD')^{-1} lose up to half its digits
-    already for k = 3 at moderate n.
-    """
-    DiffOperator(n, k)
-    if n > cap:
-        raise DenseCapExceededError(
-            f"n={n} exceeds the dense cap {cap}; use column_norm_bound or "
-            "pinv_column_sqnorms instead"
-        )
-    psi = falling_factorial_basis(n, k)
-    Q, _ = np.linalg.qr(psi[:, :k])
-    tail = psi[:, k:]
-    tail -= Q @ (Q.T @ tail)
-    tail -= Q @ (Q.T @ tail)
-    return tail
 
 
 def dual_witness(h, k):
@@ -323,14 +268,6 @@ class ActiveSet:
                 out.add(i)
         return frozenset(out)
 
-    @property
-    def mock_indices(self):
-        """Rows t_i+1 .. t_i+k-1 adjoined to decouple the segments."""
-        out = []
-        for ti in self.t:
-            out.extend(range(ti + 1, ti + self.k))
-        return tuple(out)
-
     def anchor_value(self, i):
         """Value interpolated at t_i: the sign for 1 <= i <= s, else 0."""
         if 1 <= i <= self.s:
@@ -369,28 +306,6 @@ class ActiveSet:
         return out
 
 
-@dataclass(frozen=True)
-class BlockDictionary:
-    """Columns of Psi^{-S}: anti-projections onto the augmented null space.
-
-    ``col_rows`` lists the surviving row indices (D \\ (S and mocks)), sorted;
-    ``columns[:, idx]`` is the dictionary vector for ``col_rows[idx]``.
-    """
-
-    S: ActiveSet
-    col_rows: tuple
-    columns: np.ndarray
-    col_sqnorms: np.ndarray
-
-    @property
-    def r_S(self):
-        return self.S.k + self.S.s
-
-    @property
-    def r_bar(self):
-        return self.S.k * (self.S.s + 1)
-
-
 def block_column_sqnorms(S):
     """Squared lengths of the Psi^{-S} columns, keyed by surviving row index.
 
@@ -404,44 +319,6 @@ def block_column_sqnorms(S):
             rows.append(np.arange(a + S.k, b + 1))
             sqn.append(_cached_pinv_sqnorms(nb, S.k))
     return np.concatenate(rows), np.concatenate(sqn)
-
-
-def block_dictionary(op, S, cap=DENSE_CAP_DEFAULT):
-    """Materialize Psi^{-S} for the active set S (dense, small n).
-
-    Each block's columns are the pseudo-inverse of the segment block,
-    embedded at the block coordinates; the result is orthogonal to the
-    augmented null space (block-wise polynomials).
-    """
-    if (op.n, op.k) != (S.n, S.k):
-        raise ValueError("operator and active set disagree on (n, k)")
-    if op.n > cap:
-        raise DenseCapExceededError(f"n={op.n} exceeds the dense cap {cap}")
-    blocks = [(a, b, nb) for a, b, nb in S.blocks() if nb > S.k]
-    rows = [j for a, b, _nb in blocks for j in range(a + S.k, b + 1)]
-    cols = np.zeros((op.n, len(rows)))
-    col = 0
-    for a, b, nb in blocks:
-        cols[a - 1:b, col:col + nb - S.k] = pinv_columns(nb, S.k, cap=cap)
-        col += nb - S.k
-    sqn = np.sum(cols ** 2, axis=0)
-    return BlockDictionary(S=S, col_rows=tuple(rows), columns=cols, col_sqnorms=sqn)
-
-
-def augmented_nullspace_basis(op, S):
-    """Orthonormal basis of the augmented null space (n x k(s+1)).
-
-    The augmented space is the direct sum over segments of the degree < k
-    polynomials supported on the segment coordinates.
-    """
-    if (op.n, op.k) != (S.n, S.k):
-        raise ValueError("operator and active set disagree on (n, k)")
-    pieces = []
-    for a, b, nb in S.blocks():
-        block = np.zeros((op.n, min(op.k, nb)))
-        block[a - 1: b, :] = polynomial_basis(nb, min(op.k, nb))
-        pieces.append(block)
-    return np.concatenate(pieces, axis=1)
 
 
 def write_dense_csv(array, path):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diffops import _cached_polynomial_basis, build_delta, difference_coefficients, dual_witness
+from .diffops import (_cached_polynomial_basis, build_delta, difference_coefficients, dual_witness,
+                      falling_factorial_columns)
 
 ALGORITHMS = ("admm", "dp_k1")
 
@@ -50,8 +51,14 @@ class FitConfig:
             raise ValueError("lambda must be finite")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.tol_kkt <= 0:
-            raise ValueError("tol_kkt must be positive")
+        if not (math.isfinite(self.tol_kkt) and self.tol_kkt > 0):
+            raise ValueError("tol_kkt must be finite and positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be finite and positive")
+        if not 0 < self.over_relaxation < 2:
+            raise ValueError("over_relaxation must lie in (0, 2)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
 
@@ -115,19 +122,6 @@ def _certificate(y, f_hat, lam, k, tol_kkt):
     return u, max(stat_res, box, sign_mis)
 
 
-def _ff_columns(n, k, rows):
-    """Falling-factorial columns phi_j for 1-based rows j (Delta phi_j = e_j):
-    C(i - j + k - 1, k - 1) for i >= j, as the running product
-    prod_r (i - j + r) / r, and 0 above row j."""
-    shift = np.arange(1, n + 1)[:, None] - np.asarray(rows, dtype=int)
-    cols = np.ones(shift.shape)
-    for r in range(1, k):
-        cols *= shift + r
-        cols /= r
-    cols[shift < 0] = 0.0
-    return cols
-
-
 def _restricted_solve(y, k, lam, active, signs):
     """Exact minimizer over signals whose differences vanish off ``active``,
     with the penalty linearized at the given signs.
@@ -141,7 +135,7 @@ def _restricted_solve(y, k, lam, active, signs):
     n = len(y)
     P = _cached_polynomial_basis(n, k)
     if len(active):
-        Phi = _ff_columns(n, k, active)
+        Phi = falling_factorial_columns(n, k, active)
         Phi -= P @ (P.T @ Phi)
         scales = np.linalg.norm(Phi, axis=0)
         X = np.concatenate([P, Phi / scales], axis=1)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .diffops import ActiveSet, block_column_sqnorms, dual_witness, polynomial_basis
+from .diffops import (ActiveSet, block_column_sqnorms, dual_witness, falling_factorial_columns,
+                      polynomial_basis)
 from .estimator import FitConfig, fit
 from .sparsity import gamma_closed_form
 
@@ -146,10 +147,8 @@ def generate_signal(cfg):
     S = ActiveSet(n=cfg.n, k=cfg.k, t=t, q_S=signs)
     f0 = np.zeros(cfg.n)
     if t:
-        from .estimator import _ff_columns
-
         mags = cfg.jump_delta * float(cfg.n) ** (-(cfg.k - 1)) * np.array(signs, dtype=float)
-        f0 = _ff_columns(cfg.n, cfg.k, t) @ mags
+        f0 = falling_factorial_columns(cfg.n, cfg.k, t) @ mags
     return f0, S
 
 

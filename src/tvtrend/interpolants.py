@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import minimum_segment_length
-from .diffops import build_delta
+from .diffops import ActiveSet, build_delta
 
 
 class MatchingSystemError(RuntimeError):
@@ -440,9 +440,6 @@ class InterpolatingVector:
     @property
     def slack(self):
         return self.caps - np.abs(self.q)
-
-    def position(self, j):
-        return int(j) - self.k - 1
 
 
 def _fill_segment(q, S, i, values):

@@ -9,9 +9,9 @@ with weights w_j = ||psi_j^{-S}||_n lambda0(u) / lambda built from the
 dictionary column lengths (zero at active and mock rows).  Three routes to
 it live here: the exact value from the box-constrained least-squares dual,
 certified by the primal value at the recovered maximizer, the dual value and
-their gap, for any n; the energy n ||D' q||_2^2 of a feasible interpolating
-vector (always an upper bound); and the closed-form segment-sum bound with
-the shipped constants.
+their gap, for n up to ``DENSE_CAP_DEFAULT``; the energy n ||D' q||_2^2 of a
+feasible interpolating vector (always an upper bound); and the closed-form
+segment-sum bound with the shipped constants.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ck_sparsity
-from .diffops import block_column_sqnorms, build_delta
+from .diffops import ActiveSet, block_column_sqnorms, build_delta
 from .interpolants import InterpolatingVector, _require_feasible, delta_k_energy
 from .theory import lambda0
 
@@ -150,6 +150,9 @@ def effective_sparsity_direct(S, weights=None, seed=0):
     their gap: ``reliable`` means gap <= 1e-6 dual + 1e-12.  ``gamma_sq`` is
     the squared positive part of the primal value.  ``seed`` is accepted and
     ignored; the computation is deterministic.
+
+    D is dense (``DiffOperator.to_dense``), so n above ``DENSE_CAP_DEFAULT``
+    (4096) raises ``DenseCapExceededError`` before anything is allocated.
     """
     n, k = S.n, S.k
     op = build_delta(n, k)

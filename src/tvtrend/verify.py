@@ -13,8 +13,7 @@ import numpy as np
 
 from . import interpolants as itp
 from .constants import minimum_segment_length
-from .diffops import (ActiveSet, build_delta, column_norm_bound, column_norm_exact,
-                      pinv_columns)
+from .diffops import ActiveSet, build_delta, column_norm_bound, column_norm_exact
 from .sparsity import (compute_weights, effective_sparsity_direct,
                        effective_sparsity_via_interpolant, gamma_closed_form)
 from .theory import lambda_threshold
@@ -57,7 +56,7 @@ def suite_norms():
     for k, ns in ((2, (10, 37, 100)), (3, (12, 50))):
         worst = 0.0
         for n in ns:
-            P = pinv_columns(n, k)
+            P = np.linalg.pinv(build_delta(n, k).to_dense())
             dense = np.sum(P ** 2, axis=0)
             exact = column_norm_exact(n, k, np.arange(k + 1, n + 1))
             worst = max(worst, float(np.max(np.abs(dense - exact) / np.maximum(exact, 1e-30))))
@@ -65,7 +64,7 @@ def suite_norms():
                              {"worst_rel_err": worst, "n_values": list(ns)}))
     n = 60
     for k in (1, 2, 3, 4):
-        P = pinv_columns(n, k)
+        P = np.linalg.pinv(build_delta(n, k).to_dense())
         dense = np.sum(P ** 2, axis=0)
         j = np.arange(k + 1, n)
         bound = column_norm_bound(n, k, j)

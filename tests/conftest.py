@@ -20,6 +20,48 @@ def dense_pinv(n, k):
     return np.linalg.pinv(dense_delta(n, k))
 
 
+def boundary_rows(n, k):
+    """The k x n block completing Delta(k) to an invertible map: row i takes
+    the (i-1)-th order difference of the first i entries.  The inverse of the
+    stacked matrix has the falling-factorial columns phi_j, j > k, as its last
+    n - k columns."""
+    A = np.zeros((k, n))
+    for i in range(1, k + 1):
+        for j in range(1, i + 1):
+            A[i - 1, j - 1] = (-1) ** (i + j) * math.comb(i - 1, j - 1)
+    return A
+
+
+def block_polynomial_basis(S):
+    """Orthonormal basis (n x k(s+1)) of the augmented null space: the degree
+    < k polynomials on each block of the active set, from a QR of monomials
+    in a centred coordinate."""
+    pieces = []
+    for a, b, nb in S.blocks():
+        p = min(S.k, nb)
+        x = np.linspace(-1.0, 1.0, nb) if nb > 1 else np.zeros(1)
+        block = np.zeros((S.n, p))
+        block[a - 1:b] = np.linalg.qr(np.vander(x, p, increasing=True))[0]
+        pieces.append(block)
+    return np.concatenate(pieces, axis=1)
+
+
+def block_dictionary_reference(S):
+    """Dense Psi^{-S}: each block's SVD pseudo-inverse columns embedded at the
+    block coordinates.  Returns (rows, columns), rows the surviving 1-based
+    row indices in ascending order."""
+    rows, cols = [], []
+    for a, b, nb in S.blocks():
+        if nb <= S.k:
+            continue
+        block = np.zeros((S.n, nb - S.k))
+        block[a - 1:b] = dense_pinv(nb, S.k)
+        rows.extend(range(a + S.k, b + 1))
+        cols.append(block)
+    columns = np.concatenate(cols, axis=1) if cols else np.zeros((S.n, 0))
+    return np.array(rows, dtype=int), columns
+
+
 def tv_dual_reference(y, lam, k):
     """Reference minimizer through the box-constrained dual:
 
@@ -103,7 +145,7 @@ def admm_reference(y, cfg):
 
 def ff_columns_reference(n, k, rows):
     """Falling-factorial columns filled one column at a time; the vectorized
-    ``estimator._ff_columns`` must agree bit for bit."""
+    ``diffops.falling_factorial_columns`` must agree bit for bit."""
     cols = np.zeros((n, len(rows)))
     i = np.arange(1, n + 1)
     for idx, j in enumerate(rows):

@@ -68,7 +68,7 @@ def test_length_bound_and_symmetry():
     ok_bound, ok_sym, worst_sym = True, True, 0.0
     n = 60
     for k in (1, 2, 3, 4):
-        sq = np.sum(dop.pinv_columns(n, k) ** 2, axis=0)
+        sq = np.sum(dense_pinv(n, k) ** 2, axis=0)
         j = np.arange(k + 1, n)
         bound = dop.column_norm_bound(n, k, j)
         ok_bound &= bool(np.all(bound >= sq[: n - k - 1] * (1 - 1e-12)))
@@ -100,7 +100,7 @@ def test_solver_correctness():
         for _ in range(6):
             rows = np.sort(rng.choice(np.arange(k + 1, 201), 3, replace=False))
             mags = 8.0 * 200.0 ** (-(k - 1)) * rng.standard_normal(3)
-            f0 = est._ff_columns(200, k, [int(r) for r in rows]) @ mags
+            f0 = dop.falling_factorial_columns(200, k, [int(r) for r in rows]) @ mags
             y = f0 + rng.standard_normal(200)
             lam = (0.05 + 0.4 * rng.random()) * est.lambda_max(y, k)
             res = est.fit(y, est.FitConfig(lam=lam, k=k))

@@ -92,6 +92,16 @@ class TestSolve:
         assert "lambda must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--tol-kkt", "nan"), ("--max-iter", "0")])
+    def test_invalid_fit_settings_are_usage_errors(self, tmp_path, signal, capsys, flag, value):
+        path, _ = signal
+        out = tmp_path / "f.csv"
+        rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda", "0.1",
+                       flag, value, "--out", str(out)])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_contents(self, tmp_path, signal):
         path, _ = signal
         rep = tmp_path / "rep.json"
@@ -205,7 +215,7 @@ class TestSimulate:
         assert len(csv.read_text().splitlines()) == 4
 
     def test_segments_past_the_old_length_cap(self, tmp_path):
-        # 6554-point segments, longer than DENSE_CAP_DEFAULT
+        # 6554-point segments, longer than the old 4096-point segment cap
         path = self.config(tmp_path, n=32768, s0=4, replications=1, algorithm="dp_k1")
         csv = tmp_path / "trials.csv"
         rc = cli.main(["simulate", "--config", str(path), "--out-csv", str(csv),

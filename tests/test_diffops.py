@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_delta, dense_pinv, random_active_set
+from conftest import (block_dictionary_reference, block_polynomial_basis, boundary_rows,
+                      dense_delta, dense_pinv, random_active_set)
 from tvtrend import diffops as dop
 
 
@@ -64,77 +65,45 @@ class TestOperator:
         with pytest.raises(dop.InvalidOrderError):
             dop.build_delta(5, 5)
 
-    def test_gram_banded_matches_dense(self):
-        for k in (1, 2, 3, 4):
-            op = dop.build_delta(17, k)
-            D = op.to_dense()
-            G = D @ D.T
-            ab = op.gram_banded()
-            for d in range(k + 1):
-                np.testing.assert_allclose(np.diag(G, d), ab[k - d, d:], atol=1e-12)
-
-
 class TestFallingFactorial:
     def test_k1_indicator_steps(self):
-        psi = dop.falling_factorial_basis(5, 1)
+        psi = dop.falling_factorial_columns(5, 1, range(1, 6))
         i = np.arange(1, 6)
         for j in range(1, 6):
             assert np.array_equal(psi[:, j - 1], (i >= j).astype(float))
 
     def test_k2_ramps(self):
-        psi = dop.falling_factorial_basis(6, 2)
+        psi = dop.falling_factorial_columns(6, 2, range(3, 7))
         i = np.arange(1, 7)
         for j in range(3, 7):
             expected = np.where(i >= j, i - j + 1, 0.0)
-            assert np.array_equal(psi[:, j - 1], expected)
+            assert np.array_equal(psi[:, j - 3], expected)
 
     def test_stacked_inverse_identity(self):
-        # oracle: dense matrix inversion of the stacked system
-        n, k = 10, 3
-        M = np.vstack([dop.boundary_value_rows(n, k), dense_delta(n, k)])
-        psi = dop.falling_factorial_basis(n, k)
-        assert np.max(np.abs(M @ psi - np.eye(n))) <= 1e-10
-        np.testing.assert_allclose(psi, np.linalg.inv(M), atol=1e-8)
+        # oracle: dense matrix inversion of the stacked system; its last
+        # n - k columns are the falling-factorial columns, and Delta phi_j = e_j
+        # holds exactly (integer entries)
+        for n, k in [(10, 3), (20, 1), (20, 2), (20, 4)]:
+            phi = dop.falling_factorial_columns(n, k, range(k + 1, n + 1))
+            M = np.vstack([boundary_rows(n, k), dense_delta(n, k)])
+            np.testing.assert_allclose(phi, np.linalg.inv(M)[:, k:], atol=1e-8)
+            assert np.array_equal(dense_delta(n, k) @ phi, np.eye(n - k))
 
 
 class TestPinv:
-    def test_right_inverse_sampled(self):
-        for n, k in [(10, 1), (25, 2), (60, 3), (200, 4), (137, 2)]:
-            op = dop.build_delta(n, k)
-            P = dop.pinv_columns(n, k)
-            assert np.max(np.abs(op.apply(P) - np.eye(op.m))) <= 1e-8
-
     def test_k1_column_lengths(self):
         # squared lengths (j-1)(n-j+1)/n for n=6
-        P = dop.pinv_columns(6, 1)
         j = np.arange(2, 7, dtype=float)
-        np.testing.assert_allclose(np.sum(P ** 2, axis=0), (j - 1) * (6 - j + 1) / 6,
+        np.testing.assert_allclose(dop.pinv_column_sqnorms(6, 1), (j - 1) * (6 - j + 1) / 6,
                                    rtol=1e-12)
-
-    def test_matches_svd_pinv(self):
-        for n, k in [(12, 1), (15, 2), (12, 3), (14, 4)]:
-            np.testing.assert_allclose(dop.pinv_columns(n, k), dense_pinv(n, k),
-                                       atol=1e-9)
-
-    def test_moderate_n_matches_svd(self):
-        # the anti-projection path tracks the SVD pseudo-inverse at a scale
-        # where the Gram normal equations would already have lost half their
-        # digits (condition number ~ n^{2k})
-        n, k = 200, 3
-        P = dop.pinv_columns(n, k)
-        np.testing.assert_allclose(P, dense_pinv(n, k), atol=2e-5)
-        op = dop.build_delta(n, k)
-        assert np.max(np.abs(op.apply(P) - np.eye(op.m))) <= 1e-10
 
     def test_sqnorms_without_columns(self):
         for n, k in [(30, 1), (41, 2), (33, 3), (29, 4)]:
-            P = dop.pinv_columns(n, k)
+            P = dense_pinv(n, k)
             np.testing.assert_allclose(dop.pinv_column_sqnorms(n, k),
                                        np.sum(P ** 2, axis=0), rtol=1e-9)
 
     def test_dense_cap(self):
-        with pytest.raises(dop.DenseCapExceededError):
-            dop.pinv_columns(5000, 2)
         with pytest.raises(dop.DenseCapExceededError):
             dop.build_delta(5000, 2).to_dense()
 
@@ -241,10 +210,6 @@ class TestActiveSet:
         with pytest.raises(ValueError):
             dop.ActiveSet(n=20, k=2, t=(5,), q_S=(2,))
 
-    def test_mock_indices(self):
-        S = dop.ActiveSet(n=40, k=3, t=(10, 20), q_S=(1, -1))
-        assert S.mock_indices == (11, 12, 21, 22)
-
     def test_segment_too_short(self):
         S = dop.ActiveSet(n=40, k=3, t=(10, 12), q_S=(1, -1))
         with pytest.raises(dop.SegmentTooShortError, match="segment"):
@@ -255,67 +220,75 @@ class TestActiveSet:
 
 
 class TestBlockDictionary:
+    """``block_column_sqnorms`` against the dense per-block SVD pseudo-inverse
+    columns of ``conftest.block_dictionary_reference``."""
+
     def test_empty_set_equals_pinv(self):
-        op = dop.build_delta(20, 2)
         S = dop.ActiveSet(n=20, k=2, t=(), q_S=())
-        bd = dop.block_dictionary(op, S)
-        np.testing.assert_allclose(bd.columns, dop.pinv_columns(20, 2), atol=1e-12)
-        assert bd.r_bar == 2
+        rows, sqn = dop.block_column_sqnorms(S)
+        assert np.array_equal(rows, np.arange(3, 21))
+        np.testing.assert_allclose(sqn, np.sum(dense_pinv(20, 2) ** 2, axis=0), rtol=1e-10)
 
     def test_k1_two_blocks(self):
         # one jump: each block matches j (n_i - j) / n_i
         n, t1 = 30, 14
-        op = dop.build_delta(n, 1)
         S = dop.ActiveSet(n=n, k=1, t=(t1,), q_S=(1,))
-        bd = dop.block_dictionary(op, S)
+        rows, sqn = dop.block_column_sqnorms(S)
+        ref_rows, cols = block_dictionary_reference(S)
+        assert np.array_equal(rows, ref_rows)
+        np.testing.assert_allclose(sqn, np.sum(cols ** 2, axis=0), rtol=1e-10)
         n1, n2 = S.seg_lengths
-        for idx, row in enumerate(bd.col_rows):
+        for idx, row in enumerate(rows):
             if row < t1:
                 j = row - 1
                 expected = j * (n1 - j) / n1
             else:
                 j = row - t1
                 expected = j * (n2 - j) / n2
-            assert bd.col_sqnorms[idx] == pytest.approx(expected, rel=1e-10)
+            assert sqn[idx] == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_orthogonal_to_augmented_nullspace(self, k, rng):
         S = random_active_set(rng, k)
-        op = dop.build_delta(S.n, k)
-        bd = dop.block_dictionary(op, S)
-        basis = dop.augmented_nullspace_basis(op, S)
-        assert basis.shape[1] == k * (S.s + 1) == bd.r_bar
-        assert np.max(np.abs(basis.T @ bd.columns)) <= 1e-10
+        rows, cols = block_dictionary_reference(S)
+        basis = block_polynomial_basis(S)
+        assert basis.shape[1] == k * (S.s + 1)
+        # relative to each column's length: the SVD reference carries ~1e-11
+        # relative error at k = 4, and its columns reach lengths of ~1e6
+        assert np.all(np.abs(basis.T @ cols) <= 1e-10 * np.linalg.norm(cols, axis=0))
+        # each column is its falling-factorial column less the augmented
+        # null-space part, so their squared lengths are the shortcut's
+        phi = dop.falling_factorial_columns(S.n, k, rows)
+        anti = phi - basis @ (basis.T @ phi)
+        np.testing.assert_allclose(np.sum(anti ** 2, axis=0), dop.block_column_sqnorms(S)[1],
+                                   rtol=1e-8)
         # mock columns live inside the augmented null space
-        psi = dop.falling_factorial_basis(S.n, k)
-        for j in S.mock_indices:
-            mock = psi[:, j - 1]
-            resid = mock - basis @ (basis.T @ mock)
-            assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(mock))
+        mocks = [j for t in S.t for j in range(t + 1, t + k)]
+        mock = dop.falling_factorial_columns(S.n, k, mocks)
+        resid = mock - basis @ (basis.T @ mock)
+        assert np.all(np.linalg.norm(resid, axis=0)
+                      <= 1e-8 * np.maximum(1.0, np.linalg.norm(mock, axis=0)))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_column_length_bound(self, k, rng):
         # per-segment bound min(j, n_i - j)^{2k-1}
         S = random_active_set(rng, k)
-        op = dop.build_delta(S.n, k)
-        bd = dop.block_dictionary(op, S)
+        rows, sqn = dop.block_column_sqnorms(S)
         tf = S.t_full
-        for idx, row in enumerate(bd.col_rows):
-            i = max(i for i in range(1, S.s + 2) if tf[i - 1] < row or (i == 1))
+        for idx, row in enumerate(rows):
             i = next(i for i in range(1, S.s + 2) if tf[i - 1] <= row <= tf[i])
             j = row - tf[i - 1]
             n_i = S.seg_lengths[i - 1]
             bound = min(j, n_i - j) ** (2 * k - 1)
-            assert bd.col_sqnorms[idx] <= bound + 1e-9
+            assert sqn[idx] <= bound + 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_sqnorms_shortcut_matches(self, k, rng):
         S = random_active_set(rng, k)
-        op = dop.build_delta(S.n, k)
-        bd = dop.block_dictionary(op, S)
         rows, sqn = dop.block_column_sqnorms(S)
-        assert tuple(rows) == bd.col_rows
-        np.testing.assert_allclose(sqn, bd.col_sqnorms, rtol=1e-8)
+        ref_rows, cols = block_dictionary_reference(S)
+        assert np.array_equal(rows, ref_rows)
+        np.testing.assert_allclose(sqn, np.sum(cols ** 2, axis=0), rtol=1e-8)
 
 
 def test_write_dense_csv_roundtrip(tmp_path, rng):
@@ -328,10 +301,10 @@ def test_write_dense_csv_roundtrip(tmp_path, rng):
 
 class TestRightInverseSweep:
     def test_dense_grid(self):
-        # right-inverse identity across a dense grid of lengths and orders
+        # right-inverse identity Delta phi_j = e_j of the falling-factorial
+        # columns across a dense grid of lengths and orders (exact: integers)
         for k in (1, 2, 3, 4):
             for n in list(range(k + 2, 42)) + list(range(45, 201, 13)) + [200]:
                 op = dop.build_delta(n, k)
-                P = dop.pinv_columns(n, k)
-                err = np.max(np.abs(op.apply(P) - np.eye(op.m)))
-                assert err <= 1e-8, (n, k, err)
+                phi = dop.falling_factorial_columns(n, k, range(k + 1, n + 1))
+                assert np.array_equal(op.apply(phi), np.eye(op.m)), (n, k)

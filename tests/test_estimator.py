@@ -7,13 +7,14 @@ from conftest import (admm_reference, dense_delta, ff_columns_reference,
                       restricted_solve_reference, tv1d_reference, tv_dual_reference)
 from tvtrend import estimator as est
 from tvtrend import experiments
-from tvtrend.diffops import _cached_polynomial_basis, falling_factorial_basis, polynomial_basis
+from tvtrend.diffops import _cached_polynomial_basis, falling_factorial_columns, polynomial_basis
 
 
 def noisy_piecewise(rng, n, k, s0, amp=8.0):
     # jump sizes amp * n^{-(k-1)} keep the signal O(amp) against unit noise
-    cols = est._ff_columns(n, k, [int(v) for v in
-                                  np.sort(rng.choice(np.arange(k + 1, n + 1), s0, replace=False))])
+    cols = falling_factorial_columns(n, k, [int(v) for v in
+                                            np.sort(rng.choice(np.arange(k + 1, n + 1), s0,
+                                                               replace=False))])
     mags = amp * float(n) ** (-(k - 1)) * rng.standard_normal(s0)
     f0 = cols @ mags if s0 else np.zeros(n)
     return f0 + rng.standard_normal(n)
@@ -70,6 +71,18 @@ class TestFitBasics:
             for algorithm in est.ALGORITHMS:
                 with pytest.raises(ValueError, match="finite"):
                     est.FitConfig(lam=lam, k=1, algorithm=algorithm)
+        for bad in (0.0, -1e-8, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol_kkt"):
+                est.FitConfig(lam=1.0, k=1, tol_kkt=bad)
+            with pytest.raises(ValueError, match="rho"):
+                est.FitConfig(lam=1.0, k=1, rho=bad)
+        for bad in (0.0, 2.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="over_relaxation"):
+                est.FitConfig(lam=1.0, k=1, over_relaxation=bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                est.FitConfig(lam=1.0, k=1, max_iter=bad)
+        est.FitConfig(lam=1.0, k=1, tol_kkt=1e-300, max_iter=1, rho=1e-3, over_relaxation=1.99)
 
     def test_non_convergence_flagged(self, rng):
         y = rng.standard_normal(50)
@@ -241,7 +254,7 @@ class TestCertificates:
         if not np.all(interior[off]):
             pytest.skip("dual not strictly interior; knot set ambiguous")
         X = np.concatenate([polynomial_basis(120, 2),
-                            est._ff_columns(120, 2, knots)], axis=1)
+                            falling_factorial_columns(120, 2, knots)], axis=1)
         proj, *_ = np.linalg.lstsq(X, res.f_hat, rcond=None)
         assert np.max(np.abs(X @ proj - res.f_hat)) <= 1e-8
 
@@ -350,11 +363,11 @@ class TestPolishBits:
         for n in (k + 1, 37, 500):
             for _ in range(5):
                 rows = self.random_support(rng, n, k)
-                assert np.array_equal(est._ff_columns(n, k, rows),
+                assert np.array_equal(falling_factorial_columns(n, k, rows),
                                       ff_columns_reference(n, k, rows))
-                assert np.array_equal(est._ff_columns(n, k, tuple(int(r) for r in rows)),
+                assert np.array_equal(falling_factorial_columns(n, k, tuple(int(r) for r in rows)),
                                       ff_columns_reference(n, k, rows))
-        assert est._ff_columns(20, k, []).shape == (20, 0)
+        assert falling_factorial_columns(20, k, []).shape == (20, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_restricted_solve_matches_reference(self, k, rng):
@@ -405,9 +418,3 @@ class TestBasicInequality:
                              lam=res.lam, k=res.k)
         assert est.check_basic_inequality(fake, y, f0, res.f_hat) > 0.0
 
-
-def test_ff_columns_match_basis(rng):
-    rows = [4, 9, 17]
-    cols = est._ff_columns(20, 3, rows)
-    basis = falling_factorial_basis(20, 3)
-    np.testing.assert_array_equal(cols, basis[:, [r - 1 for r in rows]])

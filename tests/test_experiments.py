@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dense_pinv, random_active_set
+from conftest import block_dictionary_reference, block_polynomial_basis, random_active_set
 from tvtrend import experiments as exp
 from tvtrend import theory
-from tvtrend.diffops import augmented_nullspace_basis, build_delta, column_norm_exact
+from tvtrend.diffops import build_delta, column_norm_exact
 from tvtrend.sparsity import gamma_closed_form
 
 
@@ -185,14 +185,7 @@ class TestEvents:
     def test_event_u_matches_dense_dictionary(self, k, rng):
         for _ in range(25):
             S = random_active_set(rng, k)
-            cols = []
-            for a, b, nb in S.blocks():
-                if nb <= k:
-                    continue
-                block = np.zeros((S.n, nb - k))
-                block[a - 1:b] = dense_pinv(nb, k)
-                cols.append(block)
-            psi = np.concatenate(cols, axis=1)
+            _, psi = block_dictionary_reference(S)
             eps = rng.standard_normal(S.n)
             ref = np.max(np.abs(eps @ psi) / (math.sqrt(S.n) * np.linalg.norm(psi, axis=0)))
             corr, _ = exp.event_statistics(exp.EventGeometry.from_active_set(S), eps)
@@ -208,7 +201,7 @@ class TestEvents:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_event_v_matches_nullspace_basis(self, k, rng):
         S = random_active_set(rng, k)
-        Q = augmented_nullspace_basis(build_delta(S.n, k), S)
+        Q = block_polynomial_basis(S)
         eps = rng.standard_normal(S.n)
         _, proj = exp.event_statistics(exp.EventGeometry.from_active_set(S), eps)
         assert proj == pytest.approx(np.linalg.norm(Q.T @ eps), rel=1e-12, abs=0)
@@ -240,7 +233,7 @@ class TestEvents:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_segments_past_the_old_length_cap(self):
-        # five segments of about 6554 points, longer than DENSE_CAP_DEFAULT
+        # five segments of about 6554 points, longer than the old 4096-point segment cap
         prep = exp.prepare(cfg(n=32768, k=1, s0=4, replications=1, algorithm="dp_k1"))
         scale = prep.events.psi_scale
         start = 0

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dense_delta, random_active_set, sparsity_dual_reference
 from tvtrend import sparsity as sp
-from tvtrend.diffops import ActiveSet, block_column_sqnorms
+from tvtrend.diffops import DENSE_CAP_DEFAULT, ActiveSet, DenseCapExceededError, block_column_sqnorms
 from tvtrend.interpolants import InfeasibleInterpolantError, InterpolatingVector, build_noisy
 from tvtrend.theory import lambda0, lambda_threshold
 
@@ -113,6 +114,19 @@ class TestDirectOracle:
             w = sp.compute_weights(S, U, lam1 * mult)
             vals.append(sp.effective_sparsity_direct(S, weights=w).gamma_sq)
         assert vals[0] >= vals[1] - 1e-8 >= vals[2] - 2e-8
+
+    def test_stops_at_the_dense_cap(self):
+        # D comes from to_dense, so past DENSE_CAP_DEFAULT the oracle refuses,
+        # before allocating the n x n identity (134 MB at n = 4097)
+        S = _active(DENSE_CAP_DEFAULT + 1, 1, (2049,), (1,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseCapExceededError, match="4097"):
+                sp.effective_sparsity_direct(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestInterpolantBound:

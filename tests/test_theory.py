@@ -5,7 +5,7 @@ import pytest
 
 from tvtrend import theory
 from tvtrend.constants import CK_ASYMPTOTIC
-from tvtrend.diffops import ActiveSet
+from tvtrend.diffops import ActiveSet, falling_factorial_columns
 from tvtrend.interpolants import threshold_constant_asymptotic
 
 
@@ -69,12 +69,10 @@ class TestThreshold:
 
 class TestBoundEvaluators:
     def setup_method(self):
-        from tvtrend.estimator import _ff_columns
-
         self.S = ActiveSet(n=128, k=2, t=(40, 80), q_S=(1, -1))
         # piecewise linear with kinks exactly at the active rows
         self.f0 = (0.01 * np.arange(128.0)
-                   + _ff_columns(128, 2, self.S.t) @ np.array([0.5, -0.5]))
+                   + falling_factorial_columns(128, 2, self.S.t) @ np.array([0.5, -0.5]))
 
     def test_oracle_comparator_kills_approx_terms(self):
         lam = theory.lambda_threshold(128, 2, self.S.n_max, 1.0, s=2)
