@@ -57,19 +57,17 @@ def _read_signal_csv(path):
     return np.array(values)
 
 
-def _write_signal_csv(path, values):
-    with open(path, "w") as fh:
-        for v in values:
-            fh.write(f"{v:.17g}\n")
-
-
-def _dump_json(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text, path=None):
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_json(obj, path=None):
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _dump_report(obj, path=None, fmt="json"):
@@ -83,12 +81,7 @@ def _dump_report(obj, path=None, fmt="json"):
             lines.append(f"{key},{value:.17g}")
         else:
             lines.append(f"{key},{value}")
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def _parse_active_set(args, n, k):
@@ -119,7 +112,7 @@ def cmd_solve(args):
                     max_iter=args.max_iter)
     res = fit(y, cfg)
     if args.out:
-        _write_signal_csv(args.out, res.f_hat)
+        _write_text("".join(f"{v:.17g}\n" for v in res.f_hat), args.out)
     report = {
         "n": n, "k": args.k, "lambda": lam, "algorithm": args.algorithm,
         "objective": res.objective, "kkt_residual": res.kkt_residual,
@@ -180,12 +173,7 @@ def cmd_interpolant(args):
     lines = ["index,q,weight_cap,slack"]
     for j, q, c, s in records:
         lines.append(f"{j},{q:.17g},{c:.17g},{s:.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

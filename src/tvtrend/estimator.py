@@ -31,6 +31,13 @@ from .diffops import (_cached_polynomial_basis, build_delta, difference_coeffici
 
 ALGORITHMS = ("admm", "dp_k1")
 
+# ADMM starts from penalty RHO_INIT (then balanced against the residuals) and
+# over-relaxes each update by OVER_RELAXATION; the polish gives up after
+# POLISH_ROUNDS restricted solves.
+RHO_INIT = 1.0
+OVER_RELAXATION = 1.8
+POLISH_ROUNDS = 60
+
 # Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded validate
 # their inputs and look these up again on every call of the ADMM loop.
 _PBTRF, _PBTRS = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
@@ -43,8 +50,6 @@ class FitConfig:
     tol_kkt: float = 1e-8
     max_iter: int = 50_000
     algorithm: str = "admm"
-    rho: float = 1.0
-    over_relaxation: float = 1.8
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
@@ -53,10 +58,6 @@ class FitConfig:
             raise ValueError("lambda must be nonnegative")
         if not (math.isfinite(self.tol_kkt) and self.tol_kkt > 0):
             raise ValueError("tol_kkt must be finite and positive")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be finite and positive")
-        if not 0 < self.over_relaxation < 2:
-            raise ValueError("over_relaxation must lie in (0, 2)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.algorithm not in ALGORITHMS:
@@ -162,7 +163,7 @@ def _restricted_solve(y, k, lam, active, signs):
 _POLISH_MAX_ACTIVE = 1500
 
 
-def _polish(y, k, lam, active, signs, tol_kkt, rounds=60):
+def _polish(y, k, lam, active, signs, tol_kkt):
     """Active-set refinement: drop sign-inconsistent rows, add rows whose
     dual exceeds the box, accept only on a verified certificate."""
     n = len(y)
@@ -170,7 +171,7 @@ def _polish(y, k, lam, active, signs, tol_kkt, rounds=60):
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         f_hat, b = _restricted_solve(y, k, lam, active, signs)
         keep = (b * signs > 0) if len(active) else np.zeros(0, dtype=bool)
         if len(active) and not np.all(keep):
@@ -212,8 +213,8 @@ def _fit_admm(y, cfg):
     n = len(y)
     k = cfg.k
     m = n - k
-    rho = cfg.rho
-    alpha = cfg.over_relaxation
+    rho = RHO_INIT
+    alpha = OVER_RELAXATION
     two_y = (2.0 / n) * y
     # D' q = (-1)^k diff(q zero-padded by k on both sides, k); only the slice
     # pad[k:k + m] is ever written, so the padding stays zero.

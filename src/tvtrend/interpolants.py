@@ -12,10 +12,17 @@ N sub-intervals (N = 2 for k in {1, 2}, k+1 for odd k >= 3, k+2 for even
 k >= 4); the outermost sub-interval carries a power-law boundary layer with
 exponent (2k-1)/2 in the noisy mode (k in the noiseless mode), the central
 sub-intervals carry an odd polynomial, and interior sub-intervals (k = 4)
-carry a degree-k polynomial.  Free coefficients are pinned by requiring
-adjacent pieces to agree on k consecutive grid points at every junction
-("discrete derivatives matching").  Segments without a sign change use the
-shallow profile 1 - (4 j (n_i - j) / (n_i n_max))^{(2k-1)/2}.
+carry a degree-k polynomial.  One matching system pins the free
+coefficients: at every junction the adjacent pieces agree under k row
+functionals of orders 0..k-1.  The discrete profile takes scaled forward
+differences on the grid, which is agreement on k consecutive grid points
+("discrete derivatives matching"); the continuous profile, its
+large-segment limit, takes derivatives instead.  Both solve to one
+``MatchingCoefficients`` type with one piecewise evaluator, and
+``continuous_normalization`` rewrites a solution in the unit variable.
+Without junctions (k <= 2, or a segment too short for them) the profile is
+the two-piece power law.  Segments without a sign change use the shallow
+profile 1 - (4 j (n_i - j) / (n_i n_max))^{(2k-1)/2}.
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ import numpy as np
 
 from .constants import minimum_segment_length
 from .diffops import ActiveSet, build_delta
+
+# |q_j| may exceed its cap 1 - w_j by this much before the build rejects it.
+FEASIBILITY_TOL = 1e-12
+# Largest step against the segment's direction that still counts as monotone.
+MONOTONE_TOL = 1e-10
 
 
 class MatchingSystemError(RuntimeError):
@@ -56,14 +68,22 @@ def noisy_exponent(k):
     return (2 * k - 1) / 2
 
 
+def _falling(a, l):
+    """Falling factorial a (a-1) ... (a-l+1); zero for integer a < l."""
+    c = 1.0
+    for i in range(l):
+        c *= a - i
+    return c
+
+
 # ---------------------------------------------------------------------------
-# discrete derivative matching
+# derivative matching
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MatchingCoefficients:
-    """Solution of the discrete matching system for one half-profile.
+    """Solution of the matching system for one half-profile.
 
     The profile decreases from +1 at 0 to -1 at 2M and is antisymmetric
     about M.  ``junctions`` are the interior junction points of the half
@@ -73,11 +93,15 @@ class MatchingCoefficients:
     * degree-k polynomials in the centered variable (j - jc) / junctions[0]
       (coefficient rows of ``interior``), and
     * the odd center piece ``sum_r center[r] ((M - j) / Dc)**r``.
+
+    Without junctions the boundary layer spans the half domain with
+    ``a0_bar = 1`` and ``M`` in place of ``junctions[0]``: the two-piece
+    profile.
     """
 
     k: int
     exponent: float
-    M: int
+    M: float
     junctions: tuple
     a0_bar: float
     interior: np.ndarray
@@ -85,69 +109,82 @@ class MatchingCoefficients:
     center: dict
 
     @property
+    def d(self):
+        """Length of the boundary-layer piece."""
+        return self.junctions[0] if self.junctions else self.M
+
+    @property
     def Dc(self):
         return self.M - self.junctions[-1] if self.junctions else self.M
 
-    def half_values(self, j):
-        """Profile values on [0, M] (scalar or array of offsets)."""
-        j = np.asarray(j, dtype=float)
-        out = np.empty_like(j)
-        if not self.junctions:
-            out[...] = 1.0 - self.a0_bar * (j / self.M) ** self.exponent
-            return out
-        d = self.junctions[0]
-        edges = list(self.junctions) + [self.M]
-        piece = np.searchsorted(np.asarray(edges), j, side="left")
-        sel = piece == 0
-        out[sel] = 1.0 - self.a0_bar * (j[sel] / d) ** self.exponent
-        for l in range(len(self.interior_centers)):
-            sel = piece == l + 1
-            u = (j[sel] - self.interior_centers[l]) / d
-            out[sel] = sum(c * u ** r for r, c in enumerate(self.interior[l]))
-        sel = piece >= len(edges) - 1
-        v = (self.M - j[sel]) / self.Dc
-        out[sel] = sum(c * v ** r for r, c in self.center.items())
-        return out
-
     def values(self, j):
-        """Full profile on [0, 2M]: antisymmetric extension of half_values."""
+        """Profile values at offsets j in [0, 2M]: the pieces on [0, M],
+        extended antisymmetrically about M."""
         j = np.asarray(j, dtype=float)
         folded = np.minimum(j, 2 * self.M - j)
-        sign = np.where(j <= self.M, 1.0, -1.0)
-        return sign * self.half_values(folded)
+        out = np.empty_like(folded)
+        piece = np.searchsorted(np.asarray(self.junctions + (self.M,)), folded, side="left")
+        sel = piece == 0
+        out[sel] = 1.0 - self.a0_bar * (folded[sel] / self.d) ** self.exponent
+        for l, jc in enumerate(self.interior_centers):
+            sel = piece == l + 1
+            u = (folded[sel] - jc) / self.d
+            out[sel] = sum(c * u ** r for r, c in enumerate(self.interior[l]))
+        sel = piece > len(self.interior_centers)
+        v = (self.M - folded[sel]) / self.Dc
+        out[sel] = sum(c * v ** r for r, c in self.center.items())
+        return np.where(j <= self.M, 1.0, -1.0) * out
 
     def continuous_normalization(self):
-        """Coefficients in the unit variable x = j / (2M), for comparison with
-        the continuous profile: boundary ``1 - a0 x**exponent``, interior
-        pieces as ascending plain-x polynomials, center in powers of (1/2 - x).
-        """
-        N = round(2 * self.M / self.junctions[0]) if self.junctions else 2
-        out = {"a0": self.a0_bar * N ** self.exponent if self.junctions
-               else self.a0_bar * 2 ** self.exponent}
+        """The profile in the unit variable x = j / (2M)."""
+        N = round(2 * self.M / self.d)
         polys = []
-        d = self.junctions[0] if self.junctions else self.M
         for l in range(len(self.interior_centers)):
             # substitute u = (2M x - jc)/d into sum c_r u^r
-            comp = np.polynomial.Polynomial([-self.interior_centers[l] / d, 2 * self.M / d])
+            comp = np.polynomial.Polynomial([-self.interior_centers[l] / self.d, 2 * self.M / self.d])
             pol = sum(c * comp ** r for r, c in enumerate(self.interior[l]))
             polys.append(np.asarray(pol.coef, dtype=float))
-        out["interior"] = polys
         scale = 2 * self.M / self.Dc
-        out["center"] = {r: c * scale ** r for r, c in self.center.items()}
-        return out
+        return ContinuousProfile(solution=self, N=N, a0=self.a0_bar * N ** self.exponent,
+                                 interior=polys,
+                                 center={r: c * scale ** r for r, c in self.center.items()})
 
 
-def _solve_matching(k, junctions, M, exponent):
+@dataclass(frozen=True)
+class ContinuousProfile:
+    """A matching solution in the unit variable x = j / (2M), so q(0) = 1
+    and q(1) = -1: boundary layer ``1 - a0 x**exponent`` on [0, 1/N],
+    interior pieces as ascending plain-x polynomials, the center piece in
+    powers of (1/2 - x), mirrored antisymmetrically.  Calls evaluate
+    through ``solution.values``."""
+
+    solution: MatchingCoefficients
+    N: int
+    a0: float
+    interior: list
+    center: dict
+
+    @property
+    def breakpoints(self):
+        return tuple(l / self.N for l in range(self.N + 1))
+
+    def __call__(self, x):
+        return self.solution.values(2 * self.solution.M * np.asarray(x, dtype=float))
+
+
+def _solve_matching(k, junctions, M, exponent, derivatives=False):
     """Assemble and solve the matching system for arbitrary junction points.
 
-    Equations are taken in scaled difference form (the l-th forward
-    difference of the piece mismatch at each junction, scaled by d^l), which
-    is row-equivalent to requiring agreement on k consecutive points but
-    stays well-conditioned for large segments.
+    Each junction gives k rows, one per order l < k, equating a row
+    functional of the two pieces that meet there.  The discrete functional
+    is the l-th forward difference on the grid points jl..jl+l scaled by
+    d^l, which is row-equivalent to agreement on k consecutive points but
+    stays well-conditioned for large segments.  With ``derivatives`` it is
+    the l-th derivative at jl scaled by d^l: the continuous profile.
     """
-    junctions = tuple(int(j) for j in junctions)
+    junctions = tuple(junctions)
     if not junctions:
-        return MatchingCoefficients(k=k, exponent=exponent, M=int(M), junctions=(),
+        return MatchingCoefficients(k=k, exponent=exponent, M=M, junctions=(),
                                     a0_bar=1.0, interior=np.zeros((0, k + 1)),
                                     interior_centers=(), center={})
     d = junctions[0]
@@ -155,52 +192,61 @@ def _solve_matching(k, junctions, M, exponent):
     n_int = len(junctions) - 1
     centers = tuple((junctions[i] + junctions[i + 1]) / 2.0 for i in range(n_int))
     Dc = M - junctions[-1]
-    nunk = 1 + n_int * (k + 1) + len(odd_powers)
+    # piece p owns the unknowns bounds[p]:bounds[p + 1]; piece 0 is the
+    # boundary layer, 1..n_int the interior pieces, n_int + 1 the center
+    bounds = np.cumsum([0, 1] + [k + 1] * n_int + [len(odd_powers)])
 
-    def piece_values(piece, js):
-        js = np.asarray(js, dtype=float)
+    def basis(piece, x, l):
+        """d^l times the l-th derivative at the points x of the function each
+        unknown of ``piece`` multiplies, and of the piece's constant term."""
         if piece == 0:
-            return -((js / d) ** exponent)[:, None], np.ones_like(js)
+            return (-(_falling(exponent, l) * (x / d) ** (exponent - l))[:, None],
+                    np.full_like(x, l == 0))
         if piece <= n_int:
-            u = (js - centers[piece - 1]) / d
-            return np.column_stack([u ** r for r in range(k + 1)]), np.zeros_like(js)
-        v = (M - js) / Dc
-        return np.column_stack([v ** r for r in odd_powers]), np.zeros_like(js)
+            u = (x - centers[piece - 1]) / d
+            return (np.column_stack([_falling(r, l) * u ** max(r - l, 0) for r in range(k + 1)]),
+                    np.zeros_like(x))
+        v = (M - x) / Dc
+        return (np.column_stack([_falling(r, l) * (-d / Dc) ** l * v ** max(r - l, 0)
+                                 for r in odd_powers]),
+                np.zeros_like(x))
 
-    def cols(piece):
-        if piece == 0:
-            return slice(0, 1)
-        if piece <= n_int:
-            return slice(1 + (piece - 1) * (k + 1), 1 + piece * (k + 1))
-        return slice(1 + n_int * (k + 1), nunk)
-
-    A = np.zeros((k * len(junctions), nunk))
-    b = np.zeros(k * len(junctions))
-    row = 0
-    for idx, jl in enumerate(junctions):
-        left = idx
-        right = idx + 1 if idx + 1 <= n_int else n_int + 1
-        js = np.arange(jl, jl + k)
-        CL, kL = piece_values(left, js)
-        CR, kR = piece_values(right, js)
+    def functional(piece, jl):
+        """Rows l = 0..k-1 of the matching functional at junction jl, with
+        their constant terms."""
+        if derivatives:
+            rows = [basis(piece, np.array([float(jl)]), l) for l in range(k)]
+            return np.vstack([C for C, _ in rows]), np.concatenate([c for _, c in rows])
+        C, c = basis(piece, np.arange(jl, jl + k, dtype=float), 0)
+        F = np.empty((k, C.shape[1]))
+        f = np.empty(k)
         for l in range(k):
             w = np.array([(-1) ** (l - i) * math.comb(l, i) for i in range(l + 1)])
             scale = float(d) ** l
-            A[row, cols(left)] = scale * (w @ CL[: l + 1])
-            A[row, cols(right)] -= scale * (w @ CR[: l + 1])
-            b[row] = -scale * (w @ (kL - kR)[: l + 1])
-            row += 1
+            F[l] = scale * (w @ C[: l + 1])
+            f[l] = scale * (w @ c[: l + 1])
+        return F, f
+
+    A = np.zeros((k * len(junctions), bounds[-1]))
+    b = np.zeros(k * len(junctions))
+    for idx, jl in enumerate(junctions):
+        rows = slice(k * idx, k * (idx + 1))
+        FL, fL = functional(idx, jl)
+        FR, fR = functional(idx + 1, jl)
+        A[rows, bounds[idx]:bounds[idx + 1]] = FL
+        A[rows, bounds[idx + 1]:bounds[idx + 2]] -= FR
+        b[rows] = -(fL - fR)
     try:
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise MatchingSystemError(f"singular matching system (k={k}, junctions={junctions})") from exc
     if not np.all(np.isfinite(sol)):
         raise MatchingSystemError(f"non-finite matching solution (k={k}, junctions={junctions})")
-    interior = sol[1: 1 + n_int * (k + 1)].reshape(n_int, k + 1)
-    center = dict(zip(odd_powers, sol[1 + n_int * (k + 1):]))
-    return MatchingCoefficients(k=k, exponent=exponent, M=int(M), junctions=junctions,
-                                a0_bar=float(sol[0]), interior=interior,
-                                interior_centers=centers, center=center)
+    return MatchingCoefficients(k=k, exponent=exponent, M=M, junctions=junctions,
+                                a0_bar=float(sol[0]),
+                                interior=sol[1:bounds[-2]].reshape(n_int, k + 1),
+                                interior_centers=centers,
+                                center=dict(zip(odd_powers, sol[bounds[-2]:])))
 
 
 def solve_matching_coefficients(k, d, exponent=None):
@@ -248,48 +294,10 @@ def k3_matching_closed_form(d):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuousProfile:
-    """Continuous antisymmetric profile q: [0, 1] -> [-1, 1], q(0) = 1.
-
-    Piecewise: boundary layer 1 - a0 x**exponent on [0, 1/N], degree-k
-    polynomials on interior sub-intervals, an odd polynomial in (1/2 - x)
-    around the center, mirrored antisymmetrically.  Has k-1 continuous
-    derivatives at the breakpoints by construction.
-    """
-
-    k: int
-    exponent: float
-    N: int
-    a0: float
-    interior: tuple          # ascending plain-x coefficient tuples
-    center: dict             # odd power -> coefficient, in (1/2 - x)
-
-    @property
-    def breakpoints(self):
-        return tuple(l / self.N for l in range(self.N + 1))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        xf = np.minimum(x, 1.0 - x)
-        sign = np.where(x <= 0.5, 1.0, -1.0)
-        out = np.empty_like(xf)
-        edges = [l / self.N for l in range(1, self.N // 2)] + [0.5]
-        piece = np.searchsorted(np.asarray(edges), xf, side="left")
-        sel = piece == 0
-        out[sel] = 1.0 - self.a0 * xf[sel] ** self.exponent
-        for l, coeffs in enumerate(self.interior):
-            sel = piece == l + 1
-            out[sel] = sum(c * xf[sel] ** r for r, c in enumerate(coeffs))
-        sel = piece >= len(edges) - 1 if len(edges) > 1 else piece >= 1
-        v = 0.5 - xf[sel]
-        out[sel] = sum(c * v ** r for r, c in self.center.items())
-        return sign * out
-
-
 def continuous_profile(k, exponent=None, N=None):
-    """Solve the continuous matching system (value and k-1 derivatives at
-    each breakpoint) for the N-piece profile.
+    """The N-piece continuous profile: the matching system with derivatives
+    (value and k-1 derivatives at each breakpoint), solved on unit
+    sub-intervals and returned in the unit variable.
 
     Default N is the canonical split k+2 (k even) / k+1 (k odd).  The
     discrete construction ships the simpler two-piece profile for k <= 2;
@@ -299,68 +307,8 @@ def continuous_profile(k, exponent=None, N=None):
         exponent = noisy_exponent(k)
     if N is None:
         N = k + 2 if k % 2 == 0 else k + 1
-    njunc = N // 2 - 1
-    if njunc == 0:
-        return ContinuousProfile(k=k, exponent=exponent, N=N,
-                                 a0=2.0 ** exponent, interior=(), center={})
-    odd_powers = tuple(range(1, (k - 1 if k % 2 == 0 else k) + 1, 2))
-    n_int = njunc - 1
-    nunk = 1 + n_int * (k + 1) + len(odd_powers)
-
-    def deriv_row(piece, l, x):
-        if piece == 0:
-            c = 1.0
-            for i in range(l):
-                c *= exponent - i
-            return np.array([-c * x ** (exponent - l)]), (1.0 if l == 0 else 0.0)
-        if piece <= n_int:
-            coefs = []
-            for r in range(k + 1):
-                if r < l:
-                    coefs.append(0.0)
-                else:
-                    c = 1.0
-                    for i in range(l):
-                        c *= r - i
-                    coefs.append(c * x ** (r - l))
-            return np.array(coefs), 0.0
-        coefs = []
-        for r in odd_powers:
-            if r < l:
-                coefs.append(0.0)
-            else:
-                c = 1.0
-                for i in range(l):
-                    c *= r - i
-                coefs.append(c * (-1) ** l * (0.5 - x) ** (r - l))
-        return np.array(coefs), 0.0
-
-    def cols(piece):
-        if piece == 0:
-            return slice(0, 1)
-        if piece <= n_int:
-            return slice(1 + (piece - 1) * (k + 1), 1 + piece * (k + 1))
-        return slice(1 + n_int * (k + 1), nunk)
-
-    A = np.zeros((k * njunc, nunk))
-    b = np.zeros(k * njunc)
-    row = 0
-    for j in range(1, njunc + 1):
-        x = j / N
-        left = j - 1
-        right = j if j <= n_int else n_int + 1
-        for l in range(k):
-            cl, kl = deriv_row(left, l, x)
-            cr, kr = deriv_row(right, l, x)
-            A[row, cols(left)] = cl
-            A[row, cols(right)] -= cr
-            b[row] = kr - kl
-            row += 1
-    sol = np.linalg.solve(A, b)
-    interior = tuple(tuple(sol[1 + i * (k + 1): 1 + (i + 1) * (k + 1)]) for i in range(n_int))
-    center = dict(zip(odd_powers, sol[1 + n_int * (k + 1):]))
-    return ContinuousProfile(k=k, exponent=exponent, N=N, a0=float(sol[0]),
-                             interior=interior, center=center)
+    solution = _solve_matching(k, range(1, N // 2), N // 2, exponent, derivatives=True)
+    return solution.continuous_normalization()
 
 
 def threshold_constant_asymptotic(k, exponent=None):
@@ -368,9 +316,7 @@ def threshold_constant_asymptotic(k, exponent=None):
     a0_bar is the drop over the first sub-interval of the profile the
     discrete construction actually ships (two-piece for k <= 2, canonical
     N-piece otherwise)."""
-    prof = continuous_profile(k, exponent, N=n_subintervals(k))
-    a0_bar = prof.a0 / prof.N ** prof.exponent
-    return 2.0 / a0_bar
+    return 2.0 / continuous_profile(k, exponent, N=n_subintervals(k)).solution.a0_bar
 
 
 # ---------------------------------------------------------------------------
@@ -378,37 +324,24 @@ def threshold_constant_asymptotic(k, exponent=None):
 # ---------------------------------------------------------------------------
 
 
-def _two_piece_values(nseg, exponent, j):
-    j = np.asarray(j, dtype=float)
-    half = j <= nseg / 2
-    with np.errstate(invalid="ignore"):
-        left = 1.0 - (2.0 * j / nseg) ** exponent
-        right = -1.0 + (2.0 * (nseg - j) / nseg) ** exponent
-    return np.where(half, left, right)
-
-
 def sign_change_profile(k, nseg, exponent=None):
     """Values v[0..nseg] of the monotone profile from +1 to -1 over nseg steps.
 
-    nseg must be even for k >= 2 (odd segment lengths are handled one level
-    up by the parity trick).  Junctions fall at floor(l * nseg / N).
+    nseg must be even for k >= 3 (odd segment lengths are handled one level
+    up by the parity trick).  Junctions fall at floor(l * nseg / N); for
+    k <= 2 there are none and any nseg gives the two-piece profile.
     """
     if exponent is None:
         exponent = noisy_exponent(k)
-    j = np.arange(nseg + 1, dtype=float)
-    if k <= 2:
-        return _two_piece_values(nseg, exponent, j)
-    if nseg % 2:
+    if k > 2 and nseg % 2:
         raise ValueError(f"segment length {nseg} must be even for k={k}")
     N = n_subintervals(k)
-    M = nseg // 2
     junctions = [max(1, math.floor(l * nseg / N)) for l in range(1, N // 2)]
-    if junctions[0] < k or (len(junctions) > 1 and junctions[-1] >= M):
+    if junctions and (junctions[0] < k or (len(junctions) > 1 and junctions[-1] >= nseg / 2)):
         # too short for the junction construction; fall back to the two-piece
         # polynomial shape (only reachable below the minimum-length condition)
-        return _two_piece_values(nseg, min(exponent, float(k)), j)
-    coeffs = _solve_matching(k, junctions, M, exponent)
-    return coeffs.values(j)
+        junctions, exponent = [], min(exponent, float(k))
+    return _solve_matching(k, junctions, nseg / 2, exponent).values(np.arange(nseg + 1))
 
 
 @dataclass(frozen=True)
@@ -440,15 +373,6 @@ class InterpolatingVector:
     @property
     def slack(self):
         return self.caps - np.abs(self.q)
-
-
-def _fill_segment(q, S, i, values):
-    """Write profile values (offsets 0..n_i) into the open segment interior."""
-    t_prev = S.t_full[i - 1]
-    n_i = S.seg_lengths[i - 1]
-    for off in range(1, n_i):
-        j = t_prev + off
-        q[j - S.k - 1] = values[off]
 
 
 def _segment_values(S, i, exponent, mode):
@@ -496,37 +420,33 @@ def _segment_values(S, i, exponent, mode):
     return mapped(sign_change_profile(k, n_i, exponent))
 
 
-def _build(S, exponent_rule, mode, weights=None, feasibility_tol=1e-12):
+def _build(S, exponent_rule, mode, weights=None):
     k = S.k
     m = S.n - k
     q = np.zeros(m)
-    for i in range(1, S.s + 2):
-        vals = _segment_values(S, i, exponent_rule, mode)
-        _fill_segment(q, S, i, vals)
-    for i, ti in enumerate(S.t):
-        q[ti - k - 1] = float(S.q_S[i])
-
+    for i, n_i in enumerate(S.seg_lengths, start=1):
+        if n_i > 1:     # a segment of length 1 has no interior row
+            start = S.t_full[i - 1] - k
+            q[start:start + n_i - 1] = _segment_values(S, i, exponent_rule, mode)[1:n_i]
+    active = np.array(S.t, dtype=int) - k - 1
+    q[active] = S.q_S
     caps = np.ones(m)
-    for ti in S.t:
-        caps[ti - k - 1] = np.inf
+    caps[active] = np.inf
     if weights is not None:
-        w = np.asarray(getattr(weights, "w", weights), dtype=float)
-        if w.shape != (m,):
+        if weights.w.shape != (m,):
             raise ValueError(f"weights must align with the {m} rows")
-        caps = np.where(np.isinf(caps), caps, caps - w)
-    vec = InterpolatingVector(S=S, mode=mode, q=q, caps=caps)
-    if weights is not None:
-        _require_feasible(vec, feasibility_tol)
-    return vec
+        caps = np.where(np.isinf(caps), caps, caps - weights.w)
+        _require_feasible(q, caps, k, FEASIBILITY_TOL)
+    return InterpolatingVector(S=S, mode=mode, q=q, caps=caps)
 
 
-def _require_feasible(vec, tol):
+def _require_feasible(q, caps, k, tol):
     """Raise ``InfeasibleInterpolantError`` if |q_j| exceeds cap_j + tol
     anywhere; ``violations`` lists (row, |q|, cap), least slack first."""
-    rows = np.nonzero(np.abs(vec.q) > vec.caps + tol)[0]
+    rows = np.nonzero(np.abs(q) > caps + tol)[0]
     if not len(rows):
         return
-    viol = [(int(r + vec.k + 1), float(abs(vec.q[r])), float(vec.caps[r])) for r in rows]
+    viol = [(int(r + k + 1), float(abs(q[r])), float(caps[r])) for r in rows]
     viol.sort(key=lambda v: v[2] - v[1])
     worst = ", ".join(f"row {j}: |q|={a:.6f} > cap={c:.6f}" for j, a, c in viol[:5])
     raise InfeasibleInterpolantError(
@@ -543,13 +463,13 @@ def build_noiseless(S):
     return _build(S, float(S.k), "noiseless")
 
 
-def build_noisy(S, weights=None, feasibility_tol=1e-12):
+def build_noisy(S, weights=None):
     """Noisy-mode interpolating vector with (2k-1)/2 boundary layers.
 
     Sign-flip segments must satisfy the minimum-length condition
     n_i >= k(k+2).  When ``weights`` is given the caps 1 - w_j are enforced
-    entrywise and violations raise ``InfeasibleInterpolantError`` listing the
-    worst rows.
+    entrywise, up to ``FEASIBILITY_TOL``, and violations raise
+    ``InfeasibleInterpolantError`` listing the worst rows.
     """
     min_len = minimum_segment_length(S.k)
     for i in sorted(S.sign_flip_segments):
@@ -557,8 +477,7 @@ def build_noisy(S, weights=None, feasibility_tol=1e-12):
             raise SegmentLengthError(
                 f"segment {i} has length {S.seg_lengths[i - 1]} < k(k+2) = {min_len}"
             )
-    return _build(S, noisy_exponent(S.k), "noisy", weights=weights,
-                  feasibility_tol=feasibility_tol)
+    return _build(S, noisy_exponent(S.k), "noisy", weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +493,9 @@ class SegmentMonotonicity:
     max_violation: float
 
 
-def check_monotone(vec, tol=1e-10):
-    """Monotonicity report for every sign-flip segment (boundaries included).
+def check_monotone(vec):
+    """Monotonicity report for every sign-flip segment (boundaries included),
+    monotone meaning no step against the direction above ``MONOTONE_TOL``.
 
     The checked sequence runs from anchor to anchor, so boundary segments
     include their virtual zero endpoint.
@@ -584,15 +504,11 @@ def check_monotone(vec, tol=1e-10):
     reports = []
     for i in sorted(S.sign_flip_segments):
         t_prev, t_next = S.t_full[i - 1], S.t_full[i]
-        seq = [S.anchor_value(i - 1)]
-        for j in range(t_prev + 1, t_next):
-            if S.k + 1 <= j <= S.n:
-                seq.append(vec.q[j - S.k - 1])
-        seq.append(S.anchor_value(i))
-        d = np.diff(seq)
+        d = np.diff(np.concatenate([[S.anchor_value(i - 1)], vec.q[t_prev - S.k:t_next - S.k - 1],
+                                    [S.anchor_value(i)]]))
         direction = np.sign(S.anchor_value(i) - S.anchor_value(i - 1)) or 1.0
         violation = float(np.max(-direction * d, initial=0.0))
-        reports.append(SegmentMonotonicity(segment=i, monotone=violation <= tol,
+        reports.append(SegmentMonotonicity(segment=i, monotone=violation <= MONOTONE_TOL,
                                            direction=float(direction),
                                            max_violation=violation))
     return reports
@@ -670,9 +586,7 @@ def halfpower_diffs(k, d):
     big = ~small
     if np.any(big):
         x = xs[big]
-        gamma = 1.0
-        for i in range(k):
-            gamma *= p - i
+        gamma = _falling(p, k)
         nterms = 24
         mom = _uniform_sum_moments(k, nterms)
         # (x + u)^{-1/2} = x^{-1/2} sum_m binom(-1/2, m) (u/x)^m

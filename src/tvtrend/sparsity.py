@@ -23,8 +23,11 @@ import numpy as np
 
 from .constants import ck_sparsity
 from .diffops import ActiveSet, block_column_sqnorms, build_delta
-from .interpolants import InterpolatingVector, _require_feasible, delta_k_energy
+from .interpolants import _require_feasible, delta_k_energy
 from .theory import lambda0
+
+# Slack allowed when the interpolant's feasibility is checked again here.
+FEASIBILITY_RECHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,6 @@ class Weights:
     lam: float
     lam0: float
     w: np.ndarray
-    free_mask: np.ndarray
-
-    @property
-    def caps(self):
-        return 1.0 - self.w
 
 
 def compute_weights(S, u, lam):
@@ -52,22 +50,18 @@ def compute_weights(S, u, lam):
     l0 = lambda0(u, S.n, S.n - S.k - S.s)
     w = np.zeros(m)
     w[rows - S.k - 1] = np.sqrt(sqn / S.n) * l0 / lam
-    free = np.zeros(m, dtype=bool)
-    free[rows - S.k - 1] = True
-    return Weights(S=S, u=u, lam=lam, lam0=l0, w=w, free_mask=free)
+    return Weights(S=S, u=u, lam=lam, lam0=l0, w=w)
 
 
-def effective_sparsity_via_interpolant(vec, weights=None, feasibility_tol=1e-9):
+def effective_sparsity_via_interpolant(vec, weights=None):
     """Upper bound n ||D' q||_2^2 from a feasible interpolating vector.
 
-    Feasibility (|q_j| <= caps entrywise off the active rows) is re-checked;
-    an infeasible vector raises with the violating rows listed.
+    Feasibility (|q_j| <= caps entrywise off the active rows, the caps
+    1 - w_j when ``weights`` is given) is re-checked; an infeasible vector
+    raises with the violating rows listed.
     """
-    caps = vec.caps
-    if weights is not None:
-        caps = np.where(np.isinf(vec.caps), np.inf, 1.0 - weights.w)
-        vec = InterpolatingVector(S=vec.S, mode=vec.mode, q=vec.q, caps=caps)
-    _require_feasible(vec, feasibility_tol)
+    caps = vec.caps if weights is None else np.where(np.isinf(vec.caps), np.inf, 1.0 - weights.w)
+    _require_feasible(vec.q, caps, vec.k, FEASIBILITY_RECHECK_TOL)
     return delta_k_energy(vec)
 
 

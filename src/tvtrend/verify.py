@@ -175,9 +175,9 @@ def suite_lemma36():
     mc4 = itp.solve_matching_coefficients(4, 1000)
     cont = mc4.continuous_normalization()
     printed_poly = (1.05, -1.10, 10.16, -46.19, 44.34)
-    rel4 = [abs(cont["a0"] - 18.62) / 18.62]
-    rel4 += [abs(c - p) / abs(p) for c, p in zip(cont["interior"][0], printed_poly)]
-    rel4 += [abs(cont["center"][1] - 4.23) / 4.23, abs(cont["center"][3] + 12.93) / 12.93]
+    rel4 = [abs(cont.a0 - 18.62) / 18.62]
+    rel4 += [abs(c - p) / abs(p) for c, p in zip(cont.interior[0], printed_poly)]
+    rel4 += [abs(cont.center[1] - 4.23) / 4.23, abs(cont.center[3] + 12.93) / 12.93]
     checks.append(_check("k4_coefficients_one_percent", max(rel4) <= 1e-2,
                          {"max_rel_err": max(rel4)}))
     return _report("lemma36", checks)

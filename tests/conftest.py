@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.optimize
 from tvtrend import estimator as est
 from tvtrend.constants import minimum_segment_length
 from tvtrend.diffops import ActiveSet, build_delta, polynomial_basis
+from tvtrend.interpolants import MatchingSystemError, n_subintervals, noisy_exponent
 
 
 def dense_delta(n, k):
@@ -85,8 +87,8 @@ def admm_reference(y, cfg):
     n = len(y)
     k = cfg.k
     op = build_delta(n, k)
-    rho = cfg.rho
-    alpha = cfg.over_relaxation
+    rho = est.RHO_INIT
+    alpha = est.OVER_RELAXATION
 
     def factor(rho):
         return scipy.linalg.cholesky_banded(est._admm_system_banded(n, k, rho), lower=False)
@@ -278,6 +280,243 @@ def sparsity_dual_reference(S, weights=None):
     res = scipy.optimize.lsq_linear(A, c, bounds=(-caps, caps), method="bvls", tol=1e-14)
     val = math.sqrt(n) * np.linalg.norm(A @ res.x - c)
     return max(0.0, val) ** 2
+
+
+# The interpolant construction as it stood with two matching solvers and a
+# separate two-piece evaluator: ``interpolants`` must reproduce its
+# profiles, q and caps bit for bit.
+
+
+@dataclass(frozen=True)
+class MatchingCoefficientsReference:
+    """Solution of the discrete matching system for one half-profile.
+
+    The profile decreases from +1 at 0 to -1 at 2M and is antisymmetric
+    about M.  ``junctions`` are the interior junction points of the half
+    domain [0, M].  Pieces, left to right:
+
+    * boundary layer ``1 - a0_bar (j / junctions[0])**exponent``,
+    * degree-k polynomials in the centered variable (j - jc) / junctions[0]
+      (coefficient rows of ``interior``), and
+    * the odd center piece ``sum_r center[r] ((M - j) / Dc)**r``.
+    """
+
+    k: int
+    exponent: float
+    M: int
+    junctions: tuple
+    a0_bar: float
+    interior: np.ndarray
+    interior_centers: tuple
+    center: dict
+
+    @property
+    def Dc(self):
+        return self.M - self.junctions[-1] if self.junctions else self.M
+
+    def half_values(self, j):
+        """Profile values on [0, M] (scalar or array of offsets)."""
+        j = np.asarray(j, dtype=float)
+        out = np.empty_like(j)
+        if not self.junctions:
+            out[...] = 1.0 - self.a0_bar * (j / self.M) ** self.exponent
+            return out
+        d = self.junctions[0]
+        edges = list(self.junctions) + [self.M]
+        piece = np.searchsorted(np.asarray(edges), j, side="left")
+        sel = piece == 0
+        out[sel] = 1.0 - self.a0_bar * (j[sel] / d) ** self.exponent
+        for l in range(len(self.interior_centers)):
+            sel = piece == l + 1
+            u = (j[sel] - self.interior_centers[l]) / d
+            out[sel] = sum(c * u ** r for r, c in enumerate(self.interior[l]))
+        sel = piece >= len(edges) - 1
+        v = (self.M - j[sel]) / self.Dc
+        out[sel] = sum(c * v ** r for r, c in self.center.items())
+        return out
+
+    def values(self, j):
+        """Full profile on [0, 2M]: antisymmetric extension of half_values."""
+        j = np.asarray(j, dtype=float)
+        folded = np.minimum(j, 2 * self.M - j)
+        sign = np.where(j <= self.M, 1.0, -1.0)
+        return sign * self.half_values(folded)
+
+
+def solve_matching_reference(k, junctions, M, exponent):
+    """Assemble and solve the matching system for arbitrary junction points.
+
+    Equations are taken in scaled difference form (the l-th forward
+    difference of the piece mismatch at each junction, scaled by d^l), which
+    is row-equivalent to requiring agreement on k consecutive points but
+    stays well-conditioned for large segments.
+    """
+    junctions = tuple(int(j) for j in junctions)
+    if not junctions:
+        return MatchingCoefficientsReference(k=k, exponent=exponent, M=int(M), junctions=(),
+                                    a0_bar=1.0, interior=np.zeros((0, k + 1)),
+                                    interior_centers=(), center={})
+    d = junctions[0]
+    odd_powers = tuple(range(1, (k - 1 if k % 2 == 0 else k) + 1, 2))
+    n_int = len(junctions) - 1
+    centers = tuple((junctions[i] + junctions[i + 1]) / 2.0 for i in range(n_int))
+    Dc = M - junctions[-1]
+    nunk = 1 + n_int * (k + 1) + len(odd_powers)
+
+    def piece_values(piece, js):
+        js = np.asarray(js, dtype=float)
+        if piece == 0:
+            return -((js / d) ** exponent)[:, None], np.ones_like(js)
+        if piece <= n_int:
+            u = (js - centers[piece - 1]) / d
+            return np.column_stack([u ** r for r in range(k + 1)]), np.zeros_like(js)
+        v = (M - js) / Dc
+        return np.column_stack([v ** r for r in odd_powers]), np.zeros_like(js)
+
+    def cols(piece):
+        if piece == 0:
+            return slice(0, 1)
+        if piece <= n_int:
+            return slice(1 + (piece - 1) * (k + 1), 1 + piece * (k + 1))
+        return slice(1 + n_int * (k + 1), nunk)
+
+    A = np.zeros((k * len(junctions), nunk))
+    b = np.zeros(k * len(junctions))
+    row = 0
+    for idx, jl in enumerate(junctions):
+        left = idx
+        right = idx + 1 if idx + 1 <= n_int else n_int + 1
+        js = np.arange(jl, jl + k)
+        CL, kL = piece_values(left, js)
+        CR, kR = piece_values(right, js)
+        for l in range(k):
+            w = np.array([(-1) ** (l - i) * math.comb(l, i) for i in range(l + 1)])
+            scale = float(d) ** l
+            A[row, cols(left)] = scale * (w @ CL[: l + 1])
+            A[row, cols(right)] -= scale * (w @ CR[: l + 1])
+            b[row] = -scale * (w @ (kL - kR)[: l + 1])
+            row += 1
+    try:
+        sol = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise MatchingSystemError(f"singular matching system (k={k}, junctions={junctions})") from exc
+    if not np.all(np.isfinite(sol)):
+        raise MatchingSystemError(f"non-finite matching solution (k={k}, junctions={junctions})")
+    interior = sol[1: 1 + n_int * (k + 1)].reshape(n_int, k + 1)
+    center = dict(zip(odd_powers, sol[1 + n_int * (k + 1):]))
+    return MatchingCoefficientsReference(k=k, exponent=exponent, M=int(M), junctions=junctions,
+                                a0_bar=float(sol[0]), interior=interior,
+                                interior_centers=centers, center=center)
+
+
+def two_piece_values_reference(nseg, exponent, j):
+    j = np.asarray(j, dtype=float)
+    half = j <= nseg / 2
+    with np.errstate(invalid="ignore"):
+        left = 1.0 - (2.0 * j / nseg) ** exponent
+        right = -1.0 + (2.0 * (nseg - j) / nseg) ** exponent
+    return np.where(half, left, right)
+
+
+def sign_change_profile_reference(k, nseg, exponent=None):
+    """Values v[0..nseg] of the monotone profile from +1 to -1 over nseg steps.
+
+    nseg must be even for k >= 2 (odd segment lengths are handled one level
+    up by the parity trick).  Junctions fall at floor(l * nseg / N).
+    """
+    if exponent is None:
+        exponent = noisy_exponent(k)
+    j = np.arange(nseg + 1, dtype=float)
+    if k <= 2:
+        return two_piece_values_reference(nseg, exponent, j)
+    if nseg % 2:
+        raise ValueError(f"segment length {nseg} must be even for k={k}")
+    N = n_subintervals(k)
+    M = nseg // 2
+    junctions = [max(1, math.floor(l * nseg / N)) for l in range(1, N // 2)]
+    if junctions[0] < k or (len(junctions) > 1 and junctions[-1] >= M):
+        # too short for the junction construction; fall back to the two-piece
+        # polynomial shape (only reachable below the minimum-length condition)
+        return two_piece_values_reference(nseg, min(exponent, float(k)), j)
+    coeffs = solve_matching_reference(k, junctions, M, exponent)
+    return coeffs.values(j)
+
+
+def fill_segment_reference(q, S, i, values):
+    """Write profile values (offsets 0..n_i) into the open segment interior."""
+    t_prev = S.t_full[i - 1]
+    n_i = S.seg_lengths[i - 1]
+    for off in range(1, n_i):
+        j = t_prev + off
+        q[j - S.k - 1] = values[off]
+
+
+def segment_values_reference(S, i, exponent, mode):
+    """Values at offsets 0..n_i for segment i (1-based), per segment type."""
+    k = S.k
+    n_i = S.seg_lengths[i - 1]
+    left = S.anchor_value(i - 1)
+    right = S.anchor_value(i)
+    if S.s == 0:
+        return np.zeros(n_i + 1)
+    if 2 <= i <= S.s and left * right > 0:
+        if mode == "noiseless":
+            return np.full(n_i + 1, left)
+        j = np.arange(n_i + 1, dtype=float)
+        return left * (1.0 - (4.0 * j * (n_i - j) / (n_i * S.n_max)) ** noisy_exponent(k))
+    # sign change or boundary: reduce to the +1 -> -1 profile
+    if i == 1:
+        # left boundary: interpolate 0 -> right, using the lower half of the
+        # sign-change profile (affine image (1 - v)/2)
+        def mapped(v):
+            return right * (1.0 - v) / 2.0
+    elif i == S.s + 1:
+        def mapped(v):
+            return left * (1.0 + v) / 2.0
+    else:
+        def mapped(v):
+            return left * v
+
+    if k == 1:
+        prof = sign_change_profile_reference(k, n_i, exponent)
+        return mapped(prof)
+    # parity trick: absorb one step so the profile length is even
+    if n_i % 2:
+        reduced = sign_change_profile_reference(k, n_i - 1, exponent)
+        vals = np.empty(n_i + 1)
+        if i == S.s + 1:
+            # absorb at the outer (zero) anchor: profile occupies offsets 0..n_i-1
+            vals[: n_i] = mapped(reduced)
+            vals[n_i] = 0.0
+        else:
+            # absorb at the left end (a mock row for interior segments)
+            vals[0] = mapped(reduced[0])
+            vals[1:] = mapped(reduced)
+        return vals
+    return mapped(sign_change_profile_reference(k, n_i, exponent))
+
+
+def build_reference(S, exponent_rule, mode, weights=None):
+    """The interpolating vector's (q, caps), filled one entry at a time from
+    the reference profiles, without the feasibility check."""
+    k = S.k
+    m = S.n - k
+    q = np.zeros(m)
+    for i in range(1, S.s + 2):
+        vals = segment_values_reference(S, i, exponent_rule, mode)
+        fill_segment_reference(q, S, i, vals)
+    for i, ti in enumerate(S.t):
+        q[ti - k - 1] = float(S.q_S[i])
+
+    caps = np.ones(m)
+    for ti in S.t:
+        caps[ti - k - 1] = np.inf
+    if weights is not None:
+        w = np.asarray(getattr(weights, "w", weights), dtype=float)
+        if w.shape != (m,):
+            raise ValueError(f"weights must align with the {m} rows")
+        caps = np.where(np.isinf(caps), caps, caps - w)
+    return q, caps
 
 
 def random_active_set(rng, k, max_s=3, max_mult=4, n_pad=0):

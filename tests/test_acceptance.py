@@ -139,8 +139,8 @@ def test_derivative_matching():
                abs(-mc.center[3] - 5 / 38) * 38 / 5)
     cont = itp.solve_matching_coefficients(4, 1000).continuous_normalization()
     printed = [18.62, 1.05, -1.10, 10.16, -46.19, 44.34, 4.23, -12.93]
-    got = ([cont["a0"]] + list(cont["interior"][0])
-           + [cont["center"][1], cont["center"][3]])
+    got = ([cont.a0] + list(cont.interior[0])
+           + [cont.center[1], cont.center[3]])
     rel4 = max(abs(g - p) / abs(p) for g, p in zip(got, printed))
     passed = worst_match <= 1e-9 and rel3 <= 5e-3 and rel4 <= 1e-2
     record("derivative-matching", passed,

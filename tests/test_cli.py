@@ -132,6 +132,19 @@ class TestBounds:
         assert out["n_max_cap"] == pytest.approx(out["n_max"], rel=1e-9)
         assert out["lambda_threshold_strengthened"] > out["lambda_threshold"]
 
+    def test_csv_to_stdout(self, tmp_path, capsys):
+        args = ["bounds", "--n", "256", "--k", "2", "--jumps", "80,160",
+                "--signs", "+,-", "--format", "csv"]
+        path = tmp_path / "b.csv"
+        assert cli.main(args + ["--out", str(path)]) == 0
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out
+        assert text == path.read_text()
+        lines = text.splitlines()
+        assert lines[0] == "key,value"
+        keys = [line.split(",")[0] for line in lines[1:]]
+        assert keys == sorted(keys) and "lambda_threshold" in keys
+
 
 class TestInterpolant:
     def test_csv_columns_and_slack(self, tmp_path):
@@ -147,6 +160,19 @@ class TestInterpolant:
         assert at40[1] == 1.0
         off = (rows[:, 0] != 40) & (rows[:, 0] != 80)
         assert np.all(rows[off, 3] >= -1e-12)
+
+    def test_json_to_stdout(self, tmp_path, capsys):
+        args = ["interpolant", "--n", "120", "--k", "2", "--jumps", "40,80",
+                "--signs", "+,-", "--format", "json"]
+        path = tmp_path / "q.json"
+        assert cli.main(args + ["--out", str(path)]) == 0
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out
+        assert text == path.read_text()
+        records = json.loads(text)
+        assert [r["index"] for r in records] == list(range(3, 121))
+        assert set(records[0]) == {"index", "q", "weight_cap", "slack"}
+        assert records[40 - 3]["q"] == 1.0 and records[80 - 3]["q"] == -1.0
 
     def test_noiseless_mode(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -74,15 +74,10 @@ class TestFitBasics:
         for bad in (0.0, -1e-8, math.inf, math.nan):
             with pytest.raises(ValueError, match="tol_kkt"):
                 est.FitConfig(lam=1.0, k=1, tol_kkt=bad)
-            with pytest.raises(ValueError, match="rho"):
-                est.FitConfig(lam=1.0, k=1, rho=bad)
-        for bad in (0.0, 2.0, -5.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="over_relaxation"):
-                est.FitConfig(lam=1.0, k=1, over_relaxation=bad)
         for bad in (0, -1):
             with pytest.raises(ValueError, match="max_iter"):
                 est.FitConfig(lam=1.0, k=1, max_iter=bad)
-        est.FitConfig(lam=1.0, k=1, tol_kkt=1e-300, max_iter=1, rho=1e-3, over_relaxation=1.99)
+        est.FitConfig(lam=1.0, k=1, tol_kkt=1e-300, max_iter=1)
 
     def test_non_convergence_flagged(self, rng):
         y = rng.standard_normal(50)

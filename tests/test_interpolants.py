@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_active_set
+from conftest import (build_reference, random_active_set, sign_change_profile_reference,
+                      solve_matching_reference)
 from tvtrend import interpolants as itp
-from tvtrend.constants import CK_ASYMPTOTIC, JOIN_CONST, ck_sparsity
+from tvtrend.constants import CK_ASYMPTOTIC, JOIN_CONST, ck_sparsity, minimum_segment_length
 from tvtrend.diffops import ActiveSet, build_delta
 from tvtrend.sparsity import compute_weights, gamma_closed_form
 from tvtrend.theory import lambda_threshold
@@ -51,11 +52,11 @@ class TestMatchingSolver:
     def test_k4_limit_coefficients(self):
         # continuous-profile constants, 2-decimal reference values
         cont = itp.solve_matching_coefficients(4, 1000).continuous_normalization()
-        assert cont["a0"] == pytest.approx(18.62, rel=1e-2)
-        for got, ref in zip(cont["interior"][0], (1.05, -1.10, 10.16, -46.19, 44.34)):
+        assert cont.a0 == pytest.approx(18.62, rel=1e-2)
+        for got, ref in zip(cont.interior[0], (1.05, -1.10, 10.16, -46.19, 44.34)):
             assert got == pytest.approx(ref, rel=1e-2)
-        assert cont["center"][1] == pytest.approx(4.23, rel=1e-2)
-        assert cont["center"][3] == pytest.approx(-12.93, rel=1e-2)
+        assert cont.center[1] == pytest.approx(4.23, rel=1e-2)
+        assert cont.center[3] == pytest.approx(-12.93, rel=1e-2)
 
     def test_d_below_k_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +68,7 @@ class TestMatchingSolver:
         mc = itp.solve_matching_coefficients(k, d)
         if not mc.junctions:
             return
-        vals = mc.half_values
+        vals = mc.values
         for jl in mc.junctions:
             js = np.arange(jl, jl + k, dtype=float)
             left = vals(js - 1e-9)
@@ -264,6 +265,75 @@ class TestNoisy:
         for j in range(1, n2):
             expected = 1.0 - (4 * j * (n2 - j) / (n2 * n_max)) ** 1.5
             assert v.q[30 + j - k - 1] == pytest.approx(expected, abs=1e-12)
+
+
+def _segments_set(k, lengths, pad, signs):
+    """Active set with the given segment lengths, the last one padded."""
+    t, pos = [], k
+    for length in lengths[:-1]:
+        pos += int(length)
+        t.append(pos)
+    return ActiveSet(n=int(sum(lengths)) + k - 1 + pad, k=k, t=tuple(t), q_S=tuple(signs))
+
+
+class TestConstructionBits:
+    """The one matching assembler and evaluator against the construction
+    with separate solvers (``conftest.build_reference``), bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matching_coefficients(self, k):
+        N = itp.n_subintervals(k)
+        for d in range(k, 201):
+            got = itp.solve_matching_coefficients(k, d)
+            ref = solve_matching_reference(k, tuple(l * d for l in range(1, N // 2)), N * d // 2,
+                                           itp.noisy_exponent(k))
+            assert (got.k, got.exponent, got.M, got.junctions) == (
+                ref.k, ref.exponent, ref.M, ref.junctions)
+            assert got.a0_bar == ref.a0_bar
+            assert np.array_equal(got.interior, ref.interior)
+            assert got.interior_centers == ref.interior_centers
+            assert list(got.center) == list(ref.center)
+            assert all(got.center[r] == ref.center[r] for r in ref.center)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sign_change_profiles(self, k):
+        # odd lengths reach the two-piece profile with a fractional half-width;
+        # an exponent above k is capped at k on too short segments
+        step = 1 if k <= 2 else 2
+        for nseg in range(step, 401, step):
+            for exponent in (itp.noisy_exponent(k), float(k), k + 0.5):
+                assert np.array_equal(itp.sign_change_profile(k, nseg, exponent),
+                                      sign_change_profile_reference(k, nseg, exponent)), nseg
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_noisy_vectors(self, k):
+        rng = np.random.default_rng(9100 + k)
+        min_len = minimum_segment_length(k)
+        for s in range(4):
+            for parity in (0, 1):
+                for _ in range(4):
+                    lengths = min_len + parity + 2 * rng.integers(0, 2 * min_len, size=s + 1)
+                    S = _segments_set(k, lengths, int(rng.integers(0, 3)),
+                                      rng.choice([-1, 1], size=s))
+                    lam = lambda_threshold(S.n, k, S.n_max, U, s=S.s)
+                    for w in (None, compute_weights(S, U, lam)):
+                        got = itp.build_noisy(S, weights=w)
+                        q, caps = build_reference(S, itp.noisy_exponent(k), "noisy", weights=w)
+                        assert np.array_equal(got.q, q) and np.array_equal(got.caps, caps), S
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_noiseless_vectors_with_short_segments(self, k):
+        # sign-flip segments below k(k+2) take the two-piece fallback
+        rng = np.random.default_rng(9200 + k)
+        min_len = minimum_segment_length(k)
+        for s in range(4):
+            for _ in range(12):
+                lengths = 1 + rng.integers(0, 2 * min_len, size=s + 1)
+                S = _segments_set(k, lengths, int(rng.integers(0, 3)),
+                                  rng.choice([-1, 1], size=s))
+                got = itp.build_noiseless(S)
+                q, caps = build_reference(S, float(k), "noiseless")
+                assert np.array_equal(got.q, q) and np.array_equal(got.caps, caps), S
 
 
 class TestEnergyDiagnostics:
