@@ -261,9 +261,20 @@ def build_parser():
     return p
 
 
+def _attach_sign_lists(argv):
+    """Rewrite ``--signs -,+,-`` as ``--signs=-,+,-``: argparse takes a value
+    that begins with a minus for an option and stops with "expected one
+    argument".  A list that begins with a minus is "-", "-,..." or "-1..."."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--signs" and out[i + 1][:1] == "-" and out[i + 1][1:2] in ("", ",", "1"):
+            out[i:i + 2] = [f"--signs={out[i + 1]}"]
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_sign_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

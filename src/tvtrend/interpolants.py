@@ -136,7 +136,12 @@ class MatchingCoefficients:
         return np.where(j <= self.M, 1.0, -1.0) * out
 
     def continuous_normalization(self):
-        """The profile in the unit variable x = j / (2M)."""
+        """The profile in the unit variable x = j / (2M), for equal
+        sub-intervals of length d on [0, M]; unequal ones raise ValueError."""
+        lengths = np.diff((0,) + self.junctions + (self.M,))
+        if np.any(lengths != self.d):
+            raise ValueError(f"unequal sub-intervals {tuple(lengths.tolist())} of the half "
+                             f"domain [0, {self.M}]: no breakpoints l/N in x")
         N = round(2 * self.M / self.d)
         polys = []
         for l in range(len(self.interior_centers)):
@@ -331,6 +336,8 @@ def sign_change_profile(k, nseg, exponent=None):
     up by the parity trick).  Junctions fall at floor(l * nseg / N); for
     k <= 2 there are none and any nseg gives the two-piece profile.
     """
+    if nseg < 1:
+        raise ValueError(f"segment length {nseg} must be at least 1")
     if exponent is None:
         exponent = noisy_exponent(k)
     if k > 2 and nseg % 2:

@@ -7,7 +7,8 @@ positive part of
 
 with weights w_j = ||psi_j^{-S}||_n lambda0(u) / lambda built from the
 dictionary column lengths (zero at active and mock rows).  Three routes to
-it live here: the exact value from the box-constrained least-squares dual,
+it live here: the exact value from the box-constrained least-squares dual
+(bounded-variable least squares, one Householder QR solve per face),
 certified by the primal value at the recovered maximizer, the dual value and
 their gap, for n up to ``DENSE_CAP_DEFAULT``; the energy n ||D' q||_2^2 of a
 feasible interpolating vector (always an upper bound); and the closed-form
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .constants import ck_sparsity
 from .diffops import ActiveSet, block_column_sqnorms, build_delta
@@ -28,6 +30,18 @@ from .theory import lambda0
 
 # Slack allowed when the interpolant's feasibility is checked again here.
 FEASIBILITY_RECHECK_TOL = 1e-9
+
+# Fetched once: the oracle solves one least-squares face per active-set step.
+(_GELS,) = scipy.linalg.get_lapack_funcs(("gels",), dtype=np.float64)
+
+
+class NegativeCapError(ValueError):
+    """Some caps 1 - w_j are negative, so the dual box is empty (the tuning
+    parameter is too small); ``rows`` lists (row, cap), most negative first."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows or []
 
 
 @dataclass(frozen=True)
@@ -65,22 +79,35 @@ def effective_sparsity_via_interpolant(vec, weights=None):
     return delta_k_energy(vec)
 
 
+def _face_solve(A_free, rhs):
+    """Least-squares solution of A_free z = rhs by one unpivoted Householder
+    QR (LAPACK dgels; Golub & Van Loan, Matrix Computations, 5.3).  Both
+    arguments are overwritten.  A face has full column rank, so a zero
+    diagonal in R is a failure, not a rank to detect."""
+    _, x, info = _GELS(A_free, rhs, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"face of {A_free.shape[1]} columns is rank deficient (R[{info}, {info}] = 0)")
+    return x[:A_free.shape[1]]
+
+
 def _box_least_squares(A, b, caps):
     """Exact minimizer of ||b - A xi||_2 over |xi_j| <= caps_j.
 
     Bounded-variable least squares (Stark & Parker 1995).  Each face, the
     free coordinates with the others held at their bounds, is solved exactly
-    with lstsq.  The free coordinates step from the current point toward the
-    face solution and stop at the first coordinate that meets its bound,
-    which is bound; once the face solution is feasible, the bound coordinate
-    whose optimality condition is most violated is released.  The start
-    binds every coordinate the face solution leaves the box by at once,
-    which saves about one lstsq per bound coordinate.  A has independent
-    columns, so the minimizer is unique.  Coordinate descent is no
-    substitute: D'D has condition number about n^{2k} and the sweeps stall
-    at k = 3.
+    by one Householder QR least-squares solve (``_face_solve``).  The free
+    coordinates step from the current point toward the face solution and
+    stop at the first coordinate that meets its bound, which is bound; once
+    the face solution is feasible, the bound coordinate whose optimality
+    condition is most violated is released.  The start binds every
+    coordinate the face solution leaves the box by at once, which saves
+    about one face solve per bound coordinate.  A has independent columns,
+    so the minimizer is unique.  Coordinate descent is no substitute: D'D
+    has condition number about n^{2k} and the sweeps stall at k = 3.
     """
     m = A.shape[1]
+    At = A.T  # rows of At are the columns of A: A[:, free] as At[free].T, Fortran order
     xi = np.zeros(m)
     at = np.zeros(m)  # +1 / -1 at the upper / lower bound, 0 free
 
@@ -88,7 +115,7 @@ def _box_least_squares(A, b, caps):
         while True:
             free = np.nonzero(at == 0)[0]
             rhs = b - A @ np.where(at == 0, 0.0, xi)
-            z = np.linalg.lstsq(A[:, free], rhs, rcond=None)[0]
+            z = _face_solve(At[free].T, rhs)
             hit = np.nonzero(np.abs(z) > caps[free])[0]
             if not len(hit):
                 xi[free] = z
@@ -138,24 +165,36 @@ def effective_sparsity_direct(S, weights=None, seed=0):
         max { q_S' (Df)_S - sum_{j off S} c_j |(Df)_j| : ||f||_n = 1 }
           = min { sqrt(n) ||D_S' q_S - D_off' xi||_2 : |xi_j| <= c_j },
 
-    c_j = 1 - w_j (1 without weights).  The dual is solved exactly, the
-    maximizer is f = sqrt(n) r / ||r||_2 with r = D_S' q_S - D_off' xi, and
-    the result is certified by the primal value at f, the dual value and
-    their gap: ``reliable`` means gap <= 1e-6 dual + 1e-12.  ``gamma_sq`` is
-    the squared positive part of the primal value.  ``seed`` is accepted and
-    ignored; the computation is deterministic.
+    c_j = 1 - w_j (1 without weights).  Any c_j < 0 leaves the box empty and
+    raises ``NegativeCapError`` naming the rows and lambda.  The dual is
+    solved exactly by bounded-variable least squares, one Householder QR
+    solve per face; the maximizer is f = sqrt(n) r / ||r||_2 with
+    r = D_S' q_S - D_off' xi, and the result is certified by the primal value
+    at f, the dual value and their gap: ``reliable`` means
+    |gap| <= 1e-6 dual + 1e-12 (a negative gap beyond that breaks weak
+    duality).  ``gamma_sq`` is the squared positive part of the primal
+    value.  ``seed`` is accepted and ignored; the computation is
+    deterministic.
 
     D is dense (``DiffOperator.to_dense``), so n above ``DENSE_CAP_DEFAULT``
     (4096) raises ``DenseCapExceededError`` before anything is allocated.
     """
     n, k = S.n, S.k
     op = build_delta(n, k)
+    off = np.ones(op.m, dtype=bool)
+    off[[t - k - 1 for t in S.t]] = False
+    caps = np.ones(int(off.sum())) if weights is None else 1.0 - weights.w[off]
+    neg = np.nonzero(caps < 0)[0]
+    if len(neg):
+        rows = np.nonzero(off)[0] + k + 1
+        bad = [(int(rows[i]), float(caps[i])) for i in neg[np.argsort(caps[neg])]]
+        worst = ", ".join(f"row {j}: cap={c:.6f}" for j, c in bad[:5])
+        raise NegativeCapError(
+            f"{len(bad)} caps 1 - w_j are negative at lambda={weights.lam:.6g} "
+            f"(lambda too small?): {worst}", rows=bad)
     D = op.to_dense()
-    active_pos = np.array([t - k - 1 for t in S.t], dtype=int)
-    off_pos = np.setdiff1d(np.arange(op.m), active_pos)
-    caps = np.ones(len(off_pos)) if weights is None else 1.0 - weights.w[off_pos]
-    c = D[active_pos].T @ np.asarray(S.q_S, dtype=float)
-    A = D[off_pos].T
+    c = D[~off].T @ np.asarray(S.q_S, dtype=float)
+    A = D[off].T
     r = c - A @ _box_least_squares(A, c, caps)
     norm_r = float(np.linalg.norm(r))
     # r = 0 only for an empty active set; a constant attains the value 0 there
@@ -163,12 +202,13 @@ def effective_sparsity_direct(S, weights=None, seed=0):
     primal = float(f @ c - caps @ np.abs(A.T @ f))
     dual = math.sqrt(n) * norm_r
     gap = dual - primal
+    tol = 1e-6 * dual + 1e-12
     return DirectSparsityResult(
         gamma_sq=max(primal, 0.0) ** 2,
         max_value=primal,
         dual_value=dual,
         gap=gap,
-        reliable=bool(gap <= 1e-6 * dual + 1e-12),
+        reliable=bool(-tol <= gap <= tol),
         maximizer=f,
     )
 

@@ -145,6 +145,13 @@ class TestBounds:
         keys = [line.split(",")[0] for line in lines[1:]]
         assert keys == sorted(keys) and "lambda_threshold" in keys
 
+    def test_signs_beginning_with_minus(self, capsys):
+        args = ["bounds", "--n", "256", "--k", "2", "--jumps", "60,130,190"]
+        assert cli.main(args + ["--signs=-,+,-"]) == 0
+        attached = capsys.readouterr().out
+        assert cli.main(args + ["--signs", "-,+,-"]) == 0
+        assert capsys.readouterr().out == attached
+
 
 class TestInterpolant:
     def test_csv_columns_and_slack(self, tmp_path):
@@ -173,6 +180,14 @@ class TestInterpolant:
         assert [r["index"] for r in records] == list(range(3, 121))
         assert set(records[0]) == {"index", "q", "weight_cap", "slack"}
         assert records[40 - 3]["q"] == 1.0 and records[80 - 3]["q"] == -1.0
+
+    def test_signs_beginning_with_minus(self, capsys):
+        args = ["interpolant", "--n", "150", "--k", "1", "--jumps", "30,61,100"]
+        assert cli.main(args + ["--signs=-,+,-"]) == 0
+        attached = capsys.readouterr().out
+        assert cli.main(args + ["--signs", "-,+,-"]) == 0
+        assert capsys.readouterr().out == attached
+        assert attached.splitlines()[30 - 1] == "30,-1,1,0"
 
     def test_noiseless_mode(self, tmp_path):
         out = tmp_path / "q.csv"

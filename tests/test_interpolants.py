@@ -62,6 +62,17 @@ class TestMatchingSolver:
         with pytest.raises(ValueError):
             itp.solve_matching_coefficients(3, 2)
 
+    def test_unequal_junctions_have_no_continuous_normalization(self):
+        # sub-intervals 6, 7 and 7 of [0, 20]: no uniform breakpoints l/N
+        mc = itp._solve_matching(4, [6, 13], 20.0, 3.5)
+        with pytest.raises(ValueError, match="unequal sub-intervals"):
+            mc.continuous_normalization()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_empty_sign_change_profile_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            itp.sign_change_profile(k, 0)
+
     @pytest.mark.parametrize("k,d", [(3, 5), (4, 9), (2, 4)])
     def test_consecutive_point_agreement(self, k, d):
         # adjacent pieces agree on k consecutive integers at each junction

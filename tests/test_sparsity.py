@@ -50,6 +50,13 @@ def _objective(S, weights, f):
     return float(np.asarray(S.q_S, dtype=float) @ d[active] - caps @ np.abs(d[off]))
 
 
+def _flat_weights(S, cap):
+    """Weights giving every off row the cap ``cap``."""
+    w = np.full(S.n - S.k, 1.0 - cap)
+    w[[t - S.k - 1 for t in S.t]] = 0.0
+    return sp.Weights(S=S, u=U, lam=1.0, lam0=1.0, w=w)
+
+
 def _assert_certified(S, weights, res):
     assert res.reliable
     assert 0.0 <= res.gap <= 1e-6 * res.dual_value + 1e-12
@@ -104,6 +111,66 @@ class TestDirectOracle:
         lam = lambda_threshold(S.n, 3, S.n_max, U, s=S.s)
         w = sp.compute_weights(S, U, lam)
         _assert_certified(S, w, sp.effective_sparsity_direct(S, weights=w))
+
+    @pytest.mark.parametrize("k,n", [(3, 256), (4, 128)])
+    def test_three_jumps_past_the_svd_reach(self, k, n):
+        # the former lstsq faces left these with relative gaps 2e-6 and 3e-6
+        S = _active(n, k, (n // 4, n // 2, 3 * n // 4), (1, -1, 1))
+        lam = lambda_threshold(S.n, k, S.n_max, U, s=S.s)
+        w = sp.compute_weights(S, U, lam)
+        _assert_certified(S, w, sp.effective_sparsity_direct(S, weights=w))
+
+    def test_long_k3_draw(self):
+        # the n = 360 draw, uncertified with lstsq faces
+        rng = np.random.default_rng(43)
+        S = [random_active_set(rng, 3, max_s=3, max_mult=10) for _ in range(3)][-1]
+        assert S.n == 360
+        lam = lambda_threshold(S.n, 3, S.n_max, U, s=S.s)
+        w = sp.compute_weights(S, U, lam)
+        _assert_certified(S, w, sp.effective_sparsity_direct(S, weights=w))
+
+    def test_face_with_no_free_coordinate(self, monkeypatch):
+        # caps of 0.1 bind every off coordinate, so the last face has no columns
+        weights = _flat_weights(_active(7, 2, (3, 6), (1, -1)), 0.1)
+        S = weights.S
+        solved = []
+        box_ls = sp._box_least_squares
+
+        def spy(A, b, caps):
+            xi = box_ls(A, b, caps)
+            solved.append((xi, caps))
+            return xi
+
+        monkeypatch.setattr(sp, "_box_least_squares", spy)
+        res = sp.effective_sparsity_direct(S, weights=weights)
+        xi, caps = solved[0]
+        np.testing.assert_array_equal(np.abs(xi), caps)
+        _assert_certified(S, weights, res)
+
+    def test_negative_caps_raise(self):
+        # half the plain admissibility level max_j ||psi_j||_n lambda0(u)
+        # puts the largest weights near 2
+        S = _active(128, 3, (32, 64, 96), (1, -1, 1))
+        _, sqn = block_column_sqnorms(S)
+        lam = 0.5 * math.sqrt(np.max(sqn) / S.n) * lambda0(U, S.n, S.n - 3 - S.s)
+        w = sp.compute_weights(S, U, lam)
+        with pytest.raises(sp.NegativeCapError, match=f"lambda={lam:.6g}") as info:
+            sp.effective_sparsity_direct(S, weights=w)
+        rows = info.value.rows
+        assert rows and all(c < 0 for _, c in rows)
+        assert {j for j, _ in rows} == {j for j in range(4, 129) if w.w[j - 4] > 1.0}
+        assert f"row {rows[0][0]}:" in str(info.value)
+
+    def test_negative_gap_is_not_reliable(self, monkeypatch):
+        # a dual point outside the box can read below the primal value; the
+        # certificate must refuse it (weak duality) rather than accept it
+        weights = _flat_weights(_active(7, 2, (3, 6), (1, -1)), 0.01)
+        box_ls = sp._box_least_squares
+        monkeypatch.setattr(sp, "_box_least_squares",
+                            lambda A, b, caps: box_ls(A, b, 10.0 * caps))
+        res = sp.effective_sparsity_direct(weights.S, weights=weights)
+        assert res.gap < -(1e-6 * res.dual_value + 1e-12)
+        assert not res.reliable
 
     def test_lambda_monotonicity(self):
         # larger lambda shrinks the weights, weakly decreasing the noisy value

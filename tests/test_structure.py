@@ -1,4 +1,5 @@
-"""Package-wide structure: resolvable annotations and dense-free runtime paths."""
+"""Package-wide structure: resolvable annotations, dense-free runtime paths
+and one face solver in the sparsity oracle."""
 
 import dataclasses
 import importlib
@@ -75,3 +76,17 @@ class TestNoDenseOnRuntimePaths:
         w = sp.compute_weights(S, u, lam)
         vec = itp.build_noisy(S, weights=w)
         assert sp.effective_sparsity_via_interpolant(vec, weights=w) > 0.0
+
+
+def test_oracle_solves_faces_by_qr_alone(monkeypatch):
+    """The direct oracle has one face solver; an SVD lstsq path must not
+    come back beside it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq called by the sparsity oracle")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    S = dop.ActiveSet(n=60, k=2, t=(20, 40), q_S=(1, -1))
+    u = math.log(20.0)
+    w = sp.compute_weights(S, u, lambda_threshold(S.n, 2, S.n_max, u, s=S.s))
+    res = sp.effective_sparsity_direct(S, weights=w)
+    assert res.reliable and res.gamma_sq > 0.0
