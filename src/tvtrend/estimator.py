@@ -7,20 +7,21 @@ with a verified subgradient certificate
     2 (f_hat - y)/n + 2 lambda Delta(k)' u = 0,   u in the l1 subdifferential,
 
 whose residual, box excess and sign mismatch are folded into
-``FitResult.kkt_residual``.  The default algorithm is ADMM on the analysis
-form with a banded Cholesky factorization of (2/n) I + rho D'D, over-relaxed
-updates and residual-balanced rho, plus an exact active-set polish once the
-support settles; the polish runs only when the support or signs of the
-iterate differ from the last polished ones.  For lambda >= lambda_max the fit
-first tries the polynomial fit, which is the minimizer there, and returns it
-with ``iters == 0`` ("certified without ADMM") when its certificate passes;
-otherwise ADMM runs as usual.  For k = 1 an independent exact solver is
-available, Condat's direct taut-string algorithm (``tv1d_exact``).
+``FitResult.kkt_residual``.
+
+``fit`` is the one driver: candidates are accepted there and nowhere else.  At
+lambda = 0 the fit is y.  ``dp_k1`` (k = 1) certifies Condat's direct taut
+string ``tv1d_exact``.  ``admm`` first tries the polynomial fit, the minimizer
+when lambda >= lambda_max.  Otherwise ``_admm_iterates`` yields ADMM iterates
+at each polish trigger.  The driver polishes each new (support, signs) by an
+exact active-set refinement, certifies, and keeps the best uncertified iterate
+for when ``max_iter`` runs out.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +59,21 @@ class FitConfig:
             raise ValueError("lambda must be nonnegative")
         if not (math.isfinite(self.tol_kkt) and self.tol_kkt > 0):
             raise ValueError("tol_kkt must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """``converged`` means ``kkt_residual`` met ``tol_kkt``.  ``iters`` is 0
+    when certified without ADMM or at lambda = 0, n for ``dp_k1``, the trigger
+    iteration for a certified ADMM or polished fit, and ``max_iter`` when
+    uncertified."""
+
     f_hat: np.ndarray
     objective: float
     kkt_residual: float
@@ -166,15 +174,14 @@ _POLISH_MAX_ACTIVE = 1500
 def _polish(y, k, lam, active, signs, tol_kkt):
     """Active-set refinement: drop sign-inconsistent rows, add rows whose
     dual exceeds the box, accept only on a verified certificate."""
-    n = len(y)
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
     for _ in range(POLISH_ROUNDS):
         f_hat, b = _restricted_solve(y, k, lam, active, signs)
-        keep = (b * signs > 0) if len(active) else np.zeros(0, dtype=bool)
-        if len(active) and not np.all(keep):
+        keep = b * signs > 0
+        if not np.all(keep):
             active, signs = active[keep], signs[keep]
             continue
         u, kkt = _certificate(y, f_hat, lam, k, tol_kkt)
@@ -209,12 +216,14 @@ def _admm_system_banded(n, k, rho):
     return ab
 
 
-def _fit_admm(y, cfg):
-    n = len(y)
-    k = cfg.k
+def _admm_iterates(y, cfg):
+    """ADMM on the analysis form, as iterates for ``fit``: a banded Cholesky
+    factorization of (2/n) I + rho D'D, over-relaxed updates and residual
+    balancing of rho.  Yields fresh (it, f, z) at each polish trigger (settled
+    residuals, or every 250 iterations) and (max_iter, f, None) at the end."""
+    n, k = len(y), cfg.k
     m = n - k
-    rho = RHO_INIT
-    alpha = OVER_RELAXATION
+    rho, alpha = RHO_INIT, OVER_RELAXATION
     two_y = (2.0 / n) * y
     # D' q = (-1)^k diff(q zero-padded by k on both sides, k); only the slice
     # pad[k:k + m] is ever written, so the padding stays zero.
@@ -233,8 +242,6 @@ def _fit_admm(y, cfg):
     z = np.diff(f, k)
     w = np.zeros(m)
     thresh_scale = math.sqrt(m)
-    best = None
-    polished_supp = polished_signs = None
     for it in range(1, cfg.max_iter + 1):
         np.subtract(z, w, out=body)
         rhs = two_y + (sign_t * rho) * np.diff(pad, k)
@@ -254,41 +261,13 @@ def _fit_admm(y, cfg):
         scale = max(math.sqrt(Df @ Df), math.sqrt(z @ z), 1e-12)
         settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
         if settled or it % 250 == 0:
-            supp = np.nonzero(z)[0]
-            signs = np.sign(z[supp])
-            # _polish is a pure function of its arguments and every earlier
-            # call returned None, so a repeated (support, signs) is skipped.
-            if not (np.array_equal(supp, polished_supp) and np.array_equal(signs, polished_signs)):
-                polished = _polish(y, k, cfg.lam, supp + k + 1, signs, cfg.tol_kkt)
-                if polished is not None:
-                    f_hat, u, kkt = polished
-                    return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, k),
-                                     kkt_residual=kkt, dual=u, iters=it, converged=True,
-                                     lam=cfg.lam, k=k)
-                polished_supp, polished_signs = supp, signs
-            u, kkt = _certificate(y, f, cfg.lam, k, cfg.tol_kkt)
-            if best is None or kkt < best[2]:
-                best = (f.copy(), u, kkt, it)
-            if kkt <= cfg.tol_kkt:
-                return FitResult(f_hat=f, objective=objective(f, y, cfg.lam, k),
-                                 kkt_residual=kkt, dual=u, iters=it, converged=True,
-                                 lam=cfg.lam, k=k)
-        if it % 10 == 0:
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                w /= 2.0
-                chol = factor(rho)
-            elif s_norm > 10.0 * r_norm:
-                rho /= 2.0
-                w *= 2.0
-                chol = factor(rho)
-    if best is None:
-        u, kkt = _certificate(y, f, cfg.lam, k, cfg.tol_kkt)
-        best = (f, u, kkt, cfg.max_iter)
-    f_hat, u, kkt, it = best
-    return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, k),
-                     kkt_residual=kkt, dual=u, iters=cfg.max_iter, converged=False,
-                     lam=cfg.lam, k=k)
+            yield it, f, z
+        if it % 10 == 0 and (r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm):
+            step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
+            rho *= step
+            w /= step
+            chol = factor(rho)
+    yield cfg.max_iter, f, None
 
 
 def tv1d_exact(y, lam):
@@ -365,15 +344,11 @@ def tv1d_exact(y, lam):
                 kplus = k
 
 
-def _fit_dp_k1(y, cfg):
-    if cfg.k != 1:
-        raise ValueError("dp_k1 requires k = 1")
-    n = len(y)
-    f_hat = tv1d_exact(y, n * cfg.lam)
-    u, kkt = _certificate(y, f_hat, cfg.lam, 1, cfg.tol_kkt)
-    return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, 1),
-                     kkt_residual=kkt, dual=u, iters=n, converged=kkt <= cfg.tol_kkt,
-                     lam=cfg.lam, k=1)
+def _result(y, cfg, f_hat, dual, kkt, iters, converged):
+    """The one constructor of ``FitResult``; the objective is recomputed."""
+    return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, cfg.k),
+                     kkt_residual=kkt, dual=dual, iters=iters, converged=converged,
+                     lam=cfg.lam, k=cfg.k)
 
 
 def fit(y, cfg):
@@ -384,26 +359,49 @@ def fit(y, cfg):
         raise ValueError("y must be one-dimensional")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    n = len(y)
-    if n < cfg.k + 1:
-        raise ValueError(f"need n >= k + 1 = {cfg.k + 1}, got n = {n}")
-    if cfg.lam == 0.0:
-        return FitResult(f_hat=y.copy(), objective=0.0, kkt_residual=0.0,
-                         dual=np.zeros(n - cfg.k), iters=0, converged=True,
-                         lam=0.0, k=cfg.k)
+    n, k, lam, tol = len(y), cfg.k, cfg.lam, cfg.tol_kkt
+    if n < k + 1:
+        raise ValueError(f"need n >= k + 1 = {k + 1}, got n = {n}")
+    if lam == 0.0:
+        return _result(y, cfg, y.copy(), np.zeros(n - k), 0.0, 0, True)
     if cfg.algorithm == "dp_k1":
-        return _fit_dp_k1(y, cfg)
-    if cfg.lam >= lambda_max(y, cfg.k):
+        if k != 1:
+            raise ValueError("dp_k1 requires k = 1")
+        f_hat = tv1d_exact(y, n * lam)
+        u, kkt = _certificate(y, f_hat, lam, k, tol)
+        return _result(y, cfg, f_hat, u, kkt, n, kkt <= tol)
+    if lam >= lambda_max(y, k):
         # The minimizer is the polynomial fit.  Above lambda_max ADMM's polish
         # ends in this same empty-support solve, so the bits are the same; an
         # uncertified candidate falls through to ADMM.
-        f_hat = _restricted_solve(y, cfg.k, cfg.lam, [], [])[0]
-        u, kkt = _certificate(y, f_hat, cfg.lam, cfg.k, cfg.tol_kkt)
-        if kkt <= cfg.tol_kkt:
-            return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, cfg.k),
-                             kkt_residual=kkt, dual=u, iters=0, converged=True,
-                             lam=cfg.lam, k=cfg.k)
-    return _fit_admm(y, cfg)
+        f_hat = _restricted_solve(y, k, lam, [], [])[0]
+        u, kkt = _certificate(y, f_hat, lam, k, tol)
+        if kkt <= tol:
+            return _result(y, cfg, f_hat, u, kkt, 0, True)
+    best = None                     # (f, u, kkt) of the lowest uncertified residual
+    polished = (None, None)         # the last polished (support, signs)
+    for it, f, z in _admm_iterates(y, cfg):
+        if z is None:
+            break
+        supp = np.nonzero(z)[0]
+        signs = np.sign(z[supp])
+        # _polish is a pure function of its arguments and every earlier call
+        # returned None, so a repeated (support, signs) is skipped.
+        if not (np.array_equal(supp, polished[0]) and np.array_equal(signs, polished[1])):
+            hit = _polish(y, k, lam, supp + k + 1, signs, tol)
+            if hit is not None:
+                f_hat, u, kkt = hit
+                return _result(y, cfg, f_hat, u, kkt, it, True)
+            polished = (supp, signs)
+        u, kkt = _certificate(y, f, lam, k, tol)
+        if kkt <= tol:
+            return _result(y, cfg, f, u, kkt, it, True)
+        if best is None or kkt < best[2]:
+            best = (f, u, kkt)
+    if best is None:
+        # No trigger was reached: report the last iterate.
+        best = (f, *_certificate(y, f, lam, k, tol))
+    return _result(y, cfg, *best, cfg.max_iter, False)
 
 
 def check_basic_inequality(result, y, f0, f):

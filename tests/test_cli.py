@@ -92,7 +92,8 @@ class TestSolve:
         assert "lambda must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--tol-kkt", "nan"), ("--max-iter", "0")])
+    @pytest.mark.parametrize("flag,value", [("--tol-kkt", "nan"), ("--max-iter", "0"),
+                                            ("--k", "0")])
     def test_invalid_fit_settings_are_usage_errors(self, tmp_path, signal, capsys, flag, value):
         path, _ = signal
         out = tmp_path / "f.csv"

@@ -78,6 +78,14 @@ class TestFitBasics:
             with pytest.raises(ValueError, match="max_iter"):
                 est.FitConfig(lam=1.0, k=1, max_iter=bad)
         est.FitConfig(lam=1.0, k=1, tol_kkt=1e-300, max_iter=1)
+        for lam, bad in ((0.0, 0), (0.0, -2), (1.0, 0), (1.0, 1.5), (1.0, 2.0), (1.0, "2")):
+            with pytest.raises(ValueError, match=r"\bk must be an integer"):
+                est.FitConfig(lam=lam, k=bad)
+        for bad in (2.5, 10.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                est.FitConfig(lam=1.0, k=1, max_iter=bad)
+        cfg = est.FitConfig(lam=1.0, k=np.int64(2), max_iter=np.int32(5))
+        assert cfg.k == 2 and cfg.max_iter == 5
 
     def test_non_convergence_flagged(self, rng):
         y = rng.standard_normal(50)
@@ -201,6 +209,46 @@ class TestAdmmLoop:
         assert len(triggered) > len(set(triggered))
         assert len(calls) == len(set(calls)) == len(set(triggered))
         assert set(calls) == set(triggered)
+
+
+    def test_no_trigger_reached(self, rng, monkeypatch):
+        # max_iter ends the loop before the first polish trigger: nothing is
+        # polished and the last iterate is reported with its own certificate.
+        y = noisy_piecewise(rng, 256, 2, 4)
+        cfg = est.FitConfig(lam=0.1 * est.lambda_max(y, 2), k=2, max_iter=30)
+        calls = []
+        polish = est._polish
+
+        def counting(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(est, "_polish", counting)
+        res = est.fit(y, cfg)
+        assert calls == []
+        assert res.iters == cfg.max_iter and not res.converged
+        self.assert_same_bits(res, admm_reference(y, cfg))
+
+
+class TestDpK1Record:
+    """The dp_k1 result is the taut string itself with its own certificate."""
+
+    @pytest.mark.parametrize("frac", [0.05, 0.3])
+    def test_record(self, frac, rng):
+        y = noisy_piecewise(rng, 300, 1, 4)
+        n = len(y)
+        lam = frac * est.lambda_max(y, 1)
+        f_exact = est.tv1d_exact(y, n * lam)
+        res = est.fit(y, est.FitConfig(lam=lam, k=1, algorithm="dp_k1"))
+        assert np.array_equal(res.f_hat, f_exact)
+        assert res.iters == n and res.converged
+        assert res.kkt_residual <= 1e-8
+        strict = est.fit(y, est.FitConfig(lam=lam, k=1, algorithm="dp_k1", tol_kkt=1e-300))
+        assert np.array_equal(strict.f_hat, f_exact)
+        assert strict.iters == n and not strict.converged
+        u, kkt = est._certificate(y, f_exact, lam, 1, 1e-300)
+        assert strict.kkt_residual == kkt
+        assert np.array_equal(strict.dual, u)
 
 
 class TestCertificates:

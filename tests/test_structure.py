@@ -1,6 +1,7 @@
-"""Package-wide structure: resolvable annotations, dense-free runtime paths
-and one face solver in the sparsity oracle."""
+"""Package-wide structure: resolvable annotations, dense-free runtime paths,
+one face solver in the sparsity oracle and one exit from the fit driver."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -90,3 +91,21 @@ def test_oracle_solves_faces_by_qr_alone(monkeypatch):
     w = sp.compute_weights(S, u, lambda_threshold(S.n, 2, S.n_max, u, s=S.s))
     res = sp.effective_sparsity_direct(S, weights=w)
     assert res.reliable and res.gamma_sq > 0.0
+
+
+def _called_names(tree):
+    return [node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))]
+
+
+def test_fit_result_built_in_one_place():
+    """``fit`` is the one driver: a single ``FitResult(...)`` construction in
+    the estimator, and an ADMM generator that neither polishes, certifies
+    nor scores its iterates."""
+    tree = ast.parse(inspect.getsource(est))
+    assert _called_names(tree).count("FitResult") == 1
+    gen = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_admm_iterates")
+    assert any(isinstance(node, ast.Yield) for node in ast.walk(gen))
+    assert not {"_polish", "_certificate", "objective", "FitResult"} & set(_called_names(gen))
