@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -65,6 +66,8 @@ class FitConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.algorithm == "dp_k1" and self.k != 1:
+            raise ValueError(f"algorithm dp_k1 requires k = 1, got k = {self.k}")
 
 
 @dataclass(frozen=True)
@@ -173,12 +176,21 @@ _POLISH_MAX_ACTIVE = 1500
 
 def _polish(y, k, lam, active, signs, tol_kkt):
     """Active-set refinement: drop sign-inconsistent rows, add rows whose
-    dual exceeds the box, accept only on a verified certificate."""
+    dual exceeds the box, accept only on a verified certificate.
+
+    A round is a pure function of its (active, signs) state, so a state seen
+    before starts a cycle that could only run out the rounds: it returns None
+    at once."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
+    seen = set()
     for _ in range(POLISH_ROUNDS):
+        state = (active.tobytes(), signs.tobytes())
+        if state in seen:
+            return None
+        seen.add(state)
         f_hat, b = _restricted_solve(y, k, lam, active, signs)
         keep = b * signs > 0
         if not np.all(keep):
@@ -199,8 +211,10 @@ def _polish(y, k, lam, active, signs, tol_kkt):
     return None
 
 
-def _admm_system_banded(n, k, rho):
-    """(2/n) I + rho D'D in upper banded (cholesky_banded) format.
+@lru_cache(maxsize=32)
+def _cached_gram_bands(n, k):
+    """Read-only D'D in upper banded (cholesky_banded) format, built once per
+    (n, k).
 
     Row r of D carries the stencil c on columns r..r+k, so the d-th
     superdiagonal of D'D collects c_l c_{l+d} over the m = n - k rows.
@@ -211,16 +225,38 @@ def _admm_system_banded(n, k, rho):
     for d in range(k + 1):
         for l in range(k + 1 - d):
             ab[k - d, l + d:l + d + m] += c[l] * c[l + d]
-    ab *= rho
+    ab.setflags(write=False)
+    return ab
+
+
+def _admm_system_banded(n, k, rho):
+    """(2/n) I + rho D'D in upper banded (cholesky_banded) format."""
+    ab = _cached_gram_bands(n, k) * rho
     ab[k] += 2.0 / n
     return ab
+
+
+def _diff_plan(src, k, out, rows):
+    """``(minuend, subtrahend, out)`` views whose subtractions, run in order,
+    leave ``np.diff(src, k)`` in ``out``: the same k differences in the same
+    order, the intermediate ones held in the two scratch rows."""
+    plan = []
+    for j in range(1, k + 1):
+        dst = out if j == k else rows[j % 2, :len(src) - 1]
+        plan.append((src[1:], src[:-1], dst))
+        src = dst
+    return plan
 
 
 def _admm_iterates(y, cfg):
     """ADMM on the analysis form, as iterates for ``fit``: a banded Cholesky
     factorization of (2/n) I + rho D'D, over-relaxed updates and residual
     balancing of rho.  Yields fresh (it, f, z) at each polish trigger (settled
-    residuals, or every 250 iterations) and (max_iter, f, None) at the end."""
+    residuals, or every 250 iterations) and (max_iter, f, None) at the end.
+
+    Every array an iteration touches is allocated once per fit and written
+    with ``out=``; each step keeps the operands and order of the plain
+    expressions in the comments, so the iterates are those bits."""
     n, k = len(y), cfg.k
     m = n - k
     rho, alpha = RHO_INIT, OVER_RELAXATION
@@ -238,30 +274,49 @@ def _admm_iterates(y, cfg):
         return chol
 
     chol = factor(rho)
-    f = y.copy()
-    z = np.diff(f, k)
+    f = y.copy()                        # also the right-hand side: pbtrs solves in place
+    z, z_old = np.diff(f, k), np.empty(m)
     w = np.zeros(m)
+    Df, Df_rel, v, t, r = (np.empty(m) for _ in range(5))
+    Dt = np.empty(n)                    # np.diff(pad, k) = (-1)^k D' q
+    rows = np.empty((2, n + k - 1))
+    transpose = _diff_plan(pad, k, Dt, rows)
+    forward = _diff_plan(f, k, Df, rows)
     thresh_scale = math.sqrt(m)
     for it in range(1, cfg.max_iter + 1):
+        # f = solve(chol, two_y + (sign_t * rho) * np.diff(pad, k)), pad holding z - w
         np.subtract(z, w, out=body)
-        rhs = two_y + (sign_t * rho) * np.diff(pad, k)
-        f, _ = _PBTRS(chol, rhs, lower=0)
-        Df = np.diff(f, k)
-        Df_rel = alpha * Df + (1.0 - alpha) * z
-        z_old = z
-        v = Df_rel + w
-        z = np.sign(v) * np.maximum(np.abs(v) - 2.0 * cfg.lam / rho, 0.0)
+        for a, b, out in transpose:
+            np.subtract(a, b, out=out)
+        np.multiply(Dt, sign_t * rho, out=f)
+        np.add(two_y, f, out=f)
+        _PBTRS(chol, f, lower=0, overwrite_b=1)
+        for a, b, out in forward:       # Df = np.diff(f, k)
+            np.subtract(a, b, out=out)
+        np.multiply(Df, alpha, out=Df_rel)  # Df_rel = alpha * Df + (1 - alpha) * z
+        np.multiply(z, 1.0 - alpha, out=t)
+        np.add(Df_rel, t, out=Df_rel)
+        np.add(Df_rel, w, out=v)        # v = Df_rel + w
+        z_old, z = z, z_old
+        # z = np.sign(v) * np.maximum(np.abs(v) - 2 lam / rho, 0.0); a v - clip(v)
+        # form would flip the sign of zeros
+        np.abs(v, out=t)
+        np.subtract(t, 2.0 * cfg.lam / rho, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.sign(v, out=v)
+        np.multiply(v, t, out=z)
         w += Df_rel
         w -= z
-        r = Df - z
-        r_norm = math.sqrt(r @ r)
-        np.subtract(z, z_old, out=body)
-        s = np.diff(pad, k)
-        s_norm = rho * math.sqrt(s @ s)
-        scale = max(math.sqrt(Df @ Df), math.sqrt(z @ z), 1e-12)
+        np.subtract(Df, z, out=r)
+        r_norm = math.sqrt(r.dot(r))
+        np.subtract(z, z_old, out=body)  # s = np.diff(pad, k), pad holding z - z_old
+        for a, b, out in transpose:
+            np.subtract(a, b, out=out)
+        s_norm = rho * math.sqrt(Dt.dot(Dt))
+        scale = max(math.sqrt(Df.dot(Df)), math.sqrt(z.dot(z)), 1e-12)
         settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
         if settled or it % 250 == 0:
-            yield it, f, z
+            yield it, f.copy(), z.copy()
         if it % 10 == 0 and (r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm):
             step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
             rho *= step
@@ -365,8 +420,6 @@ def fit(y, cfg):
     if lam == 0.0:
         return _result(y, cfg, y.copy(), np.zeros(n - k), 0.0, 0, True)
     if cfg.algorithm == "dp_k1":
-        if k != 1:
-            raise ValueError("dp_k1 requires k = 1")
         f_hat = tv1d_exact(y, n * lam)
         u, kkt = _certificate(y, f_hat, lam, k, tol)
         return _result(y, cfg, f_hat, u, kkt, n, kkt <= tol)

@@ -8,7 +8,7 @@ import scipy.optimize
 
 from tvtrend import estimator as est
 from tvtrend.constants import minimum_segment_length
-from tvtrend.diffops import ActiveSet, build_delta, polynomial_basis
+from tvtrend.diffops import ActiveSet, build_delta, difference_coefficients, polynomial_basis
 from tvtrend.interpolants import MatchingSystemError, n_subintervals, noisy_exponent
 
 
@@ -143,6 +143,100 @@ def admm_reference(y, cfg):
     return est.FitResult(f_hat=f_hat, objective=est.objective(f_hat, y, cfg.lam, k),
                          kkt_residual=kkt, dual=u, iters=cfg.max_iter, converged=False,
                          lam=cfg.lam, k=k)
+
+
+def admm_system_banded_reference(n, k, rho):
+    """(2/n) I + rho D'D in upper banded format, built from scratch on every
+    call; ``estimator._admm_system_banded`` must agree bit for bit."""
+    c = difference_coefficients(k)
+    m = n - k
+    ab = np.zeros((k + 1, n))
+    for d in range(k + 1):
+        for l in range(k + 1 - d):
+            ab[k - d, l + d:l + d + m] += c[l] * c[l + d]
+    ab *= rho
+    ab[k] += 2.0 / n
+    return ab
+
+
+def admm_iterates_reference(y, cfg):
+    """The ADMM iterate generator written with fresh arrays and ``np.diff``
+    on every step; ``estimator._admm_iterates`` must yield the same bits."""
+    n, k = len(y), cfg.k
+    m = n - k
+    rho, alpha = est.RHO_INIT, est.OVER_RELAXATION
+    two_y = (2.0 / n) * y
+    # D' q = (-1)^k diff(q zero-padded by k on both sides, k); only the slice
+    # pad[k:k + m] is ever written, so the padding stays zero.
+    pad = np.zeros(m + 2 * k)
+    body = pad[k:k + m]
+    sign_t = (-1.0) ** k
+
+    def factor(rho):
+        chol, info = est._PBTRF(admm_system_banded_reference(n, k, rho), lower=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+        return chol
+
+    chol = factor(rho)
+    f = y.copy()
+    z = np.diff(f, k)
+    w = np.zeros(m)
+    thresh_scale = math.sqrt(m)
+    for it in range(1, cfg.max_iter + 1):
+        np.subtract(z, w, out=body)
+        rhs = two_y + (sign_t * rho) * np.diff(pad, k)
+        f, _ = est._PBTRS(chol, rhs, lower=0)
+        Df = np.diff(f, k)
+        Df_rel = alpha * Df + (1.0 - alpha) * z
+        z_old = z
+        v = Df_rel + w
+        z = np.sign(v) * np.maximum(np.abs(v) - 2.0 * cfg.lam / rho, 0.0)
+        w += Df_rel
+        w -= z
+        r = Df - z
+        r_norm = math.sqrt(r @ r)
+        np.subtract(z, z_old, out=body)
+        s = np.diff(pad, k)
+        s_norm = rho * math.sqrt(s @ s)
+        scale = max(math.sqrt(Df @ Df), math.sqrt(z @ z), 1e-12)
+        settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
+        if settled or it % 250 == 0:
+            yield it, f, z
+        if it % 10 == 0 and (r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm):
+            step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
+            rho *= step
+            w /= step
+            chol = factor(rho)
+    yield cfg.max_iter, f, None
+
+
+def polish_reference(y, k, lam, active, signs, tol_kkt):
+    """``estimator._polish`` without its repeat check: every cycle runs out
+    the rounds.  ``fit`` must return the same result with either."""
+    active = np.sort(np.asarray(active, dtype=int))
+    signs = np.asarray(signs, dtype=float)
+    if len(active) > est._POLISH_MAX_ACTIVE:
+        return None
+    for _ in range(est.POLISH_ROUNDS):
+        f_hat, b = est._restricted_solve(y, k, lam, active, signs)
+        keep = b * signs > 0
+        if not np.all(keep):
+            active, signs = active[keep], signs[keep]
+            continue
+        u, kkt = est._certificate(y, f_hat, lam, k, tol_kkt)
+        if kkt <= tol_kkt:
+            return f_hat, u, kkt
+        over = np.abs(u) > 1.0 + 1e-12
+        over[active - k - 1] = False
+        if not np.any(over):
+            return None
+        worst = int(np.argmax(np.abs(u) * over))
+        j = worst + k + 1
+        pos = int(np.searchsorted(active, j))
+        active = np.insert(active, pos, j)
+        signs = np.insert(signs, pos, np.sign(u[worst]))
+    return None
 
 
 def ff_columns_reference(n, k, rows):

@@ -93,12 +93,14 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--tol-kkt", "nan"), ("--max-iter", "0"),
-                                            ("--k", "0")])
+                                            ("--k", "0"), ("--k", "2 --algorithm dp_k1"),
+                                            ("--k", "2 --algorithm dp_k1 --lambda 0")])
     def test_invalid_fit_settings_are_usage_errors(self, tmp_path, signal, capsys, flag, value):
+        # A value may carry further options; a later --lambda overrides 0.1.
         path, _ = signal
         out = tmp_path / "f.csv"
         rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda", "0.1",
-                       flag, value, "--out", str(out)])
+                       flag, *value.split(), "--out", str(out)])
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (admm_reference, dense_delta, ff_columns_reference,
+from conftest import (admm_iterates_reference, admm_reference, admm_system_banded_reference,
+                      dense_delta, ff_columns_reference, polish_reference,
                       restricted_solve_reference, tv1d_reference, tv_dual_reference)
 from tvtrend import estimator as est
 from tvtrend import experiments
@@ -86,6 +87,11 @@ class TestFitBasics:
                 est.FitConfig(lam=1.0, k=1, max_iter=bad)
         cfg = est.FitConfig(lam=1.0, k=np.int64(2), max_iter=np.int32(5))
         assert cfg.k == 2 and cfg.max_iter == 5
+        for lam in (0.0, 1.0):
+            for bad in (2, 3):
+                with pytest.raises(ValueError, match="dp_k1 requires k = 1"):
+                    est.FitConfig(lam=lam, k=bad, algorithm="dp_k1")
+        assert est.FitConfig(lam=0.0, k=1, algorithm="dp_k1").k == 1
 
     def test_non_convergence_flagged(self, rng):
         y = rng.standard_normal(50)
@@ -113,6 +119,20 @@ class TestAdmmSystem:
                 for d in range(k + 1):
                     expected[k - d, d:] = np.diagonal(M, d)
                 assert np.array_equal(est._admm_system_banded(n, k, rho), expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cached_bands_give_the_same_bytes(self, k):
+        for n in (k + 1, 64, 300):
+            for j in range(-20, 21, 4):
+                rho = 2.0 ** j
+                ab = est._admm_system_banded(n, k, rho)
+                ref = admm_system_banded_reference(n, k, rho)
+                assert ab.shape == ref.shape and ab.tobytes() == ref.tobytes()
+            gram = est._cached_gram_bands(n, k)
+            assert gram is est._cached_gram_bands(n, k)
+            with pytest.raises(ValueError):
+                gram[0, 0] = 1.0
+            ab[k, 0] = 1.0    # the factorization still gets a writable copy
 
 
 class TestFastPath:
@@ -228,6 +248,92 @@ class TestAdmmLoop:
         assert calls == []
         assert res.iters == cfg.max_iter and not res.converged
         self.assert_same_bits(res, admm_reference(y, cfg))
+
+
+def _iterates(gen):
+    """Every yield of an ADMM iterate generator as (it, f bytes, z bytes),
+    then the LinAlgError message if it raised."""
+    out = []
+    try:
+        for it, f, z in gen:
+            out.append((it, f.tobytes(), None if z is None else z.tobytes()))
+    except np.linalg.LinAlgError as exc:
+        out.append(("LinAlgError", str(exc)))
+    return out
+
+
+class TestAdmmIterates:
+    """The per-fit buffers leave every yielded iterate, trigger and rho step
+    bitwise what the loop with fresh arrays and np.diff gives."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("frac", [0.05, 0.3])
+    def test_matches_reference_loop(self, k, n, frac, rng):
+        y = noisy_piecewise(rng, n, k, 4)
+        cfg = est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, max_iter=600)
+        got = _iterates(est._admm_iterates(y, cfg))
+        assert got == _iterates(admm_iterates_reference(y, cfg))
+        assert got[-1][0] == cfg.max_iter and got[-1][2] is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_smallest_signals(self, k, rng):
+        # n = k + 1 leaves one difference row; the scratch rows are longest
+        # relative to the signal.
+        for n in range(k + 1, k + 5):
+            y = rng.standard_normal(n)
+            cfg = est.FitConfig(lam=0.5 * est.lambda_max(y, k), k=k, max_iter=300)
+            assert _iterates(est._admm_iterates(y, cfg)) == _iterates(admm_iterates_reference(y, cfg))
+
+    def test_yields_fresh_arrays(self, rng):
+        y = noisy_piecewise(rng, 128, 2, 3)
+        cfg = est.FitConfig(lam=0.1 * est.lambda_max(y, 2), k=2, max_iter=800)
+        seen = list(est._admm_iterates(y, cfg))
+        assert len(seen) > 3
+        arrays = [a for _, f, z in seen for a in (f, z) if a is not None]
+        assert all(a.base is None for a in arrays)
+        assert len({a.ctypes.data for a in arrays}) == len(arrays)
+
+    def test_same_rho_fault_at_k4(self):
+        # The signal of ExperimentConfig(n=4096, k=4, s0=8, seed=7), noise of
+        # trial 0, lambda = 0.3 lambda_max: the rho doubling breaks the
+        # factorization soon after iteration 250.
+        cfg = experiments.ExperimentConfig(n=4096, k=4, s0=8, replications=1, seed=7)
+        f0, _ = experiments.generate_signal(cfg)
+        y = f0 + experiments.trial_rng(7, 0).standard_normal(cfg.n)
+        fit_cfg = est.FitConfig(lam=0.3 * est.lambda_max(y, 4), k=4)
+        got = _iterates(est._admm_iterates(y, fit_cfg))
+        assert got[-1][0] == "LinAlgError"
+        assert got == _iterates(admm_iterates_reference(y, fit_cfg))
+
+
+class TestPolishCycles:
+    """A repeated (active, signs) state ends the polish with None, as running
+    out the rounds would, after fewer restricted solves."""
+
+    def test_same_result_fewer_solves(self, monkeypatch):
+        # k = 3, n = 256: one polish of this fit revisits a state after 11
+        # solves; without the check it runs all POLISH_ROUNDS.
+        y = noisy_piecewise(np.random.default_rng(143), 256, 3, 4)
+        cfg = est.FitConfig(lam=0.3 * est.lambda_max(y, 3), k=3)
+        solves = []
+        solve = est._restricted_solve
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(est, "_restricted_solve", counting)
+        res = est.fit(y, cfg)
+        n_solves = len(solves)
+        solves.clear()
+        monkeypatch.setattr(est, "_polish", polish_reference)
+        ref = est.fit(y, cfg)
+        assert res.converged
+        assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
+        assert (res.kkt_residual, res.iters, res.objective) == (ref.kkt_residual, ref.iters,
+                                                                ref.objective)
+        assert len(solves) - n_solves >= est.POLISH_ROUNDS - 11
 
 
 class TestDpK1Record:

@@ -109,3 +109,21 @@ def test_fit_result_built_in_one_place():
                if isinstance(node, ast.FunctionDef) and node.name == "_admm_iterates")
     assert any(isinstance(node, ast.Yield) for node in ast.walk(gen))
     assert not {"_polish", "_certificate", "objective", "FitResult"} & set(_called_names(gen))
+
+
+def test_admm_loop_allocates_only_what_it_yields():
+    """Every array an ADMM iteration needs is allocated once per fit: the
+    loop of ``_admm_iterates`` calls no ``np.diff``, ``np.zeros``,
+    ``np.empty`` or ``.copy()`` outside its ``yield``."""
+    tree = ast.parse(inspect.getsource(est))
+    gen = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_admm_iterates")
+    loop = next(node for node in ast.walk(gen) if isinstance(node, ast.For))
+    yields = [node for node in ast.walk(loop) if isinstance(node, ast.Yield)]
+    in_yield = {id(node) for y in yields for node in ast.walk(y)}
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for stmt in loop.body for node in ast.walk(stmt)
+              if isinstance(node, ast.Call) and id(node) not in in_yield
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "copy" in _called_names(yields[0])
+    assert not {"diff", "zeros", "empty", "copy"} & called
