@@ -13,9 +13,10 @@ whose residual, box excess and sign mismatch are folded into
 lambda = 0 the fit is y.  ``dp_k1`` (k = 1) certifies Condat's direct taut
 string ``tv1d_exact``.  ``admm`` first tries the polynomial fit, the minimizer
 when lambda >= lambda_max.  Otherwise ``_admm_iterates`` yields ADMM iterates
-at each polish trigger.  The driver polishes each new (support, signs) by an
-exact active-set refinement, certifies, and keeps the best uncertified iterate
-for when ``max_iter`` runs out.
+at each polish trigger: settled residuals, every 250th iteration, and the
+first iteration of each run in which z does not move.  The driver polishes
+each new (support, signs) by an exact active-set refinement, certifies, and
+keeps the best uncertified iterate for when ``max_iter`` runs out.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ RHO_INIT = 1.0
 OVER_RELAXATION = 1.8
 POLISH_ROUNDS = 60
 
-# Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded validate
-# their inputs and look these up again on every call of the ADMM loop.
-_PBTRF, _PBTRS = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+# Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded /
+# solve_triangular validate their inputs and look these up again on every call
+# of the ADMM loop and the restricted solve.
+_PBTRF, _PBTRS, _TRTRS = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs", "trtrs"),
+                                                       dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """``converged`` means ``kkt_residual`` met ``tol_kkt``.  ``iters`` is 0
-    when certified without ADMM or at lambda = 0, n for ``dp_k1``, the trigger
-    iteration for a certified ADMM or polished fit, and ``max_iter`` when
-    uncertified."""
+    when certified without ADMM or at lambda = 0, n for ``dp_k1``, the ADMM
+    iteration whose polish trigger certified (the iterate or its polish), and
+    ``max_iter`` when uncertified."""
 
     f_hat: np.ndarray
     objective: float
@@ -156,13 +159,18 @@ def _restricted_solve(y, k, lam, active, signs):
         X = P
         scales = np.zeros(0)
         c = np.zeros(k)
-    R = np.linalg.qr(X, mode="r")
+    # R is C-ordered, so R' is Fortran-ordered and LAPACK reads it in place.
+    # These are the trtrs calls solve_triangular(R', ., lower=True) and
+    # solve_triangular(R, .) make, so the bits are theirs.
+    Rt = np.linalg.qr(X, mode="r").T
     target = n * lam * c
     theta = np.zeros(X.shape[1])
     for _ in range(3):
         defect = X.T @ (y - X @ theta) - target
-        delta = scipy.linalg.solve_triangular(
-            R, scipy.linalg.solve_triangular(R.T, defect, lower=True))
+        half, info = _TRTRS(Rt, defect, lower=1)
+        delta, info_t = _TRTRS(Rt, half, lower=1, trans=1)
+        if max(info, info_t) > 0:
+            raise np.linalg.LinAlgError("singular R in the restricted solve")
         theta += delta
         if np.max(np.abs(defect)) <= 1e-14 * max(1.0, n * lam, float(np.max(np.abs(y)))):
             break
@@ -251,8 +259,12 @@ def _diff_plan(src, k, out, rows):
 def _admm_iterates(y, cfg):
     """ADMM on the analysis form, as iterates for ``fit``: a banded Cholesky
     factorization of (2/n) I + rho D'D, over-relaxed updates and residual
-    balancing of rho.  Yields fresh (it, f, z) at each polish trigger (settled
-    residuals, or every 250 iterations) and (max_iter, f, None) at the end.
+    balancing of rho.  Yields fresh (it, f, z) at each polish trigger and
+    (max_iter, f, None) at the end.  The triggers are settled residuals, every
+    250th iteration, and the first iteration of each run with dual residual
+    s = 0: z did not move, since D' is injective.  rho doubles while s = 0, so
+    a frozen z (the empty support, often from iteration 2) would otherwise
+    wait for the 250th iteration; a run of frozen iterations yields once.
 
     Every array an iteration touches is allocated once per fit and written
     with ``out=``; each step keeps the operands and order of the plain
@@ -283,6 +295,7 @@ def _admm_iterates(y, cfg):
     transpose = _diff_plan(pad, k, Dt, rows)
     forward = _diff_plan(f, k, Df, rows)
     thresh_scale = math.sqrt(m)
+    was_stuck = False
     for it in range(1, cfg.max_iter + 1):
         # f = solve(chol, two_y + (sign_t * rho) * np.diff(pad, k)), pad holding z - w
         np.subtract(z, w, out=body)
@@ -315,8 +328,10 @@ def _admm_iterates(y, cfg):
         s_norm = rho * math.sqrt(Dt.dot(Dt))
         scale = max(math.sqrt(Df.dot(Df)), math.sqrt(z.dot(z)), 1e-12)
         settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
-        if settled or it % 250 == 0:
+        stuck = s_norm == 0.0
+        if settled or it % 250 == 0 or (stuck and not was_stuck):
             yield it, f.copy(), z.copy()
+        was_stuck = stuck
         if it % 10 == 0 and (r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm):
             step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
             rho *= step

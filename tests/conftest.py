@@ -78,11 +78,15 @@ def tv_dual_reference(y, lam, k):
     return y - A @ res.x
 
 
-def admm_reference(y, cfg):
+def admm_reference(y, cfg, frozen_trigger=False):
     """The ADMM loop written plainly: scipy's banded Cholesky wrappers,
     ``apply_transpose``, ``np.linalg.norm`` and a polish at every trigger.
 
-    ``estimator.fit`` must reproduce it bit for bit below lambda_max.
+    The triggers are settled residuals and every 250th iteration; with
+    ``frozen_trigger`` also the first iteration of each run in which z equals
+    the previous z.  ``estimator.fit`` must reproduce the loop with it bit for
+    bit below lambda_max; without it, the same f_hat, dual, residual and
+    ``converged`` whenever a fit certifies, at an ``iters`` no later.
     """
     n = len(y)
     k = cfg.k
@@ -99,6 +103,7 @@ def admm_reference(y, cfg):
     w = np.zeros(op.m)
     thresh_scale = math.sqrt(op.m)
     best = None
+    was_frozen = False
     for it in range(1, cfg.max_iter + 1):
         rhs = (2.0 / n) * y + rho * op.apply_transpose(z - w)
         f = scipy.linalg.cho_solve_banded((chol, False), rhs)
@@ -112,7 +117,8 @@ def admm_reference(y, cfg):
         s_norm = rho * np.linalg.norm(op.apply_transpose(z - z_old))
         scale = max(np.linalg.norm(Df), np.linalg.norm(z), 1e-12)
         settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
-        if settled or it % 250 == 0:
+        frozen = frozen_trigger and np.array_equal(z, z_old)
+        if settled or it % 250 == 0 or (frozen and not was_frozen):
             supp = np.nonzero(z)[0]
             polished = est._polish(y, k, cfg.lam, supp + k + 1, np.sign(z[supp]), cfg.tol_kkt)
             if polished is not None:
@@ -127,6 +133,7 @@ def admm_reference(y, cfg):
                 return est.FitResult(f_hat=f, objective=est.objective(f, y, cfg.lam, k),
                                      kkt_residual=kkt, dual=u, iters=it, converged=True,
                                      lam=cfg.lam, k=k)
+        was_frozen = frozen
         if it % 10 == 0:
             if r_norm > 10.0 * s_norm:
                 rho *= 2.0
@@ -159,9 +166,12 @@ def admm_system_banded_reference(n, k, rho):
     return ab
 
 
-def admm_iterates_reference(y, cfg):
+def admm_iterates_reference(y, cfg, frozen_trigger=False):
     """The ADMM iterate generator written with fresh arrays and ``np.diff``
-    on every step; ``estimator._admm_iterates`` must yield the same bits."""
+    on every step, yielding at settled residuals and every 250th iteration,
+    and with ``frozen_trigger`` also at the first iteration of each run in
+    which z equals the previous z.  ``estimator._admm_iterates`` must yield
+    the same bits as with it, and a superset of the yields without it."""
     n, k = len(y), cfg.k
     m = n - k
     rho, alpha = est.RHO_INIT, est.OVER_RELAXATION
@@ -183,6 +193,7 @@ def admm_iterates_reference(y, cfg):
     z = np.diff(f, k)
     w = np.zeros(m)
     thresh_scale = math.sqrt(m)
+    was_frozen = False
     for it in range(1, cfg.max_iter + 1):
         np.subtract(z, w, out=body)
         rhs = two_y + (sign_t * rho) * np.diff(pad, k)
@@ -201,8 +212,10 @@ def admm_iterates_reference(y, cfg):
         s_norm = rho * math.sqrt(s @ s)
         scale = max(math.sqrt(Df @ Df), math.sqrt(z @ z), 1e-12)
         settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
-        if settled or it % 250 == 0:
+        frozen = frozen_trigger and np.array_equal(z, z_old)
+        if settled or it % 250 == 0 or (frozen and not was_frozen):
             yield it, f, z
+        was_frozen = frozen
         if it % 10 == 0 and (r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm):
             step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
             rho *= step

@@ -187,12 +187,30 @@ def _noncertifying_input(n, k, frac):
     return y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, tol_kkt=1e-300, max_iter=1000)
 
 
+def _recipe_input(k):
+    """The signal of ExperimentConfig(n=4096, k, s0=8, seed=7), the noise of
+    trial 0 and lambda = 0.3 lambda_max."""
+    cfg = experiments.ExperimentConfig(n=4096, k=k, s0=8, replications=1, seed=7)
+    f0, _ = experiments.generate_signal(cfg)
+    y = f0 + experiments.trial_rng(7, 0).standard_normal(cfg.n)
+    return y, est.FitConfig(lam=0.3 * est.lambda_max(y, k), k=k)
+
+
+def assert_same_fit(res, ref):
+    """The same certified (or best uncertified) fit, bit for bit."""
+    assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
+    assert res.kkt_residual == ref.kkt_residual and res.converged == ref.converged
+
+
 class TestAdmmLoop:
+    """``fit`` is bitwise the plain loop that also polishes when z stops
+    moving, and returns the fit of the plain loop without that trigger, no
+    later, whenever that fit certifies."""
+
     @staticmethod
     def assert_same_bits(res, ref):
-        assert np.array_equal(res.f_hat, ref.f_hat)
-        assert res.kkt_residual == ref.kkt_residual
-        assert res.iters == ref.iters and res.converged == ref.converged
+        assert_same_fit(res, ref)
+        assert res.iters == ref.iters
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -202,14 +220,22 @@ class TestAdmmLoop:
         cfg = est.FitConfig(lam=frac * est.lambda_max(y, k), k=k)
         res = est.fit(y, cfg)
         assert res.converged
-        self.assert_same_bits(res, admm_reference(y, cfg))
+        self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True))
+        ref = admm_reference(y, cfg)
+        assert_same_fit(res, ref)
+        assert res.iters <= ref.iters
 
     @pytest.mark.parametrize("case", NONCERTIFYING)
     def test_noncertifying_matches_reference_loop(self, case):
+        # (64, 2, 0.1) keeps an earlier iterate of lower residual (1.47) than
+        # the loop without the frozen-z trigger (1.94).
         y, cfg = _noncertifying_input(*case)
         res = est.fit(y, cfg)
         assert not res.converged
-        self.assert_same_bits(res, admm_reference(y, cfg))
+        self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True))
+        ref = admm_reference(y, cfg)
+        assert res.iters == ref.iters == cfg.max_iter
+        assert res.kkt_residual <= ref.kkt_residual
 
     @pytest.mark.parametrize("case", NONCERTIFYING)
     def test_each_support_polished_once(self, case, monkeypatch):
@@ -222,7 +248,7 @@ class TestAdmmLoop:
             return polish(y_, k, lam, active, signs, tol_kkt)
 
         monkeypatch.setattr(est, "_polish", counting)
-        admm_reference(y, cfg)
+        admm_reference(y, cfg, frozen_trigger=True)
         triggered = list(calls)
         calls.clear()
         est.fit(y, cfg)
@@ -230,12 +256,13 @@ class TestAdmmLoop:
         assert len(calls) == len(set(calls)) == len(set(triggered))
         assert set(calls) == set(triggered)
 
-
     def test_no_trigger_reached(self, rng, monkeypatch):
-        # max_iter ends the loop before the first polish trigger: nothing is
+        # max_iter ends the loop before the first polish trigger (z moves on
+        # every iteration, and none settles or is the 250th): nothing is
         # polished and the last iterate is reported with its own certificate.
-        y = noisy_piecewise(rng, 256, 2, 4)
-        cfg = est.FitConfig(lam=0.1 * est.lambda_max(y, 2), k=2, max_iter=30)
+        y = noisy_piecewise(rng, 256, 1, 4)
+        cfg = est.FitConfig(lam=0.1 * est.lambda_max(y, 1), k=1, max_iter=30)
+        assert [it for it, _, _ in est._admm_iterates(y, cfg)] == [cfg.max_iter]
         calls = []
         polish = est._polish
 
@@ -248,6 +275,19 @@ class TestAdmmLoop:
         assert calls == []
         assert res.iters == cfg.max_iter and not res.converged
         self.assert_same_bits(res, admm_reference(y, cfg))
+
+    def test_recipe_k3_certifies_when_z_freezes(self):
+        # z is zero from iteration 2 on, so the plain loop waits for the
+        # 250th iteration to polish the empty support; the frozen-z trigger
+        # polishes it at once, with the same bits.
+        y, cfg = _recipe_input(3)
+        first, _, z = next(est._admm_iterates(y, cfg))
+        assert first < 250 and not np.any(z)
+        assert next(admm_iterates_reference(y, cfg))[0] == 250
+        res = est.fit(y, cfg)
+        ref = admm_reference(y, cfg)
+        assert res.converged and res.iters == first and ref.iters == 250
+        assert_same_fit(res, ref)
 
 
 def _iterates(gen):
@@ -262,9 +302,24 @@ def _iterates(gen):
     return out
 
 
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(any(item == other for other in rest) for item in part)
+
+
 class TestAdmmIterates:
     """The per-fit buffers leave every yielded iterate, trigger and rho step
-    bitwise what the loop with fresh arrays and np.diff gives."""
+    bitwise what the loop with fresh arrays and np.diff gives; the frozen-z
+    trigger only adds yields to it."""
+
+    @staticmethod
+    def assert_matches_references(y, cfg):
+        got = _iterates(est._admm_iterates(y, cfg))
+        assert got == _iterates(admm_iterates_reference(y, cfg, frozen_trigger=True))
+        plain = _iterates(admm_iterates_reference(y, cfg))
+        assert _is_subsequence(plain, got)
+        assert got[-1] == plain[-1]
+        return got, plain
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -272,8 +327,7 @@ class TestAdmmIterates:
     def test_matches_reference_loop(self, k, n, frac, rng):
         y = noisy_piecewise(rng, n, k, 4)
         cfg = est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, max_iter=600)
-        got = _iterates(est._admm_iterates(y, cfg))
-        assert got == _iterates(admm_iterates_reference(y, cfg))
+        got, _ = self.assert_matches_references(y, cfg)
         assert got[-1][0] == cfg.max_iter and got[-1][2] is None
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -283,7 +337,7 @@ class TestAdmmIterates:
         for n in range(k + 1, k + 5):
             y = rng.standard_normal(n)
             cfg = est.FitConfig(lam=0.5 * est.lambda_max(y, k), k=k, max_iter=300)
-            assert _iterates(est._admm_iterates(y, cfg)) == _iterates(admm_iterates_reference(y, cfg))
+            self.assert_matches_references(y, cfg)
 
     def test_yields_fresh_arrays(self, rng):
         y = noisy_piecewise(rng, 128, 2, 3)
@@ -295,16 +349,15 @@ class TestAdmmIterates:
         assert len({a.ctypes.data for a in arrays}) == len(arrays)
 
     def test_same_rho_fault_at_k4(self):
-        # The signal of ExperimentConfig(n=4096, k=4, s0=8, seed=7), noise of
-        # trial 0, lambda = 0.3 lambda_max: the rho doubling breaks the
-        # factorization soon after iteration 250.
-        cfg = experiments.ExperimentConfig(n=4096, k=4, s0=8, replications=1, seed=7)
-        f0, _ = experiments.generate_signal(cfg)
-        y = f0 + experiments.trial_rng(7, 0).standard_normal(cfg.n)
-        fit_cfg = est.FitConfig(lam=0.3 * est.lambda_max(y, 4), k=4)
-        got = _iterates(est._admm_iterates(y, fit_cfg))
+        # On the recipe input at k = 4 the rho doubling breaks the
+        # factorization soon after iteration 250.  z is zero from iteration 2
+        # to the end: the frozen-z trigger yields once, not on every iteration.
+        y, cfg = _recipe_input(4)
+        got, plain = self.assert_matches_references(y, cfg)
         assert got[-1][0] == "LinAlgError"
-        assert got == _iterates(admm_iterates_reference(y, fit_cfg))
+        assert len(got) == len(plain) + 1
+        it, _, z = got[0]
+        assert it < 250 and not np.any(np.frombuffer(z))
 
 
 class TestPolishCycles:
