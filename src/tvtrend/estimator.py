@@ -11,12 +11,15 @@ whose residual, box excess and sign mismatch are folded into
 
 ``fit`` is the one driver: candidates are accepted there and nowhere else.  At
 lambda = 0 the fit is y.  ``dp_k1`` (k = 1) certifies Condat's direct taut
-string ``tv1d_exact``.  ``admm`` first tries the polynomial fit, the minimizer
-when lambda >= lambda_max.  Otherwise ``_admm_iterates`` yields ADMM iterates
-at each polish trigger: settled residuals, every 250th iteration, and the
-first iteration of each run in which z does not move.  The driver polishes
-each new (support, signs) by an exact active-set refinement, certifies, and
-keeps the best uncertified iterate for when ``max_iter`` runs out.
+string ``tv1d_exact``.  ``admm`` returns the polynomial fit, the minimizer
+when lambda >= lambda_max, certified or not: only float64 rounding can fail
+its certificate.  Otherwise ``_admm_iterates`` yields ADMM iterates at each
+polish trigger: settled residuals, every 250th iteration, and the first
+iteration of each run in which z does not move.  The driver polishes each new
+(support, signs) by an exact active-set refinement and returns the first face
+that satisfies KKT in exact arithmetic, flagged converged when its
+certificate meets the tolerance.  It keeps the best uncertified iterate for
+when every polish gives up and ``max_iter`` runs out.
 """
 
 from __future__ import annotations
@@ -76,9 +79,13 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """``converged`` means ``kkt_residual`` met ``tol_kkt``.  ``iters`` is 0
-    when certified without ADMM or at lambda = 0, n for ``dp_k1``, the ADMM
-    iteration whose polish trigger certified (the iterate or its polish), and
-    ``max_iter`` when uncertified."""
+    at lambda = 0 and for the polynomial fit at lambda >= lambda_max, n for
+    ``dp_k1``, the ADMM iteration whose polish trigger returned the fit (the
+    iterate or its polished face), and ``max_iter`` when every polish gave up.
+    An uncertified fit may therefore stop at 0 or at a trigger iteration: the
+    polynomial fit or polished face it returns satisfies KKT in exact
+    arithmetic, and only float64 rounding keeps the residual above
+    ``tol_kkt``."""
 
     f_hat: np.ndarray
     objective: float
@@ -183,12 +190,15 @@ _POLISH_MAX_ACTIVE = 1500
 
 
 def _polish(y, k, lam, active, signs, tol_kkt):
-    """Active-set refinement: drop sign-inconsistent rows, add rows whose
-    dual exceeds the box, accept only on a verified certificate.
+    """Active-set refinement: drop sign-inconsistent rows, else add the worst
+    row of each run of consecutive rows whose dual exceeds the box.
 
-    A round is a pure function of its (active, signs) state, so a state seen
-    before starts a cycle that could only run out the rounds: it returns None
-    at once."""
+    Returns (f_hat, u, kkt) at the first certified face, and at the first
+    sign-consistent face with no off-support |u| > 1 + 1e-12 even when its
+    certificate fails: that face satisfies KKT in exact arithmetic, so only
+    float64 rounding can fail it.  A round is a pure function of its (active,
+    signs) state, so a state seen before starts a cycle that could only run
+    out the rounds: it returns None at once."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
@@ -207,13 +217,16 @@ def _polish(y, k, lam, active, signs, tol_kkt):
         u, kkt = _certificate(y, f_hat, lam, k, tol_kkt)
         if kkt <= tol_kkt:
             return f_hat, u, kkt
-        over = np.abs(u) > 1.0 + 1e-12
+        mag = np.abs(u)
+        over = mag > 1.0 + 1e-12
         over[active - k - 1] = False
         if not np.any(over):
-            return None
-        worst = int(np.argmax(np.abs(u) * over))
+            return f_hat, u, kkt
+        # The worst row of each maximal run of consecutive violators.
+        edges = np.flatnonzero(np.diff(over, prepend=False, append=False))
+        worst = np.array([a + int(np.argmax(mag[a:b])) for a, b in zip(edges[::2], edges[1::2])])
         j = worst + k + 1
-        pos = int(np.searchsorted(active, j))
+        pos = np.searchsorted(active, j)
         active = np.insert(active, pos, j)
         signs = np.insert(signs, pos, np.sign(u[worst]))
     return None
@@ -439,13 +452,11 @@ def fit(y, cfg):
         u, kkt = _certificate(y, f_hat, lam, k, tol)
         return _result(y, cfg, f_hat, u, kkt, n, kkt <= tol)
     if lam >= lambda_max(y, k):
-        # The minimizer is the polynomial fit.  Above lambda_max ADMM's polish
-        # ends in this same empty-support solve, so the bits are the same; an
-        # uncertified candidate falls through to ADMM.
+        # The minimizer is the polynomial fit, so a candidate that fails its
+        # certificate fails on float64 rounding alone and is returned as it is.
         f_hat = _restricted_solve(y, k, lam, [], [])[0]
         u, kkt = _certificate(y, f_hat, lam, k, tol)
-        if kkt <= tol:
-            return _result(y, cfg, f_hat, u, kkt, 0, True)
+        return _result(y, cfg, f_hat, u, kkt, 0, kkt <= tol)
     best = None                     # (f, u, kkt) of the lowest uncertified residual
     polished = (None, None)         # the last polished (support, signs)
     for it, f, z in _admm_iterates(y, cfg):
@@ -459,7 +470,7 @@ def fit(y, cfg):
             hit = _polish(y, k, lam, supp + k + 1, signs, tol)
             if hit is not None:
                 f_hat, u, kkt = hit
-                return _result(y, cfg, f_hat, u, kkt, it, True)
+                return _result(y, cfg, f_hat, u, kkt, it, kkt <= tol)
             polished = (supp, signs)
         u, kkt = _certificate(y, f, lam, k, tol)
         if kkt <= tol:

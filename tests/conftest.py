@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.optimize
 
 from tvtrend import estimator as est
+from tvtrend import experiments
 from tvtrend.constants import minimum_segment_length
 from tvtrend.diffops import ActiveSet, build_delta, difference_coefficients, polynomial_basis
 from tvtrend.interpolants import MatchingSystemError, n_subintervals, noisy_exponent
@@ -78,6 +79,15 @@ def tv_dual_reference(y, lam, k):
     return y - A @ res.x
 
 
+def recipe_input(k, n=4096, frac=0.3):
+    """The signal of ExperimentConfig(n, k, s0=8, seed=7), the noise of trial
+    0 and lambda = frac lambda_max, with a default FitConfig."""
+    cfg = experiments.ExperimentConfig(n=n, k=k, s0=8, replications=1, seed=7)
+    f0, _ = experiments.generate_signal(cfg)
+    y = f0 + experiments.trial_rng(7, 0).standard_normal(cfg.n)
+    return y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k)
+
+
 def admm_reference(y, cfg, frozen_trigger=False):
     """The ADMM loop written plainly: scipy's banded Cholesky wrappers,
     ``apply_transpose``, ``np.linalg.norm`` and a polish at every trigger.
@@ -124,8 +134,8 @@ def admm_reference(y, cfg, frozen_trigger=False):
             if polished is not None:
                 f_hat, u, kkt = polished
                 return est.FitResult(f_hat=f_hat, objective=est.objective(f_hat, y, cfg.lam, k),
-                                     kkt_residual=kkt, dual=u, iters=it, converged=True,
-                                     lam=cfg.lam, k=k)
+                                     kkt_residual=kkt, dual=u, iters=it,
+                                     converged=kkt <= cfg.tol_kkt, lam=cfg.lam, k=k)
             u, kkt = est._certificate(y, f, cfg.lam, k, cfg.tol_kkt)
             if best is None or kkt < best[2]:
                 best = (f.copy(), u, kkt, it)
@@ -225,13 +235,21 @@ def admm_iterates_reference(y, cfg, frozen_trigger=False):
 
 
 def polish_reference(y, k, lam, active, signs, tol_kkt):
-    """``estimator._polish`` without its repeat check: every cycle runs out
-    the rounds.  ``fit`` must return the same result with either."""
+    """The one-worst-row polish: each round adds only the single worst
+    violating row, and a face left with no violator gives up (None) whatever
+    its certificate, so ``fit`` goes on to the next trigger.  Wherever ``fit``
+    certifies with it, ``fit`` with ``estimator._polish`` must return the same
+    f_hat, dual and residual bits."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > est._POLISH_MAX_ACTIVE:
         return None
+    seen = set()
     for _ in range(est.POLISH_ROUNDS):
+        state = (active.tobytes(), signs.tobytes())
+        if state in seen:
+            return None
+        seen.add(state)
         f_hat, b = est._restricted_solve(y, k, lam, active, signs)
         keep = b * signs > 0
         if not np.all(keep):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import recipe_input
 from tvtrend import cli
 
 
@@ -69,6 +70,22 @@ class TestSolve:
                        "--tol-kkt", "1e-300", "--max-iter", "20",
                        "--report", str(tmp_path / "r.json")])
         assert rc == 3
+
+    def test_uncertified_k4_face_is_written(self, tmp_path, capsys):
+        # The k = 4 fit whose ADMM iterates break the banded factorization:
+        # the polish reaches the exact face, which float64 leaves about 1e-7
+        # short of the 1e-8 certificate, so solve writes it and exits 3.
+        y, cfg = recipe_input(4)
+        path, out, rep = tmp_path / "y.csv", tmp_path / "f.csv", tmp_path / "r.json"
+        write_signal(path, y)
+        rc = cli.main(["solve", "--input", str(path), "--k", "4", "--lambda", repr(cfg.lam),
+                       "--out", str(out), "--report", str(rep)])
+        assert rc == 3
+        assert "leading minor" not in capsys.readouterr().err
+        report = json.loads(rep.read_text())
+        assert report["converged"] is False and report["iters"] == 2
+        assert 1e-8 < report["kkt_residual"] < 1e-6
+        assert np.loadtxt(out).shape == (4096,)
 
     def test_linalg_failure_is_numeric_exit(self, signal, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which would otherwise exit 2 (usage)

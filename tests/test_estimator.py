@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (admm_iterates_reference, admm_reference, admm_system_banded_reference,
-                      dense_delta, ff_columns_reference, polish_reference,
+                      dense_delta, ff_columns_reference, polish_reference, recipe_input,
                       restricted_solve_reference, tv1d_reference, tv_dual_reference)
 from tvtrend import estimator as est
 from tvtrend import experiments
@@ -19,6 +19,21 @@ def noisy_piecewise(rng, n, k, s0, amp=8.0):
     mags = amp * float(n) ** (-(k - 1)) * rng.standard_normal(s0)
     f0 = cols @ mags if s0 else np.zeros(n)
     return f0 + rng.standard_normal(n)
+
+
+def jump_signal(rng, n, k, jumps):
+    """Unit noise on a piecewise polynomial of degree k - 1 with ``jumps``
+    jumps of alternating sign and size U(0.5, 1.5) 10 n^{-(k-1)} in its
+    (k-1)-th difference, at rows at least k (k + 2) apart."""
+    gap = k * (k + 2)
+    cuts = np.sort(rng.integers(0, n + 2 - k - (jumps + 1) * gap, size=jumps))
+    rows = k + gap * np.arange(1, jumps + 1) + cuts
+    d = np.zeros(n)
+    d[rows - 1] = (10.0 * float(n) ** (-(k - 1)) * (-1.0) ** np.arange(jumps)
+                   * rng.uniform(0.5, 1.5, size=jumps))
+    for _ in range(k):
+        d = np.cumsum(d)
+    return d + rng.standard_normal(n)
 
 
 class TestObjective:
@@ -155,7 +170,9 @@ class TestFastPath:
         assert res.converged and res.iters > 0
         assert res.kkt_residual <= 1e-8
 
-    def test_rejected_candidate_falls_through(self, rng, monkeypatch):
+    def test_rejected_candidate_returned_uncertified(self, rng, monkeypatch):
+        # Above lambda_max the polynomial fit is the minimizer, so a candidate
+        # that fails its certificate is returned as it is, without ADMM.
         y = noisy_piecewise(rng, 120, 2, 3)
         lam = 2.0 * est.lambda_max(y, 2)
         candidate = est._restricted_solve(y, 2, lam, [], [])[0]
@@ -165,35 +182,30 @@ class TestFastPath:
             u, kkt = certificate(y_, f_hat, lam_, k_, tol_kkt)
             return u, (1.0 if np.array_equal(f_hat, candidate) else kkt)
 
+        def no_admm(*args):
+            raise AssertionError("ADMM was entered")
+
         monkeypatch.setattr(est, "_certificate", rejecting)
+        monkeypatch.setattr(est, "_admm_iterates", no_admm)
         res = est.fit(y, est.FitConfig(lam=lam, k=2, max_iter=300))
-        assert res.iters > 0
-        assert not np.array_equal(res.f_hat, candidate)
-        assert not res.converged or res.kkt_residual <= 1e-8
-        monkeypatch.setattr(est, "_certificate", lambda *a: (certificate(*a)[0], 1.0))
-        res = est.fit(y, est.FitConfig(lam=lam, k=2, max_iter=300))
-        assert not res.converged and res.iters == 300 and res.kkt_residual == 1.0
+        assert not res.converged and res.iters == 0 and res.kkt_residual == 1.0
+        assert np.array_equal(res.f_hat, candidate)
+        assert np.array_equal(res.dual, certificate(y, candidate, lam, 2, 1e-8)[0])
 
 
-# (n, k, lambda / lambda_max) with tol_kkt = 1e-300, which nothing meets: ADMM
-# settles and then triggers the polish on every iteration.  On the first the
-# best iterate comes from a trigger that repeats the support (783 triggers, one
-# support); the second visits two supports (86 triggers).
+# (n, k, lambda / lambda_max) with tol_kkt = 1e-300, which nothing meets.  The
+# polish returns its KKT face uncertified at the first trigger (iteration 7 and
+# 250; 215 and 250 without the frozen-z trigger).  With a polish that always
+# gives up, ADMM settles and triggers it on every iteration: the first case
+# then keeps its best iterate (residual 1.47) from a trigger that repeats a
+# support (784 triggers, two supports); the second visits two supports (86
+# triggers).
 NONCERTIFYING = [(64, 2, 0.1), (160, 1, 0.3)]
 
 
 def _noncertifying_input(n, k, frac):
     y = noisy_piecewise(np.random.default_rng(20250809), n, k, 3)
     return y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, tol_kkt=1e-300, max_iter=1000)
-
-
-def _recipe_input(k):
-    """The signal of ExperimentConfig(n=4096, k, s0=8, seed=7), the noise of
-    trial 0 and lambda = 0.3 lambda_max."""
-    cfg = experiments.ExperimentConfig(n=4096, k=k, s0=8, replications=1, seed=7)
-    f0, _ = experiments.generate_signal(cfg)
-    y = f0 + experiments.trial_rng(7, 0).standard_normal(cfg.n)
-    return y, est.FitConfig(lam=0.3 * est.lambda_max(y, k), k=k)
 
 
 def assert_same_fit(res, ref):
@@ -227,34 +239,38 @@ class TestAdmmLoop:
 
     @pytest.mark.parametrize("case", NONCERTIFYING)
     def test_noncertifying_matches_reference_loop(self, case):
-        # (64, 2, 0.1) keeps an earlier iterate of lower residual (1.47) than
-        # the loop without the frozen-z trigger (1.94).
+        # The uncertified KKT face of the first polish is returned; the loop
+        # without the frozen-z trigger reaches the same face no earlier.
         y, cfg = _noncertifying_input(*case)
         res = est.fit(y, cfg)
-        assert not res.converged
+        assert not res.converged and res.iters < cfg.max_iter
         self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True))
         ref = admm_reference(y, cfg)
-        assert res.iters == ref.iters == cfg.max_iter
-        assert res.kkt_residual <= ref.kkt_residual
+        assert_same_fit(res, ref)
+        assert res.iters <= ref.iters < cfg.max_iter
 
     @pytest.mark.parametrize("case", NONCERTIFYING)
     def test_each_support_polished_once(self, case, monkeypatch):
+        # A polish that always gives up drives the repeat-skip: each (support,
+        # signs) the triggers reach is polished once, and the best iterate is
+        # the reference loop's.
         y, cfg = _noncertifying_input(*case)
         calls = []
-        polish = est._polish
 
-        def counting(y_, k, lam, active, signs, tol_kkt):
+        def giving_up(y_, k, lam, active, signs, tol_kkt):
             calls.append((tuple(active), tuple(signs)))
-            return polish(y_, k, lam, active, signs, tol_kkt)
+            return None
 
-        monkeypatch.setattr(est, "_polish", counting)
-        admm_reference(y, cfg, frozen_trigger=True)
+        monkeypatch.setattr(est, "_polish", giving_up)
+        ref = admm_reference(y, cfg, frozen_trigger=True)
         triggered = list(calls)
         calls.clear()
-        est.fit(y, cfg)
+        res = est.fit(y, cfg)
         assert len(triggered) > len(set(triggered))
         assert len(calls) == len(set(calls)) == len(set(triggered))
         assert set(calls) == set(triggered)
+        assert res.iters == cfg.max_iter and not res.converged
+        self.assert_same_bits(res, ref)
 
     def test_no_trigger_reached(self, rng, monkeypatch):
         # max_iter ends the loop before the first polish trigger (z moves on
@@ -280,7 +296,7 @@ class TestAdmmLoop:
         # z is zero from iteration 2 on, so the plain loop waits for the
         # 250th iteration to polish the empty support; the frozen-z trigger
         # polishes it at once, with the same bits.
-        y, cfg = _recipe_input(3)
+        y, cfg = recipe_input(3)
         first, _, z = next(est._admm_iterates(y, cfg))
         assert first < 250 and not np.any(z)
         assert next(admm_iterates_reference(y, cfg))[0] == 250
@@ -352,7 +368,7 @@ class TestAdmmIterates:
         # On the recipe input at k = 4 the rho doubling breaks the
         # factorization soon after iteration 250.  z is zero from iteration 2
         # to the end: the frozen-z trigger yields once, not on every iteration.
-        y, cfg = _recipe_input(4)
+        y, cfg = recipe_input(4)
         got, plain = self.assert_matches_references(y, cfg)
         assert got[-1][0] == "LinAlgError"
         assert len(got) == len(plain) + 1
@@ -361,12 +377,14 @@ class TestAdmmIterates:
 
 
 class TestPolishCycles:
-    """A repeated (active, signs) state ends the polish with None, as running
-    out the rounds would, after fewer restricted solves."""
+    """Adding the worst row of every run of violators reaches the face the
+    one-worst-row polish (``polish_reference``) cycles around."""
 
     def test_same_result_fewer_solves(self, monkeypatch):
-        # k = 3, n = 256: one polish of this fit revisits a state after 11
-        # solves; without the check it runs all POLISH_ROUNDS.
+        # k = 3, n = 256: the one-worst-row polish revisits a state at the
+        # first two triggers and certifies at iteration 500 after 25 restricted
+        # solves; the new rule certifies the same fit at the first trigger
+        # (iteration 2) after 8.
         y = noisy_piecewise(np.random.default_rng(143), 256, 3, 4)
         cfg = est.FitConfig(lam=0.3 * est.lambda_max(y, 3), k=3)
         solves = []
@@ -382,11 +400,104 @@ class TestPolishCycles:
         solves.clear()
         monkeypatch.setattr(est, "_polish", polish_reference)
         ref = est.fit(y, cfg)
-        assert res.converged
+        assert res.converged and ref.converged
         assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
-        assert (res.kkt_residual, res.iters, res.objective) == (ref.kkt_residual, ref.iters,
-                                                                ref.objective)
-        assert len(solves) - n_solves >= est.POLISH_ROUNDS - 11
+        assert (res.kkt_residual, res.objective) == (ref.kkt_residual, ref.objective)
+        assert res.iters == next(est._admm_iterates(y, cfg))[0] < ref.iters
+        assert n_solves < len(solves)
+
+    def test_repeated_state_gives_up_at_once(self, monkeypatch):
+        # k = 3, n = 256: from the empty support the polish revisits a state
+        # after 19 restricted solves and gives up there; without the check
+        # it would run all POLISH_ROUNDS.
+        rng = np.random.default_rng(189)
+        n, k = int(rng.choice([256, 512])), int(rng.integers(2, 5))
+        y = jump_signal(rng, n, k, int(rng.integers(1, 6)))
+        lam = float(rng.uniform(0.01, 0.2)) * est.lambda_max(y, k)
+        solves = []
+        solve = est._restricted_solve
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(est, "_restricted_solve", counting)
+        assert (n, k) == (256, 3)
+        assert est._polish(y, k, lam, [], [], 1e-8) is None
+        assert len(solves) == 19 < est.POLISH_ROUNDS
+
+
+class TestKktFaces:
+    """A sign-consistent face with no off-support |u| > 1 + 1e-12 satisfies
+    KKT in exact arithmetic: ``fit`` returns it, certified or not, at the
+    trigger that reached it, and the polynomial fit at lambda >= lambda_max at
+    iteration 0."""
+
+    def test_recipe_k4_returns_at_the_first_trigger(self):
+        # ADMM would raise the rho-doubling LinAlgError soon after iteration
+        # 250; the empty-support polish at the frozen-z trigger ends the fit.
+        y, cfg = recipe_input(4)
+        res = est.fit(y, cfg)
+        assert res.iters == 2
+        assert res.kkt_residual < 1e-6 and np.max(np.abs(res.dual)) <= 1.0 + 1e-12
+        f_hat, u, kkt = est._polish(y, 4, cfg.lam, [], [], cfg.tol_kkt)
+        assert np.array_equal(res.f_hat, f_hat) and np.array_equal(res.dual, u)
+        assert res.kkt_residual == kkt and res.converged == (kkt <= cfg.tol_kkt)
+
+    @pytest.mark.parametrize("n, k", [(256, 3), (256, 4), (512, 4)])
+    def test_strict_tolerance_keeps_the_face(self, n, k):
+        # tol_kkt = 1e-15 fails every certificate but changes no face.
+        y, cfg = recipe_input(k, n=n)
+        res = est.fit(y, cfg)
+        strict = est.fit(y, est.FitConfig(lam=cfg.lam, k=k, tol_kkt=1e-15))
+        assert res.converged and not strict.converged
+        assert np.array_equal(strict.f_hat, res.f_hat) and np.array_equal(strict.dual, res.dual)
+        assert strict.iters == res.iters < 250
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_polynomial_k4_returned_at_iteration_0(self, scale):
+        # The exact polynomial fit fails the float64 certificate at n = 4096
+        # (stationarity about 5e-7); ADMM is not entered.
+        y, cfg = recipe_input(4, frac=scale)
+        res = est.fit(y, cfg)
+        f_hat = est._restricted_solve(y, 4, cfg.lam, [], [])[0]
+        u, kkt = est._certificate(y, f_hat, cfg.lam, 4, cfg.tol_kkt)
+        assert res.iters == 0 and res.converged == (kkt <= cfg.tol_kkt)
+        assert np.array_equal(res.f_hat, f_hat) and np.array_equal(res.dual, u)
+        assert res.kkt_residual == kkt < 1e-6
+
+    def test_k3_at_small_lambda_certifies_at_iteration_2(self):
+        # n = 2048, 0.1 lambda_max: the one-worst-row polish never certified
+        # this fit, which ran all 50 000 ADMM iterations.
+        y, cfg = recipe_input(3, n=2048, frac=0.1)
+        res = est.fit(y, cfg)
+        assert res.converged and res.iters == 2
+
+    def test_battery_keeps_certified_bits(self, monkeypatch):
+        # Every fit the one-worst-row polish certifies keeps its f_hat, dual
+        # and residual bits, no later.  With that polish three k = 4 fits at
+        # n = 2048 raise the rho-doubling LinAlgError and one k = 3 fit
+        # certifies at iteration 500; here all four end at iteration 2.
+        rng = np.random.default_rng(20261019)
+        cases = []
+        for _ in range(32):
+            n, k = int(rng.choice([512, 2048])), int(rng.integers(1, 5))
+            y = jump_signal(rng, n, k, int(rng.integers(1, 9)))
+            cfg = est.FitConfig(lam=float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k), k=k,
+                                max_iter=2000)
+            cases.append((y, cfg, est.fit(y, cfg)))
+        monkeypatch.setattr(est, "_polish", polish_reference)
+        certified = 0
+        for y, cfg, res in cases:
+            try:
+                ref = est.fit(y, cfg)
+            except np.linalg.LinAlgError:
+                continue
+            if ref.converged:
+                certified += 1
+                assert_same_fit(res, ref)
+                assert res.iters <= ref.iters
+        assert certified >= 25
 
 
 class TestDpK1Record:
