@@ -84,11 +84,17 @@ def _dump_report(obj, path=None, fmt="json"):
     _write_text("\n".join(lines) + "\n", path)
 
 
+_SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
 def _parse_active_set(args, n, k):
     t = tuple(int(v) for v in args.jumps.split(",")) if args.jumps else ()
     if args.signs:
-        signs = tuple(1 if s.strip() in ("+", "+1", "1") else -1
-                      for s in args.signs.split(","))
+        tokens = [s.strip() for s in args.signs.split(",")]
+        bad = [s for s in tokens if s not in _SIGN_TOKENS]
+        if bad:
+            raise InputError(f"--signs entries must be one of + +1 1 - -1, got {bad[0]!r}")
+        signs = tuple(_SIGN_TOKENS[s] for s in tokens)
     else:
         signs = tuple((-1) ** i for i in range(len(t)))
     if len(signs) != len(t):

@@ -16,10 +16,13 @@ when lambda >= lambda_max, certified or not: only float64 rounding can fail
 its certificate.  Otherwise ``_admm_iterates`` yields ADMM iterates at each
 polish trigger: settled residuals, every 250th iteration, and the first
 iteration of each run in which z does not move.  The driver polishes each new
-(support, signs) by an exact active-set refinement and returns the first face
-that satisfies KKT in exact arithmetic, flagged converged when its
-certificate meets the tolerance.  It keeps the best uncertified iterate for
-when every polish gives up and ``max_iter`` runs out.
+(support, signs) by an active-set refinement and returns the first face that
+satisfies KKT in exact arithmetic, flagged converged when its certificate
+meets the tolerance.  The refinement screens the faces it passes through on
+cached columns (normal equations and one refinement step) and solves exactly,
+by QR, only its starting face and the faces where the screen stops; every
+face it returns is such an exact face.  ``fit`` keeps the best uncertified
+iterate for when every polish gives up and ``max_iter`` runs out.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ POLISH_ROUNDS = 60
 # Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded /
 # solve_triangular validate their inputs and look these up again on every call
 # of the ADMM loop and the restricted solve.
-_PBTRF, _PBTRS, _TRTRS = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs", "trtrs"),
-                                                       dtype=np.float64)
+_PBTRF, _PBTRS, _TRTRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
+    ("pbtrf", "pbtrs", "trtrs", "potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,172 @@ def _restricted_solve(y, k, lam, active, signs):
 
 _POLISH_MAX_ACTIVE = 1500
 
+# A screened decision is taken only where its quantity clears the threshold by
+# _SCREEN_MARGIN times the screen's error estimate: the change one refinement
+# step made, plus what rounding could move.  Otherwise the face is solved
+# exactly.
+_SCREEN_MARGIN = 64.0
+_EPS = float(np.finfo(float).eps)
+
+# A column that loses more than four of its sixteen digits to the
+# anti-projection (rows near the left end, at high k) is rounded differently
+# by the screen and by ``_restricted_solve``; a face with one is not screened.
+_MAX_CANCELLATION = 1e4
+
+
+class _FaceColumns:
+    """The columns X = [P, psi_A] of ``_restricted_solve`` for the rows of the
+    faces one polish passes through, and their Gram entries.
+
+    A row's unit-scaled, anti-projected falling-factorial column, and its Gram
+    entries against P, the other cached columns and y, are built once when
+    the row joins; when it leaves, the last column takes its place.  The
+    buffers grow by doubling, so memory stays O(n |A|), and a face costs
+    O(n |A|): the normal equations by Cholesky, one refinement step on the
+    true residual, and no QR."""
+
+    def __init__(self, y, k, lam):
+        n = len(y)
+        P = _cached_polynomial_basis(n, k)
+        self.y, self.k, self.lam = y, k, lam
+        self.round_err = math.sqrt(n) * _EPS * float(np.linalg.norm(y))
+        self.rows = []                  # the row of column k + i is rows[i]
+        self.slot = {}                  # row -> its column
+        # phi_1; phi_j is phi_1 moved down j - 1 rows, with the same bits, and
+        # ||phi_j|| is phi_norms[n - j].
+        self.ramp = falling_factorial_columns(n, k, [1])[:, 0]
+        self.phi_norms = np.sqrt(np.cumsum(self.ramp ** 2))
+        self.X, self.gram, self.Xy, self.scales = self._buffers(2 * k + 16)
+        self.X[:, :k] = P
+        self.gram[:k, :k] = P.T @ P
+        self.Xy[:k] = P.T @ y
+
+    def _buffers(self, cap):
+        return (np.empty((len(self.y), cap), order="F"), np.empty((cap, cap)),
+                np.empty(cap), np.empty(cap))
+
+    def _move_to(self, active):
+        """Cache the columns of ``active``, no others; their positions."""
+        k, y = self.k, self.y
+        rows = active.tolist()
+        wanted = set(rows)
+        X, gram = self.X, self.gram
+        for r in [r for r in self.rows if r not in wanted]:
+            c, last = self.slot.pop(r), k + len(self.rows) - 1
+            moved = self.rows.pop()
+            if c != last:
+                X[:, c] = X[:, last]
+                gram[c, :last + 1] = gram[last, :last + 1]
+                gram[:last + 1, c] = gram[:last + 1, last]
+                self.Xy[c], self.scales[c] = self.Xy[last], self.scales[last]
+                self.rows[c - k] = moved
+                self.slot[moved] = c
+        new = [r for r in rows if r not in self.slot]
+        if new:
+            m = k + len(self.rows)
+            end = m + len(new)
+            if end > len(self.Xy):
+                grown = self._buffers(max(2 * len(self.Xy), end))
+                grown[0][:, :m] = X[:, :m]
+                grown[1][:m, :m] = gram[:m, :m]
+                grown[2][:m], grown[3][:m] = self.Xy[:m], self.scales[:m]
+                self.X, self.gram, self.Xy, self.scales = grown
+                X, gram = self.X, self.gram
+            n = len(y)
+            block = X[:, m:end]
+            for c, r in enumerate(new):
+                block[:r - 1, c] = 0.0
+                block[r - 1:, c] = self.ramp[:n - r + 1]
+            P = X[:, :k]
+            block -= P @ (P.T @ block)
+            scales = np.linalg.norm(block, axis=0)
+            block /= scales
+            cross = X[:, :end].T @ block
+            gram[:end, m:end] = cross
+            gram[m:end, :end] = cross.T
+            self.Xy[m:end] = block.T @ y
+            self.scales[m:end] = scales
+            self.slot.update((r, m + c) for c, r in enumerate(new))
+            self.rows += new
+        return [self.slot[r] for r in rows]
+
+    def solve(self, active, signs):
+        """Screened face: (f, b, u, b_err, u_err), the fit, its differences
+        at the active rows and its dual, with error estimates for b (one per
+        row) and for u (its largest), or None when a column is too cancelled
+        or the Gram matrix does not factor."""
+        pos = self._move_to(active)
+        y, k, lam = self.y, self.k, self.lam
+        n, m = len(y), k + len(self.rows)
+        X, scales = self.X[:, :m], self.scales[pos]
+        if np.any(self.phi_norms[n - active] > _MAX_CANCELLATION * scales):
+            return None
+        target = np.zeros(m)
+        target[pos] = n * lam * signs / scales
+        chol, info = _POTRF(self.gram[:m, :m], lower=0)
+        if info:
+            return None
+        theta = _POTRS(chol, self.Xy[:m] - target)[0]
+        r = y - X @ theta
+        step = _POTRS(chol, X.T @ r - target)[0]
+        theta += step
+        d = X @ step
+        r -= d
+        u = dual_witness(r / (n * lam), k)
+        # The step's image in u, plus n ulps for the rounding of the suffix sums.
+        u_err = float(np.max(np.abs(dual_witness(d / (n * lam), k)))) + n * _EPS
+        # Rounding leaves a defect of about sqrt(n) eps |y| in X'(y - X theta);
+        # it moves theta by up to that over the smallest eigenvalue of the
+        # Gram matrix, about the square of the smallest Cholesky pivot.
+        b_err = np.abs(step[pos]) + self.round_err / float(np.min(np.diagonal(chol))) ** 2
+        return y - r, theta[pos] / scales, u, b_err / scales, u_err
+
+
+def _runs(over):
+    """The maximal runs of consecutive rows flagged ``over``."""
+    rows = np.flatnonzero(over)
+    return np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1)
+
+
+def _add_worst_rows(active, signs, runs, u, k):
+    """Add the row of largest |u| in each run, with the sign of its u."""
+    worst = np.array([run[np.argmax(np.abs(u[run]))] for run in runs])
+    j = worst + k + 1
+    pos = np.searchsorted(active, j)
+    return np.insert(active, pos, j), np.insert(signs, pos, np.sign(u[worst]))
+
+
+def _screen(face, active, signs, k, tol_kkt):
+    """The next (active, signs) of the polish, decided on a screened face, or
+    None where the polish must solve the face exactly: where the face may be
+    its last (sign-consistent with no dual clearly beyond the box off the
+    support), or where a decision lies within the screen's error of its
+    threshold."""
+    if face is None:
+        return None
+    _, b, u, b_err, u_err = face
+    if np.any(np.abs(b) <= _SCREEN_MARGIN * b_err):
+        return None
+    keep = b * signs > 0
+    if not np.all(keep):
+        return active[keep], signs[keep]
+    err = _SCREEN_MARGIN * u_err
+    mag = np.abs(u)
+    off = np.ones(len(u), dtype=bool)
+    off[active - k - 1] = False
+    # The off-support rows that may be violators on the exact face.  Stop
+    # where none is clearly past 1 + tol_kkt (the exact face may certify) or
+    # one is within the error of 1 + 1e-12 (it may or may not be a violator);
+    # otherwise they are exactly the exact face's violators.
+    near = mag[off & (mag > 1.0 + 1e-12 - err)]
+    if not np.any(near > 1.0 + tol_kkt + err) or np.any(near <= 1.0 + 1e-12 + err):
+        return None
+    runs = _runs(off & (mag > 1.0 + 1e-12))
+    # A runner-up within the error of its run's largest |u| could be the worst.
+    if any(np.count_nonzero(mag[run] >= np.max(mag[run]) - err) > 1 for run in runs):
+        return None
+    return _add_worst_rows(active, signs, runs, u, k)
+
 
 def _polish(y, k, lam, active, signs, tol_kkt):
     """Active-set refinement: drop sign-inconsistent rows, else add the worst
@@ -198,17 +367,38 @@ def _polish(y, k, lam, active, signs, tol_kkt):
     certificate fails: that face satisfies KKT in exact arithmetic, so only
     float64 rounding can fail it.  A round is a pure function of its (active,
     signs) state, so a state seen before starts a cycle that could only run
-    out the rounds: it returns None at once."""
+    out the rounds: it returns None at once.
+
+    Only the starting face and each face where the screen stops are solved
+    exactly, by ``_restricted_solve``.  The faces in between are screened:
+    solved from columns cached for this polish (``_FaceColumns``), with each
+    decision taken only where it clears its threshold by a margin over the
+    screen's error estimate.  Where the screen stops (at the face that may
+    be the last, or at a decision too close to call), the rules above are
+    applied to the exact face, and the polish goes on from there if that
+    face overturns the screen.  So every face the polish returns is
+    ``_restricted_solve`` and ``_certificate`` of its (active, signs), and
+    wherever the error estimates hold, the polish visits the states it would
+    visit solving every face exactly."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
     seen = set()
+    columns = None
     for _ in range(POLISH_ROUNDS):
         state = (active.tobytes(), signs.tobytes())
         if state in seen:
             return None
+        starting = not seen
         seen.add(state)
+        if not starting:
+            if columns is None:
+                columns = _FaceColumns(y, k, lam)
+            screened = _screen(columns.solve(active, signs), active, signs, k, tol_kkt)
+            if screened is not None:
+                active, signs = screened
+                continue
         f_hat, b = _restricted_solve(y, k, lam, active, signs)
         keep = b * signs > 0
         if not np.all(keep):
@@ -222,13 +412,7 @@ def _polish(y, k, lam, active, signs, tol_kkt):
         over[active - k - 1] = False
         if not np.any(over):
             return f_hat, u, kkt
-        # The worst row of each maximal run of consecutive violators.
-        edges = np.flatnonzero(np.diff(over, prepend=False, append=False))
-        worst = np.array([a + int(np.argmax(mag[a:b])) for a, b in zip(edges[::2], edges[1::2])])
-        j = worst + k + 1
-        pos = np.searchsorted(active, j)
-        active = np.insert(active, pos, j)
-        signs = np.insert(signs, pos, np.sign(u[worst]))
+        active, signs = _add_worst_rows(active, signs, _runs(over), u, k)
     return None
 
 

@@ -270,6 +270,94 @@ def polish_reference(y, k, lam, active, signs, tol_kkt):
     return None
 
 
+def polish_exact_reference(y, k, lam, active, signs, tol_kkt):
+    """``estimator._polish`` with every face solved exactly by
+    ``_restricted_solve`` and none screened.  Wherever the screen's error
+    estimates hold, ``fit`` with ``estimator._polish`` returns the same bits
+    as ``fit`` with this polish.
+
+    Active-set refinement: drop sign-inconsistent rows, else add the worst
+    row of each run of consecutive rows whose dual exceeds the box.
+
+    Returns (f_hat, u, kkt) at the first certified face, and at the first
+    sign-consistent face with no off-support |u| > 1 + 1e-12 even when its
+    certificate fails: that face satisfies KKT in exact arithmetic, so only
+    float64 rounding can fail it.  A round is a pure function of its (active,
+    signs) state, so a state seen before starts a cycle that could only run
+    out the rounds: it returns None at once."""
+    active = np.sort(np.asarray(active, dtype=int))
+    signs = np.asarray(signs, dtype=float)
+    if len(active) > est._POLISH_MAX_ACTIVE:
+        return None
+    seen = set()
+    for _ in range(est.POLISH_ROUNDS):
+        state = (active.tobytes(), signs.tobytes())
+        if state in seen:
+            return None
+        seen.add(state)
+        f_hat, b = est._restricted_solve(y, k, lam, active, signs)
+        keep = b * signs > 0
+        if not np.all(keep):
+            active, signs = active[keep], signs[keep]
+            continue
+        u, kkt = est._certificate(y, f_hat, lam, k, tol_kkt)
+        if kkt <= tol_kkt:
+            return f_hat, u, kkt
+        mag = np.abs(u)
+        over = mag > 1.0 + 1e-12
+        over[active - k - 1] = False
+        if not np.any(over):
+            return f_hat, u, kkt
+        # The worst row of each maximal run of consecutive violators.
+        edges = np.flatnonzero(np.diff(over, prepend=False, append=False))
+        worst = np.array([a + int(np.argmax(mag[a:b])) for a, b in zip(edges[::2], edges[1::2])])
+        j = worst + k + 1
+        pos = np.searchsorted(active, j)
+        active = np.insert(active, pos, j)
+        signs = np.insert(signs, pos, np.sign(u[worst]))
+    return None
+
+
+class PolishLog:
+    """Every face a polish solves, in order: ("screen", state) for each call
+    of ``_FaceColumns.solve`` and ("qr", state) for each call of
+    ``_restricted_solve``, with state = (active rows, signs) as tuples.
+
+    A polish round screens its face, solves it by QR (the starting face), or
+    both on one state (where the screen stops); ``rounds`` counts each round
+    once, so it also counts the rounds of ``polish_exact_reference``."""
+
+    def __init__(self, monkeypatch):
+        self.faces = []
+        qr, screen = est._restricted_solve, est._FaceColumns.solve
+
+        def logged_qr(y, k, lam, active, signs):
+            self.faces.append(("qr", self.state(active, signs)))
+            return qr(y, k, lam, active, signs)
+
+        def logged_screen(columns, active, signs):
+            self.faces.append(("screen", self.state(active, signs)))
+            return screen(columns, active, signs)
+
+        monkeypatch.setattr(est, "_restricted_solve", logged_qr)
+        monkeypatch.setattr(est._FaceColumns, "solve", logged_screen)
+
+    @staticmethod
+    def state(active, signs):
+        return tuple(int(j) for j in active), tuple(float(s) for s in signs)
+
+    def rounds(self):
+        """The state of each round, in order."""
+        return [state for i, (kind, state) in enumerate(self.faces)
+                if not (kind == "qr" and i and self.faces[i - 1] == ("screen", state))]
+
+    def qr_faces(self):
+        return sum(kind == "qr" for kind, _ in self.faces)
+
+    def clear(self):
+        self.faces.clear()
+
+
 def ff_columns_reference(n, k, rows):
     """Falling-factorial columns filled one column at a time; the vectorized
     ``diffops.falling_factorial_columns`` must agree bit for bit."""

@@ -172,6 +172,19 @@ class TestBounds:
         assert cli.main(args + ["--signs", "-,+,-"]) == 0
         assert capsys.readouterr().out == attached
 
+    @pytest.mark.parametrize("signs", ["+,0", "+,banana", "+,", "+,--", "+,+-1"])
+    def test_bad_sign_token_rejected(self, signs, capsys):
+        args = ["bounds", "--n", "100", "--k", "1", "--jumps", "30,60", f"--signs={signs}"]
+        assert cli.main(args) == 2
+        assert "--signs" in capsys.readouterr().err
+
+    def test_sign_tokens_stripped(self, capsys):
+        args = ["bounds", "--n", "100", "--k", "1", "--jumps", "30,60"]
+        assert cli.main(args + ["--signs", "+1, -1"]) == 0
+        spaced = capsys.readouterr().out
+        assert cli.main(args + ["--signs", "+,-"]) == 0
+        assert capsys.readouterr().out == spaced
+
 
 class TestInterpolant:
     def test_csv_columns_and_slack(self, tmp_path):
@@ -208,6 +221,22 @@ class TestInterpolant:
         assert cli.main(args + ["--signs", "-,+,-"]) == 0
         assert capsys.readouterr().out == attached
         assert attached.splitlines()[30 - 1] == "30,-1,1,0"
+
+    @pytest.mark.parametrize("signs", ["+,0", "banana,-", "-,x"])
+    def test_bad_sign_token_rejected(self, signs, capsys):
+        args = ["interpolant", "--n", "100", "--k", "1", "--jumps", "30,60", f"--signs={signs}"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--signs" in captured.err
+
+    def test_every_accepted_sign_token(self, capsys):
+        args = ["interpolant", "--n", "100", "--k", "1", "--jumps", "30,60"]
+        outs = []
+        for signs in ("+,-", "+1,-1", "1,-1", " + , - "):
+            assert cli.main(args + [f"--signs={signs}"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(set(outs)) == 1
+        assert outs[0].splitlines()[30 - 1] == "30,1,1,0"
 
     def test_noiseless_mode(self, tmp_path):
         out = tmp_path / "q.csv"

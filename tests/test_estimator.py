@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (admm_iterates_reference, admm_reference, admm_system_banded_reference,
-                      dense_delta, ff_columns_reference, polish_reference, recipe_input,
+from conftest import (PolishLog, admm_iterates_reference, admm_reference,
+                      admm_system_banded_reference, dense_delta, ff_columns_reference,
+                      polish_exact_reference, polish_reference, recipe_input,
                       restricted_solve_reference, tv1d_reference, tv_dual_reference)
 from tvtrend import estimator as est
 from tvtrend import experiments
 from tvtrend.diffops import _cached_polynomial_basis, falling_factorial_columns, polynomial_basis
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def noisy_piecewise(rng, n, k, s0, amp=8.0):
@@ -376,55 +380,236 @@ class TestAdmmIterates:
         assert it < 250 and not np.any(np.frombuffer(z))
 
 
+def battery_inputs():
+    """32 seeded inputs: n in {512, 2048}, k = 1..4, 1-8 jumps, lambda in
+    U(0.05, 0.5) lambda_max, at most 2000 ADMM iterations."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(32):
+        n, k = int(rng.choice([512, 2048])), int(rng.integers(1, 5))
+        y = jump_signal(rng, n, k, int(rng.integers(1, 9)))
+        cases.append((y, est.FitConfig(lam=float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k),
+                                       k=k, max_iter=2000)))
+    return cases
+
+
 class TestPolishCycles:
     """Adding the worst row of every run of violators reaches the face the
     one-worst-row polish (``polish_reference``) cycles around."""
 
     def test_same_result_fewer_solves(self, monkeypatch):
         # k = 3, n = 256: the one-worst-row polish revisits a state at the
-        # first two triggers and certifies at iteration 500 after 25 restricted
-        # solves; the new rule certifies the same fit at the first trigger
+        # first two triggers and certifies at iteration 500 after 25 rounds;
+        # the new rule certifies the same fit at the first trigger
         # (iteration 2) after 8.
         y = noisy_piecewise(np.random.default_rng(143), 256, 3, 4)
         cfg = est.FitConfig(lam=0.3 * est.lambda_max(y, 3), k=3)
-        solves = []
-        solve = est._restricted_solve
-
-        def counting(*args):
-            solves.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(est, "_restricted_solve", counting)
+        log = PolishLog(monkeypatch)
         res = est.fit(y, cfg)
-        n_solves = len(solves)
-        solves.clear()
+        rounds = len(log.rounds())
+        log.clear()
         monkeypatch.setattr(est, "_polish", polish_reference)
         ref = est.fit(y, cfg)
         assert res.converged and ref.converged
         assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
         assert (res.kkt_residual, res.objective) == (ref.kkt_residual, ref.objective)
         assert res.iters == next(est._admm_iterates(y, cfg))[0] < ref.iters
-        assert n_solves < len(solves)
+        assert (rounds, len(log.rounds())) == (8, 25)
 
     def test_repeated_state_gives_up_at_once(self, monkeypatch):
         # k = 3, n = 256: from the empty support the polish revisits a state
-        # after 19 restricted solves and gives up there; without the check
-        # it would run all POLISH_ROUNDS.
+        # after 19 rounds and gives up there, at the same state as the polish
+        # that solves every face exactly; without the check it would run all
+        # POLISH_ROUNDS.
         rng = np.random.default_rng(189)
         n, k = int(rng.choice([256, 512])), int(rng.integers(2, 5))
         y = jump_signal(rng, n, k, int(rng.integers(1, 6)))
         lam = float(rng.uniform(0.01, 0.2)) * est.lambda_max(y, k)
-        solves = []
-        solve = est._restricted_solve
-
-        def counting(*args):
-            solves.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(est, "_restricted_solve", counting)
         assert (n, k) == (256, 3)
+        log = PolishLog(monkeypatch)
         assert est._polish(y, k, lam, [], [], 1e-8) is None
-        assert len(solves) == 19 < est.POLISH_ROUNDS
+        rounds, qr_faces = log.rounds(), log.qr_faces()
+        log.clear()
+        assert polish_exact_reference(y, k, lam, [], [], 1e-8) is None
+        assert rounds == log.rounds()
+        assert len(rounds) == 19 < est.POLISH_ROUNDS
+        assert qr_faces < len(rounds)
+
+
+FIT_FIELDS = ("f_hat", "dual", "kkt_residual", "objective", "converged", "iters")
+
+
+def fit_or_error(y, cfg):
+    try:
+        return est.fit(y, cfg)
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+def assert_same_result(res, ref):
+    """Every field of two fits bitwise equal, or the same LinAlgError."""
+    if isinstance(ref, str) or isinstance(res, str):
+        assert res == ref
+        return
+    for field in FIT_FIELDS:
+        assert np.array_equal(getattr(res, field), getattr(ref, field)), field
+
+
+def assert_pinned_to_exact_polish(inputs, monkeypatch):
+    """``fit`` returns the bits of ``fit`` with ``polish_exact_reference``,
+    the polish that solves every face by ``_restricted_solve``."""
+    got = [fit_or_error(y, cfg) for y, cfg in inputs]
+    monkeypatch.setattr(est, "_polish", polish_exact_reference)
+    for (y, cfg), res in zip(inputs, got):
+        assert_same_result(res, fit_or_error(y, cfg))
+    return got
+
+
+class TestScreenedPolish:
+    """The polish screens its faces on cached columns and solves exactly only
+    its starting face and the faces where the screen stops; every fit keeps
+    the bits of the polish that solves every face exactly."""
+
+    def test_pinned_on_n4096_inputs(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        inputs = []
+        for k in (1, 2, 3, 4):
+            for jumps in (4, 16):
+                for _ in range(3):
+                    y = jump_signal(rng, 4096, k, jumps)
+                    lam = float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k)
+                    inputs.append((y, est.FitConfig(lam=lam, k=k, max_iter=1000)))
+        got = assert_pinned_to_exact_polish(inputs, monkeypatch)
+        assert sum(not isinstance(res, str) and res.converged for res in got) >= 17
+
+    def test_pinned_on_k1_coverage_trials(self, monkeypatch):
+        cfg = experiments.ExperimentConfig.from_json(CONFIGS / "k1_coverage.json")
+        prep = experiments.prepare(cfg)
+        fit_cfg = est.FitConfig(lam=prep.lam, k=cfg.k, tol_kkt=cfg.tol_kkt)
+        inputs = [(prep.f0 + experiments.trial_rng(cfg.seed, trial).standard_normal(cfg.n),
+                   fit_cfg) for trial in range(200)]
+        got = assert_pinned_to_exact_polish(inputs, monkeypatch)
+        assert all(res.converged for res in got)
+
+    def test_pinned_on_battery(self, monkeypatch):
+        assert_pinned_to_exact_polish(battery_inputs(), monkeypatch)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_screened_face_matches_restricted_solve(self, k, rng):
+        # One set of cached columns follows a chain of random faces: rows
+        # joining and leaving, up to 13 neighbouring pairs, buffer growth.
+        # The QR face lies within the margin times the screen's error
+        # estimates, which is what the screen relies on, and for k <= 2
+        # within 1e-9.  At k = 3 and 4, one refinement step leaves up to
+        # 2e-8 and 2e-3 on the faces with many neighbouring pairs; the
+        # estimates say so, and the screen stops there.
+        P = _cached_polynomial_basis
+        for n in (300, 1024):
+            y = noisy_piecewise(rng, n, k, 3)
+            lam = 0.2 * est.lambda_max(y, k)
+            columns = est._FaceColumns(y, k, lam)
+            for size in (0, 3, 1, 12, 40, 6):
+                rows = rng.choice(np.arange(k + 1, n), size, replace=False)
+                rows = np.unique(np.concatenate([rows, rows[:size // 3] + 1]))
+                signs = rng.choice([-1.0, 1.0], size=len(rows))
+                face = columns.solve(rows, signs)
+                f_ref, b_ref = est._restricted_solve(y, k, lam, rows, signs)
+                if face is None:
+                    # Only a column that loses four digits to the
+                    # anti-projection keeps a face from being screened.
+                    phi = falling_factorial_columns(n, k, rows)
+                    psi = phi - P(n, k) @ (P(n, k).T @ phi)
+                    assert np.any(np.linalg.norm(phi, axis=0)
+                                  > 0.5 * est._MAX_CANCELLATION * np.linalg.norm(psi, axis=0))
+                    continue
+                f, b, u, b_err, u_err = face
+                u_ref = est._certificate(y, f_ref, lam, k, 1e-8)[0]
+                assert np.all(np.abs(b - b_ref) <= est._SCREEN_MARGIN * b_err)
+                assert np.max(np.abs(u - u_ref)) <= est._SCREEN_MARGIN * u_err
+                if k <= 2:
+                    assert np.linalg.norm(f - f_ref) <= 1e-9 * np.linalg.norm(f_ref)
+                    assert np.linalg.norm(b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
+            if k >= 3:
+                # The first row's column is nearly a polynomial: at k = 3, 4
+                # it keeps fewer than 11 of its digits after the
+                # anti-projection.
+                assert columns.solve(np.array([k + 1]), np.ones(1)) is None
+
+    def test_screen_decides_only_clear_cases(self):
+        # k = 1, n = 20: u has 19 rows, row j of the active set is u[j - 2].
+        k, active, signs = 1, np.array([5, 12]), np.array([1.0, -1.0])
+        u = np.linspace(-0.5, 0.5, 19)
+        u[active - k - 1] = signs
+
+        def screen(b=(1.0, -1.0), b_err=1e-12, u_err=1e-12, tol=1e-8, **rows):
+            v = u.copy()
+            for j, value in rows.items():
+                v[int(j[1:])] = value
+            face = (None, np.array(b), v, np.full(2, b_err), u_err)
+            return est._screen(face, active, signs, k, tol)
+
+        dropped = screen(b=(1.0, 1e-3))
+        assert np.array_equal(dropped[0], [5]) and np.array_equal(dropped[1], [1.0])
+        assert screen(b=(1.0, 1e-3), b_err=1e-4) is None        # sign too close to call
+        assert screen() is None                                   # violator-free: may be last
+        assert screen(r8=1.0 + 5e-13, tol=1e-15) is None          # no row past 1 + 1e-12
+        assert screen(r8=1.0 + 5e-9) is None                      # within tol_kkt: may certify
+        grown = screen(r0=-1.2, r1=-1.1, r7=1.05, r8=1.3, r9=1.2)
+        assert np.array_equal(grown[0], [2, 5, 10, 12])
+        assert np.array_equal(grown[1], [-1.0, 1.0, 1.0, -1.0])
+        assert screen(r8=1.3, r9=1.3 - 1e-11) is None             # runner-up within the error
+        assert screen(r8=1.3, r9=1.0 + 1e-12 + 1e-11) is None     # row at the violator threshold
+
+    @pytest.mark.parametrize("lie", ["flip", "hide"])
+    @pytest.mark.parametrize("seed", [8, 10, 16, 22])
+    def test_lying_screen_is_overturned(self, seed, lie, monkeypatch):
+        # A screened face that wrongly looks final (the sign of its one
+        # inconsistent row flipped, or its one run of violators hidden) stops
+        # the screen; the exact face overturns it, and the polish ends where
+        # solving every face exactly ends.
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.choice([256, 512])), int(rng.integers(2, 5))
+        y = jump_signal(rng, n, k, int(rng.integers(1, 6)))
+        lam = float(rng.uniform(0.05, 0.3)) * est.lambda_max(y, k)
+        ref = polish_exact_reference(y, k, lam, [], [], 1e-8)
+        log = PolishLog(monkeypatch)
+        assert est._polish(y, k, lam, [], [], 1e-8) is not None
+        honest = log.qr_faces()
+        log.clear()
+        solve = est._FaceColumns.solve
+        lies = []
+
+        def lying(columns, active, signs):
+            face = solve(columns, active, signs)
+            if face is None or lies:
+                return face
+            f, b, u, b_err, u_err = face
+            over = np.abs(u) > 1.0 + 1e-12
+            over[active - k - 1] = False
+            wrong = b * signs <= 0
+            if lie == "flip" and np.count_nonzero(wrong) == 1 and not np.any(over):
+                b = np.where(wrong, -b, b)
+                lies.append(active)
+            elif lie == "hide" and not np.any(wrong) and len(est._runs(over)) == 1:
+                u = np.where(over, np.sign(u) * (1.0 - 1e-3), u)
+                lies.append(active)
+            return f, b, u, b_err, u_err
+
+        monkeypatch.setattr(est._FaceColumns, "solve", lying)
+        got = est._polish(y, k, lam, [], [], 1e-8)
+        assert len(lies) == 1 and log.qr_faces() == honest + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_stop_at_first_screened_face_builds_two_qr_faces(self, monkeypatch):
+        # From the empty support: the starting face adds the worst row of its
+        # one violator run, and the next face is the last.
+        y, cfg = recipe_input(2, n=1024, frac=0.6)
+        log = PolishLog(monkeypatch)
+        got = est._polish(y, 2, cfg.lam, [], [], cfg.tol_kkt)
+        assert [kind for kind, _ in log.faces] == ["qr", "screen", "qr"]
+        assert len(log.rounds()) == 2 and log.qr_faces() == 2
+        ref = polish_exact_reference(y, 2, cfg.lam, [], [], cfg.tol_kkt)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 class TestKktFaces:
@@ -478,14 +663,7 @@ class TestKktFaces:
         # and residual bits, no later.  With that polish three k = 4 fits at
         # n = 2048 raise the rho-doubling LinAlgError and one k = 3 fit
         # certifies at iteration 500; here all four end at iteration 2.
-        rng = np.random.default_rng(20261019)
-        cases = []
-        for _ in range(32):
-            n, k = int(rng.choice([512, 2048])), int(rng.integers(1, 5))
-            y = jump_signal(rng, n, k, int(rng.integers(1, 9)))
-            cfg = est.FitConfig(lam=float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k), k=k,
-                                max_iter=2000)
-            cases.append((y, cfg, est.fit(y, cfg)))
+        cases = [(y, cfg, est.fit(y, cfg)) for y, cfg in battery_inputs()]
         monkeypatch.setattr(est, "_polish", polish_reference)
         certified = 0
         for y, cfg, res in cases:
