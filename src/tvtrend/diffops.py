@@ -111,15 +111,22 @@ def polynomial_basis(n, k):
 
 
 def falling_factorial_columns(n, k, rows):
-    """Falling-factorial columns phi_j for 1-based rows j (Delta phi_j = e_j):
-    C(i - j + k - 1, k - 1) for i >= j, as the running product
-    prod_r (i - j + r) / r, and 0 above row j."""
-    shift = np.arange(1, n + 1)[:, None] - np.asarray(rows, dtype=int)
-    cols = np.ones(shift.shape)
+    """Falling-factorial columns phi_j for 1-based rows j in [1, n]
+    (Delta phi_j = e_j): C(i - j + k - 1, k - 1) for i >= j, as the running
+    product prod_r (i - j + r) / r, and 0 above row j.  The product depends
+    on i - j alone, so it is taken once, for i - j = 0..n-1, and each column
+    is that ramp moved down to row j."""
+    rows = [int(j) for j in rows]
+    if rows and min(rows) < 1:
+        raise ValueError(f"rows must be 1-based, got {min(rows)}")
+    shift = np.arange(n)
+    ramp = np.ones(n)
     for r in range(1, k):
-        cols *= shift + r
-        cols /= r
-    cols[shift < 0] = 0.0
+        ramp *= shift + r
+        ramp /= r
+    cols = np.zeros((n, len(rows)))
+    for c, j in enumerate(rows):
+        cols[j - 1:, c] = ramp[:max(n - j + 1, 0)]
     return cols
 
 

@@ -21,8 +21,12 @@ satisfies KKT in exact arithmetic, flagged converged when its certificate
 meets the tolerance.  The refinement screens the faces it passes through on
 cached columns (normal equations and one refinement step) and solves exactly,
 by QR, only its starting face and the faces where the screen stops; every
-face it returns is such an exact face.  ``fit`` keeps the best uncertified
-iterate for when every polish gives up and ``max_iter`` runs out.
+face it returns is such an exact face.  A screened face forms its dual only
+where the decision needs it: not where it drops a sign-inconsistent row.
+Its dual's error is bounded in O(|A|) from per-(n, k) constants
+(``_cached_dual_gains``) instead of a second pass over n.  ``fit`` keeps the
+best uncertified iterate for when every polish gives up and ``max_iter``
+runs out.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .diffops import (_cached_polynomial_basis, build_delta, difference_coefficients, dual_witness,
-                      falling_factorial_columns)
+from .diffops import (_cached_pinv_sqnorms, _cached_polynomial_basis, build_delta,
+                      difference_coefficients, dual_witness, falling_factorial_columns)
 
 ALGORITHMS = ("admm", "dp_k1")
 
@@ -69,10 +73,10 @@ class FitConfig:
             raise ValueError("lambda must be nonnegative")
         if not (math.isfinite(self.tol_kkt) and self.tol_kkt > 0):
             raise ValueError("tol_kkt must be finite and positive")
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name in ("k", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.algorithm == "dp_k1" and self.k != 1:
@@ -230,6 +234,7 @@ class _FaceColumns:
         self.X[:, :k] = P
         self.gram[:k, :k] = P.T @ P
         self.Xy[:k] = P.T @ y
+        self.dual_gain = _cached_dual_gains(n, k)
 
     def _buffers(self, cap):
         return (np.empty((len(self.y), cap), order="F"), np.empty((cap, cap)),
@@ -281,15 +286,18 @@ class _FaceColumns:
         return [self.slot[r] for r in rows]
 
     def solve(self, active, signs):
-        """Screened face: (f, b, u, b_err, u_err), the fit, its differences
-        at the active rows and its dual, with error estimates for b (one per
-        row) and for u (its largest), or None when a column is too cancelled
-        or the Gram matrix does not factor."""
+        """Screened face: (b, b_err, dual), the differences at the active
+        rows with an error estimate for each, and ``dual()``, which returns
+        (f, u, u_err): the fit, its dual and a bound on the dual's error.
+        The dual costs a pass over X and k suffix sums over n, so it is
+        formed only when called, before the next ``solve``: a face decided
+        on b never forms it.  None when a column is too cancelled or the
+        Gram matrix does not factor."""
         pos = self._move_to(active)
         y, k, lam = self.y, self.k, self.lam
         n, m = len(y), k + len(self.rows)
         X, scales = self.X[:, :m], self.scales[pos]
-        if np.any(self.phi_norms[n - active] > _MAX_CANCELLATION * scales):
+        if (self.phi_norms[n - active] > _MAX_CANCELLATION * scales).any():
             return None
         target = np.zeros(m)
         target[pos] = n * lam * signs / scales
@@ -300,16 +308,37 @@ class _FaceColumns:
         r = y - X @ theta
         step = _POTRS(chol, X.T @ r - target)[0]
         theta += step
-        d = X @ step
-        r -= d
-        u = dual_witness(r / (n * lam), k)
-        # The step's image in u, plus n ulps for the rounding of the suffix sums.
-        u_err = float(np.max(np.abs(dual_witness(d / (n * lam), k)))) + n * _EPS
         # Rounding leaves a defect of about sqrt(n) eps |y| in X'(y - X theta);
         # it moves theta by up to that over the smallest eigenvalue of the
         # Gram matrix, about the square of the smallest Cholesky pivot.
-        b_err = np.abs(step[pos]) + self.round_err / float(np.min(np.diagonal(chol))) ** 2
-        return y - r, theta[pos] / scales, u, b_err / scales, u_err
+        b_err = np.abs(step[pos]) + self.round_err / float(chol.diagonal().min()) ** 2
+
+        def dual():
+            r_face = r - X @ step
+            u = dual_witness(r_face / (n * lam), k)
+            # A bound on the step's image in u (``_cached_dual_gains``), plus n
+            # ulps for the rounding of the suffix sums.  ||psi_A step_A||^2 is
+            # read off the cached Gram entries, each rounded by up to n ulps.
+            gain_P, gain_psi = self.dual_gain
+            s = step[k:]
+            sq = float(s @ (self.gram[k:m, k:m] @ s)) + n * _EPS * float(np.sum(np.abs(s))) ** 2
+            image = float(gain_P @ np.abs(step[:k])) + gain_psi * math.sqrt(max(sq, 0.0))
+            return y - r_face, u, image / (n * lam) + n * _EPS
+
+        return theta[pos] / scales, b_err / scales, dual
+
+
+@lru_cache(maxsize=32)
+def _cached_dual_gains(n, k):
+    """Per (n, k): c_l, the largest |u| that ``dual_witness`` makes of each
+    polynomial column P_l, and c_psi, the largest column norm of Delta(k)^+.
+
+    ``dual_witness`` of v orthogonal to P has entries <v, psi_j>, psi_j the
+    columns of Delta(k)^+, so by Cauchy-Schwarz the image of
+    X step = P step_P + v is at most sum_l c_l |step_l| + c_psi ||v||."""
+    gain_P = np.max(np.abs(dual_witness(_cached_polynomial_basis(n, k), k)), axis=0)
+    gain_P.setflags(write=False)
+    return gain_P, math.sqrt(float(np.max(_cached_pinv_sqnorms(n, k))))
 
 
 def _runs(over):
@@ -321,9 +350,15 @@ def _runs(over):
 def _add_worst_rows(active, signs, runs, u, k):
     """Add the row of largest |u| in each run, with the sign of its u."""
     worst = np.array([run[np.argmax(np.abs(u[run]))] for run in runs])
-    j = worst + k + 1
-    pos = np.searchsorted(active, j)
-    return np.insert(active, pos, j), np.insert(signs, pos, np.sign(u[worst]))
+    return _add_rows(active, signs, worst, u, k)
+
+
+def _add_rows(active, signs, worst, u, k):
+    """Insert the active rows of the dual rows ``worst``, with the signs of
+    their u."""
+    grown = np.concatenate([active, worst + k + 1])
+    order = np.argsort(grown)
+    return grown[order], np.concatenate([signs, np.sign(u[worst])])[order]
 
 
 def _screen(face, active, signs, k, tol_kkt):
@@ -331,31 +366,40 @@ def _screen(face, active, signs, k, tol_kkt):
     None where the polish must solve the face exactly: where the face may be
     its last (sign-consistent with no dual clearly beyond the box off the
     support), or where a decision lies within the screen's error of its
-    threshold."""
+    threshold.  The signs of b are decided first; the face's dual is formed
+    only when they are all kept."""
     if face is None:
         return None
-    _, b, u, b_err, u_err = face
-    if np.any(np.abs(b) <= _SCREEN_MARGIN * b_err):
+    b, b_err, dual = face
+    if (np.abs(b) <= _SCREEN_MARGIN * b_err).any():
         return None
     keep = b * signs > 0
-    if not np.all(keep):
+    if not keep.all():
         return active[keep], signs[keep]
+    _, u, u_err = dual()
     err = _SCREEN_MARGIN * u_err
     mag = np.abs(u)
-    off = np.ones(len(u), dtype=bool)
-    off[active - k - 1] = False
-    # The off-support rows that may be violators on the exact face.  Stop
-    # where none is clearly past 1 + tol_kkt (the exact face may certify) or
-    # one is within the error of 1 + 1e-12 (it may or may not be a violator);
-    # otherwise they are exactly the exact face's violators.
-    near = mag[off & (mag > 1.0 + 1e-12 - err)]
-    if not np.any(near > 1.0 + tol_kkt + err) or np.any(near <= 1.0 + 1e-12 + err):
+    # The off-support rows that may be violators on the exact face, in one
+    # pass over u.  Stop where none is clearly past 1 + tol_kkt (the exact
+    # face may certify) or one is within the error of 1 + 1e-12 (it may or
+    # may not be a violator); otherwise they are exactly the exact face's
+    # violators.
+    rows = np.flatnonzero(mag > 1.0 + 1e-12 - err)
+    on = active - k - 1
+    rows = rows[np.searchsorted(on, rows, side="right") == np.searchsorted(on, rows)]
+    near = mag[rows]
+    if not (near > 1.0 + tol_kkt + err).any() or (near <= 1.0 + 1e-12 + err).any():
         return None
-    runs = _runs(off & (mag > 1.0 + 1e-12))
-    # A runner-up within the error of its run's largest |u| could be the worst.
-    if any(np.count_nonzero(mag[run] >= np.max(mag[run]) - err) > 1 for run in runs):
+    # Each run of consecutive rows, its largest |u| and the rows within the
+    # error of it: a runner-up there could be the worst.
+    opens = np.ones(len(rows), dtype=bool)
+    np.greater(rows[1:] - rows[:-1], 1, out=opens[1:])
+    starts = np.flatnonzero(opens)
+    peak = np.maximum.reduceat(near, starts)
+    top = near >= peak[np.cumsum(opens) - 1] - err
+    if np.count_nonzero(top) > len(starts):
         return None
-    return _add_worst_rows(active, signs, runs, u, k)
+    return _add_rows(active, signs, rows[top], u, k)
 
 
 def _polish(y, k, lam, active, signs, tol_kkt):
@@ -441,6 +485,23 @@ def _admm_system_banded(n, k, rho):
     return ab
 
 
+def _admm_factor(n, k, rho):
+    """Upper banded Cholesky factor of ``_admm_system_banded(n, k, rho)``."""
+    chol, info = _PBTRF(_admm_system_banded(n, k, rho), lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return chol
+
+
+@lru_cache(maxsize=32)
+def _cached_start_factor(n, k):
+    """Read-only ``_admm_factor(n, k, RHO_INIT)``, the factor every ADMM run
+    starts from, built once per (n, k)."""
+    chol = _admm_factor(n, k, RHO_INIT)
+    chol.setflags(write=False)
+    return chol
+
+
 def _diff_plan(src, k, out, rows):
     """``(minuend, subtrahend, out)`` views whose subtractions, run in order,
     leave ``np.diff(src, k)`` in ``out``: the same k differences in the same
@@ -477,10 +538,7 @@ def _admm_iterates(y, cfg):
     sign_t = (-1.0) ** k
 
     def factor(rho):
-        chol, info = _PBTRF(_admm_system_banded(n, k, rho), lower=0)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-        return chol
+        return _cached_start_factor(n, k) if rho == RHO_INIT else _admm_factor(n, k, rho)
 
     chol = factor(rho)
     f = y.copy()                        # also the right-hand side: pbtrs solves in place

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +45,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_int(name, value, low, high=None):
+    """Refuse ``value`` unless it is an integer (not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be {bounds}, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -66,8 +76,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unknown schema_version {self.schema_version}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        _check_int("k", self.k, 1)
+        _check_int("n", self.n, self.k + 1)
+        _check_int("s0", self.s0, 0)
+        _check_int("replications", self.replications, 1)
+        _check_int("seed", self.seed, 0, 2 ** 64 - 1)     # the Philox key is a uint64
         if self.lambda_rule not in LAMBDA_RULES:
             raise ConfigError(f"lambda_rule must be one of {LAMBDA_RULES}")
         if self.jump_layout not in JUMP_LAYOUTS:

@@ -358,6 +358,42 @@ class PolishLog:
         self.faces.clear()
 
 
+def screen_violators_reference(u, u_err, active, signs, k, tol_kkt):
+    """The screen's decision on a sign-consistent face, as the exact path
+    reads it: mask the off-support rows past the box with ``_runs`` and add
+    the worst row of each run with ``_add_worst_rows``, after stopping where
+    no row is clearly past 1 + tol_kkt, a row is within the error of
+    1 + 1e-12, or a runner-up is within the error of its run's worst row."""
+    err = est._SCREEN_MARGIN * u_err
+    mag = np.abs(u)
+    off = np.ones(len(u), dtype=bool)
+    off[active - k - 1] = False
+    near = mag[off & (mag > 1.0 + 1e-12 - err)]
+    if not np.any(near > 1.0 + tol_kkt + err) or np.any(near <= 1.0 + 1e-12 + err):
+        return None
+    runs = est._runs(off & (mag > 1.0 + 1e-12))
+    if any(np.count_nonzero(mag[run] >= np.max(mag[run]) - err) > 1 for run in runs):
+        return None
+    return est._add_worst_rows(active, signs, runs, u, k)
+
+
+def screened_step_image(columns, active, signs):
+    """X step for the face ``columns.solve(active, signs)`` just solved: its
+    normal equations and refinement step, with the LAPACK calls of
+    ``_FaceColumns.solve`` on the same cached entries, so the same bits."""
+    y, k, lam = columns.y, columns.k, columns.lam
+    n, m = len(y), k + len(columns.rows)
+    pos = [columns.slot[int(j)] for j in active]
+    X = columns.X[:, :m]
+    target = np.zeros(m)
+    target[pos] = n * lam * np.asarray(signs) / columns.scales[pos]
+    chol, info = est._POTRF(columns.gram[:m, :m], lower=0)
+    assert info == 0
+    theta = est._POTRS(chol, columns.Xy[:m] - target)[0]
+    step = est._POTRS(chol, X.T @ (y - X @ theta) - target)[0]
+    return X @ step
+
+
 def ff_columns_reference(n, k, rows):
     """Falling-factorial columns filled one column at a time; the vectorized
     ``diffops.falling_factorial_columns`` must agree bit for bit."""

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import recipe_input
 from tvtrend import cli
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def write_signal(path, y):
     path.write_text("".join(f"{v:.17g}\n" for v in y))
@@ -285,6 +287,27 @@ class TestSimulate:
     def test_unknown_schema_version(self, tmp_path):
         path = self.config(tmp_path, schema_version=99)
         assert cli.main(["simulate", "--config", str(path), "--dry-run"]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("s0", -1), ("n", 64.5), ("n", 1), ("n", True), ("k", 0), ("k", 1.0), ("k", True),
+        ("s0", False), ("replications", True), ("replications", 2.0), ("seed", -1),
+        ("seed", 2 ** 64), ("seed", True), ("seed", "11")])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_bad_integer_field_is_usage_error(self, tmp_path, capsys, field, value, dry_run):
+        # Checked when the config loads: --dry-run refuses what the run refuses.
+        path = self.config(tmp_path, **{field: value})
+        csv, summ = tmp_path / "trials.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(path), "--out-csv", str(csv), "--out-json", str(summ)]
+        assert cli.main(argv + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and captured.out == ""
+        assert not csv.exists() and not summ.exists()
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_valid(self, config, capsys):
+        assert cli.main(["simulate", "--config", str(config), "--dry-run"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] is True and out["config"] == json.loads(config.read_text())
 
     def test_run_outputs(self, tmp_path):
         path = self.config(tmp_path)

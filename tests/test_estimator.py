@@ -3,14 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (PolishLog, admm_iterates_reference, admm_reference,
                       admm_system_banded_reference, dense_delta, ff_columns_reference,
                       polish_exact_reference, polish_reference, recipe_input,
-                      restricted_solve_reference, tv1d_reference, tv_dual_reference)
+                      restricted_solve_reference, screen_violators_reference,
+                      screened_step_image, tv1d_reference, tv_dual_reference)
 from tvtrend import estimator as est
 from tvtrend import experiments
-from tvtrend.diffops import _cached_polynomial_basis, falling_factorial_columns, polynomial_basis
+from tvtrend.diffops import (_cached_polynomial_basis, dual_witness, falling_factorial_columns,
+                             polynomial_basis)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,9 +104,11 @@ class TestFitBasics:
         for lam, bad in ((0.0, 0), (0.0, -2), (1.0, 0), (1.0, 1.5), (1.0, 2.0), (1.0, "2")):
             with pytest.raises(ValueError, match=r"\bk must be an integer"):
                 est.FitConfig(lam=lam, k=bad)
-        for bad in (2.5, 10.0, np.float64(3.0)):
+        for bad in (2.5, 10.0, np.float64(3.0), True):
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 est.FitConfig(lam=1.0, k=1, max_iter=bad)
+        with pytest.raises(ValueError, match=r"\bk must be an integer"):
+            est.FitConfig(lam=1.0, k=True)
         cfg = est.FitConfig(lam=1.0, k=np.int64(2), max_iter=np.int32(5))
         assert cfg.k == 2 and cfg.max_iter == 5
         for lam in (0.0, 1.0):
@@ -522,10 +527,17 @@ class TestScreenedPolish:
                     assert np.any(np.linalg.norm(phi, axis=0)
                                   > 0.5 * est._MAX_CANCELLATION * np.linalg.norm(psi, axis=0))
                     continue
-                f, b, u, b_err, u_err = face
+                b, b_err, dual = face
+                f, u, u_err = dual()
                 u_ref = est._certificate(y, f_ref, lam, k, 1e-8)[0]
                 assert np.all(np.abs(b - b_ref) <= est._SCREEN_MARGIN * b_err)
                 assert np.max(np.abs(u - u_ref)) <= est._SCREEN_MARGIN * u_err
+                # The O(|A|) bound on the refinement step's image in u is
+                # never below the image itself (up to the rounding of the
+                # two sums, 1e-12 relative).
+                image = np.max(np.abs(dual_witness(screened_step_image(columns, rows, signs),
+                                                   k))) / (n * lam) + n * est._EPS
+                assert u_err >= image * (1.0 - 1e-12)
                 if k <= 2:
                     assert np.linalg.norm(f - f_ref) <= 1e-9 * np.linalg.norm(f_ref)
                     assert np.linalg.norm(b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
@@ -545,9 +557,15 @@ class TestScreenedPolish:
             v = u.copy()
             for j, value in rows.items():
                 v[int(j[1:])] = value
-            face = (None, np.array(b), v, np.full(2, b_err), u_err)
+            face = (np.array(b), np.full(2, b_err), lambda: (None, v, u_err))
             return est._screen(face, active, signs, k, tol)
 
+        def no_dual():
+            raise AssertionError("dual formed on a face decided by its signs")
+
+        # A sign decision, or a sign too close to call, never forms the dual.
+        for b_err in (1e-12, 1e-4):
+            est._screen((np.array([1.0, 1e-3]), np.full(2, b_err), no_dual), active, signs, k, 1e-8)
         dropped = screen(b=(1.0, 1e-3))
         assert np.array_equal(dropped[0], [5]) and np.array_equal(dropped[1], [1.0])
         assert screen(b=(1.0, 1e-3), b_err=1e-4) is None        # sign too close to call
@@ -559,6 +577,32 @@ class TestScreenedPolish:
         assert np.array_equal(grown[1], [-1.0, 1.0, 1.0, -1.0])
         assert screen(r8=1.3, r9=1.3 - 1e-11) is None             # runner-up within the error
         assert screen(r8=1.3, r9=1.0 + 1e-12 + 1e-11) is None     # row at the violator threshold
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_screen_matches_run_rule(self, data):
+        # |u| drawn from values at, just past and within the error of each
+        # threshold, so that ties, runner-ups and runs split by the support
+        # all occur; the clear values are drawn more often, so that about a
+        # quarter of the faces take a decision.
+        k = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 12))
+        u_err = data.draw(st.sampled_from([1e-16, 1e-14, 1e-12, 1e-10, 1e-4]))
+        tol = data.draw(st.sampled_from([1e-15, 1e-8]))
+        levels = [0.0, 0.7, 0.7, 0.7, 1.0, 1.0 + 1e-12, 1.0 + 1e-12 + 64 * u_err, 1.0 + 2e-8,
+                  1.05, 1.05, 1.3, 1.3, 1.3 - 32 * u_err, 1.3 - 128 * u_err]
+        mag = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m)))
+        u = mag * np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m,
+                                              max_size=m)))
+        on = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))), dtype=int)
+        active = on + k + 1
+        signs = np.where(u[on] < 0, -1.0, 1.0)
+        face = (signs.copy(), np.zeros(len(on)), lambda: (None, u, u_err))
+        got = est._screen(face, active, signs, k, tol)
+        want = screen_violators_reference(u, u_err, active, signs, k, tol)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("lie", ["flip", "hide"])
     @pytest.mark.parametrize("seed", [8, 10, 16, 22])
@@ -583,7 +627,8 @@ class TestScreenedPolish:
             face = solve(columns, active, signs)
             if face is None or lies:
                 return face
-            f, b, u, b_err, u_err = face
+            b, b_err, dual = face
+            f, u, u_err = dual()
             over = np.abs(u) > 1.0 + 1e-12
             over[active - k - 1] = False
             wrong = b * signs <= 0
@@ -593,7 +638,7 @@ class TestScreenedPolish:
             elif lie == "hide" and not np.any(wrong) and len(est._runs(over)) == 1:
                 u = np.where(over, np.sign(u) * (1.0 - 1e-3), u)
                 lies.append(active)
-            return f, b, u, b_err, u_err
+            return b, b_err, lambda: (f, u, u_err)
 
         monkeypatch.setattr(est._FaceColumns, "solve", lying)
         got = est._polish(y, k, lam, [], [], 1e-8)

@@ -1,8 +1,9 @@
 """The ``simulate`` outputs of the shipped configs, pinned byte for byte.
 
 Every config in ``configs/`` is rerun through the CLI in a fresh interpreter
-with one OpenBLAS thread and one trial worker, and the SHA-256 of its CSV and
-JSON is compared with ``simulate_digests.json``.  The digests hold for the
+with one OpenBLAS thread, once with one trial worker and once with two
+(``TVTREND_THREADS``), and the SHA-256 of its CSV and JSON is compared with
+``simulate_digests.json``: the outputs do not depend on the worker count.  The digests hold for the
 numpy / scipy build and machine recorded beside them; on any other build the
 last bits of a BLAS or LAPACK call may differ, so the test skips there rather
 than compare.  To re-record after an intended output change, run this file as
@@ -30,11 +31,11 @@ def this_build():
     return {"numpy": np.__version__, "scipy": scipy.__version__, "machine": platform.machine()}
 
 
-def simulate_digests(out_dir):
+def simulate_digests(out_dir, threads=1):
     """SHA-256 of the CSV and JSON that ``tvtrend simulate`` writes for
-    every shipped config."""
+    every shipped config, with ``threads`` trial workers."""
     path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TVTREND_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TVTREND_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(path))
     digests = {}
     for config in CONFIGS:
@@ -47,7 +48,8 @@ def simulate_digests(out_dir):
     return digests
 
 
-def test_simulate_outputs_match_recorded_digests(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_outputs_match_recorded_digests(tmp_path, threads):
     recorded = json.loads(DIGESTS.read_text())
     build = this_build()
     if any(recorded[key] != value for key, value in build.items()):
@@ -55,7 +57,7 @@ def test_simulate_outputs_match_recorded_digests(tmp_path):
                     f" / {recorded['machine']}, this build is numpy {build['numpy']} / scipy"
                     f" {build['scipy']} / {build['machine']}")
     assert len(CONFIGS) == 5
-    assert simulate_digests(tmp_path) == recorded["sha256"]
+    assert simulate_digests(tmp_path, threads) == recorded["sha256"]
 
 
 if __name__ == "__main__":

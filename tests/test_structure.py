@@ -154,3 +154,79 @@ def test_admm_loop_allocates_only_what_it_yields():
     assert not {"diff", "zeros", "empty", "copy"} & called
     assert not {"array_equal", "array_equiv", "allclose", "any", "all", "count_nonzero",
                 "nonzero", "flatnonzero", "sum", "norm", "amax", "amin", "ptp"} & called
+
+
+def test_screened_face_forms_its_dual_at_most_once(monkeypatch):
+    """A screened face decides its signs before it forms its dual: a face
+    that drops a row calls ``dual_witness`` not at all, any other face at
+    most once (its error bound takes no second pass over n)."""
+    calls, faces = [0], []
+    witness, solve, screen = est.dual_witness, est._FaceColumns.solve, est._screen
+
+    def counting(h, k):
+        calls[0] += 1
+        return witness(h, k)
+
+    def solving(columns, active, signs):
+        calls[0] = 0
+        return solve(columns, active, signs)
+
+    def screening(face, active, signs, k, tol_kkt):
+        out = screen(face, active, signs, k, tol_kkt)
+        faces.append((calls[0], out is not None and len(out[0]) < len(active)))
+        return out
+
+    monkeypatch.setattr(est, "dual_witness", counting)
+    monkeypatch.setattr(est._FaceColumns, "solve", solving)
+    monkeypatch.setattr(est, "_screen", screening)
+    rng = np.random.default_rng(11)
+    for k in (2, 3):
+        for _ in range(2):
+            n = 1024
+            y = np.cumsum(np.repeat(rng.standard_normal(8), n // 8), axis=0)
+            for _ in range(k - 1):
+                y = np.cumsum(y) / n
+            y = y + 0.5 * rng.standard_normal(n)
+            est.fit(y, est.FitConfig(lam=0.1 * est.lambda_max(y, k), k=k))
+    drops = [c for c, dropped in faces if dropped]
+    assert drops and not any(drops)
+    assert max(c for c, _ in faces) == 1
+
+
+def test_admm_start_factor_is_cached(monkeypatch):
+    """The factor at rho = RHO_INIT is built once per (n, k), read-only: a
+    second fit at the same (n, k) calls ``pbtrf`` only when rho changes, on
+    the system of the new rho."""
+    rng = np.random.default_rng(5)
+    n = 1000
+    steps = np.repeat(rng.standard_normal(5), n // 5)
+    y1 = steps + 0.3 * rng.standard_normal(n)            # rho stays at RHO_INIT
+    y2 = np.cumsum(np.cumsum(steps)) / n + 0.3 * rng.standard_normal(n)
+    cfgs = [(y1, est.FitConfig(lam=0.1 * est.lambda_max(y1, 1), k=1)),
+            (y2, est.FitConfig(lam=0.05 * est.lambda_max(y2, 2), k=2, max_iter=200))]
+    first = [est.fit(y, cfg) for y, cfg in cfgs]
+    for k in (1, 2):
+        chol = est._cached_start_factor(n, k)
+        assert not chol.flags.writeable
+        with pytest.raises(ValueError):
+            chol[0, 0] = 0.0
+    pbtrf, system = est._PBTRF, est._admm_system_banded
+    calls, rhos = [], []
+
+    def factoring(ab, lower):
+        calls.append(ab)
+        return pbtrf(ab, lower=lower)
+
+    def building(n_, k_, rho):
+        rhos.append(rho)
+        return system(n_, k_, rho)
+
+    monkeypatch.setattr(est, "_PBTRF", factoring)
+    monkeypatch.setattr(est, "_admm_system_banded", building)
+    for (y, cfg), res in zip(cfgs, first):
+        calls.clear()
+        rhos.clear()
+        again = est.fit(y, cfg)
+        assert again.iters == res.iters and np.array_equal(again.f_hat, res.f_hat)
+        assert len(calls) == len(rhos) and est.RHO_INIT not in rhos
+        assert bool(rhos) == (cfg.k == 2)       # only y2's rho is rebalanced
