@@ -78,7 +78,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown schema_version {self.schema_version}")
         _check_int("k", self.k, 1)
         _check_int("n", self.n, self.k + 1)
-        _check_int("s0", self.s0, 0)
+        _check_int("s0", self.s0, 0, self.n - self.k - 1)
         _check_int("replications", self.replications, 1)
         _check_int("seed", self.seed, 0, 2 ** 64 - 1)     # the Philox key is a uint64
         if self.lambda_rule not in LAMBDA_RULES:
@@ -87,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError(f"jump_layout must be one of {JUMP_LAYOUTS}")
         if self.lambda_rule == "fixed" and (self.lambda_value is None or self.lambda_value <= 0):
             raise ConfigError("fixed lambda_rule requires a positive lambda_value")
-        if self.s0 > self.n - self.k - 1:
-            raise ConfigError(f"s0={self.s0} exceeds n - k - 1 = {self.n - self.k - 1}")
 
     @classmethod
     def from_json(cls, path):

@@ -904,6 +904,8 @@ class TestPolishBits:
                 assert np.array_equal(falling_factorial_columns(n, k, tuple(int(r) for r in rows)),
                                       ff_columns_reference(n, k, rows))
         assert falling_factorial_columns(20, k, []).shape == (20, 0)
+        with pytest.raises(ValueError, match="1-based"):
+            falling_factorial_columns(20, k, [3, 0])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_restricted_solve_matches_reference(self, k, rng):
