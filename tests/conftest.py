@@ -88,6 +88,48 @@ def recipe_input(k, n=4096, frac=0.3):
     return y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k)
 
 
+def jump_signal(rng, n, k, jumps):
+    """Unit noise on a piecewise polynomial of degree k - 1 with ``jumps``
+    jumps of alternating sign and size U(0.5, 1.5) 10 n^{-(k-1)} in its
+    (k-1)-th difference, at rows at least k (k + 2) apart."""
+    gap = k * (k + 2)
+    cuts = np.sort(rng.integers(0, n + 2 - k - (jumps + 1) * gap, size=jumps))
+    rows = k + gap * np.arange(1, jumps + 1) + cuts
+    d = np.zeros(n)
+    d[rows - 1] = (10.0 * float(n) ** (-(k - 1)) * (-1.0) ** np.arange(jumps)
+                   * rng.uniform(0.5, 1.5, size=jumps))
+    for _ in range(k):
+        d = np.cumsum(d)
+    return d + rng.standard_normal(n)
+
+
+def battery_inputs():
+    """32 seeded inputs: n in {512, 2048}, k = 1..4, 1-8 jumps, lambda in
+    U(0.05, 0.5) lambda_max, at most 2000 ADMM iterations."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(32):
+        n, k = int(rng.choice([512, 2048])), int(rng.integers(1, 5))
+        y = jump_signal(rng, n, k, int(rng.integers(1, 9)))
+        cases.append((y, est.FitConfig(lam=float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k),
+                                       k=k, max_iter=2000)))
+    return cases
+
+
+def n4096_inputs():
+    """24 seeded inputs at n = 4096: k = 1..4, 4 or 16 jumps, three draws
+    each, lambda in U(0.05, 0.5) lambda_max, at most 1000 ADMM iterations."""
+    rng = np.random.default_rng(20261020)
+    inputs = []
+    for k in (1, 2, 3, 4):
+        for jumps in (4, 16):
+            for _ in range(3):
+                y = jump_signal(rng, 4096, k, jumps)
+                lam = float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k)
+                inputs.append((y, est.FitConfig(lam=lam, k=k, max_iter=1000)))
+    return inputs
+
+
 def admm_reference(y, cfg, frozen_trigger=False):
     """The ADMM loop written plainly: scipy's banded Cholesky wrappers,
     ``apply_transpose``, ``np.linalg.norm`` and a polish at every trigger.

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (PolishLog, admm_iterates_reference, admm_reference,
-                      admm_system_banded_reference, dense_delta, ff_columns_reference,
-                      polish_exact_reference, polish_reference, recipe_input,
-                      restricted_solve_reference, screen_violators_reference,
-                      screened_step_image, tv1d_reference, tv_dual_reference)
+                      admm_system_banded_reference, battery_inputs, dense_delta,
+                      ff_columns_reference, jump_signal, n4096_inputs, polish_exact_reference,
+                      polish_reference, recipe_input, restricted_solve_reference,
+                      screen_violators_reference, screened_step_image, tv1d_reference,
+                      tv_dual_reference)
 from tvtrend import estimator as est
 from tvtrend import experiments
 from tvtrend.diffops import (_cached_polynomial_basis, dual_witness, falling_factorial_columns,
@@ -26,21 +27,6 @@ def noisy_piecewise(rng, n, k, s0, amp=8.0):
     mags = amp * float(n) ** (-(k - 1)) * rng.standard_normal(s0)
     f0 = cols @ mags if s0 else np.zeros(n)
     return f0 + rng.standard_normal(n)
-
-
-def jump_signal(rng, n, k, jumps):
-    """Unit noise on a piecewise polynomial of degree k - 1 with ``jumps``
-    jumps of alternating sign and size U(0.5, 1.5) 10 n^{-(k-1)} in its
-    (k-1)-th difference, at rows at least k (k + 2) apart."""
-    gap = k * (k + 2)
-    cuts = np.sort(rng.integers(0, n + 2 - k - (jumps + 1) * gap, size=jumps))
-    rows = k + gap * np.arange(1, jumps + 1) + cuts
-    d = np.zeros(n)
-    d[rows - 1] = (10.0 * float(n) ** (-(k - 1)) * (-1.0) ** np.arange(jumps)
-                   * rng.uniform(0.5, 1.5, size=jumps))
-    for _ in range(k):
-        d = np.cumsum(d)
-    return d + rng.standard_normal(n)
 
 
 class TestObjective:
@@ -385,19 +371,6 @@ class TestAdmmIterates:
         assert it < 250 and not np.any(np.frombuffer(z))
 
 
-def battery_inputs():
-    """32 seeded inputs: n in {512, 2048}, k = 1..4, 1-8 jumps, lambda in
-    U(0.05, 0.5) lambda_max, at most 2000 ADMM iterations."""
-    rng = np.random.default_rng(20261019)
-    cases = []
-    for _ in range(32):
-        n, k = int(rng.choice([512, 2048])), int(rng.integers(1, 5))
-        y = jump_signal(rng, n, k, int(rng.integers(1, 9)))
-        cases.append((y, est.FitConfig(lam=float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k),
-                                       k=k, max_iter=2000)))
-    return cases
-
-
 class TestPolishCycles:
     """Adding the worst row of every run of violators reaches the face the
     one-worst-row polish (``polish_reference``) cycles around."""
@@ -476,15 +449,7 @@ class TestScreenedPolish:
     the bits of the polish that solves every face exactly."""
 
     def test_pinned_on_n4096_inputs(self, monkeypatch):
-        rng = np.random.default_rng(20261020)
-        inputs = []
-        for k in (1, 2, 3, 4):
-            for jumps in (4, 16):
-                for _ in range(3):
-                    y = jump_signal(rng, 4096, k, jumps)
-                    lam = float(rng.uniform(0.05, 0.5)) * est.lambda_max(y, k)
-                    inputs.append((y, est.FitConfig(lam=lam, k=k, max_iter=1000)))
-        got = assert_pinned_to_exact_polish(inputs, monkeypatch)
+        got = assert_pinned_to_exact_polish(n4096_inputs(), monkeypatch)
         assert sum(not isinstance(res, str) and res.converged for res in got) >= 17
 
     def test_pinned_on_k1_coverage_trials(self, monkeypatch):
