@@ -224,7 +224,9 @@ def build_parser():
     sp.add_argument("--tol-kkt", type=float, default=1e-8)
     sp.add_argument("--max-iter", type=int, default=50_000)
     sp.add_argument("--out", default=None, help="fitted signal CSV")
-    sp.add_argument("--report", default=None, help="fit report JSON (default: stdout)")
+    sp.add_argument("--report", default=None,
+                    help="fit report JSON (default: stdout); its iters is 0 for the polynomial"
+                         " fit, 1 at the closed-form trigger, else the ADMM iteration")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bounds", help="tuning rules and closed-form bound values")

@@ -13,20 +13,25 @@ whose residual, box excess and sign mismatch are folded into
 lambda = 0 the fit is y.  ``dp_k1`` (k = 1) certifies Condat's direct taut
 string ``tv1d_exact``.  ``admm`` returns the polynomial fit, the minimizer
 when lambda >= lambda_max, certified or not: only float64 rounding can fail
-its certificate.  Otherwise ``_admm_iterates`` yields ADMM iterates at each
-polish trigger: settled residuals, every 250th iteration, and the first
-iteration of each run in which z does not move.  The driver polishes each new
-(support, signs) by an active-set refinement and returns the first face that
-satisfies KKT in exact arithmetic, flagged converged when its certificate
-meets the tolerance.  The refinement screens the faces it passes through on
-cached columns (normal equations and one refinement step) and solves exactly,
-by QR, only its starting face and the faces where the screen stops; every
-face it returns is such an exact face.  A screened face forms its dual only
-where the decision needs it: not where it drops a sign-inconsistent row.
-Its dual's error is bounded in O(|A|) from per-(n, k) constants
-(``_cached_dual_gains``) instead of a second pass over n.  ``fit`` keeps the
-best uncertified iterate for when every polish gives up and ``max_iter``
-runs out.
+its certificate.  Otherwise the driver polishes each new (support, signs) by
+an active-set refinement and returns the first face that satisfies KKT in
+exact arithmetic, flagged converged when its certificate meets the
+tolerance.  The first trigger is closed-form: ADMM's first iterate is
+z = soft(Delta(k) y, 2 lambda / RHO_INIT), so when max |Delta(k) y| <=
+2 lambda / RHO_INIT it is the empty support, which is polished before any
+ADMM buffer or banded factor is built, and a face it returns has
+``iters = 1``.  If that polish gives up, ``_admm_iterates`` runs and yields
+iterates at the other triggers: settled residuals, every 250th iteration,
+and the first iteration of each run in which z does not move.  The
+refinement screens every face it passes through, its starting face included,
+on cached columns (normal equations and one refinement step) and solves
+exactly, by QR, only the faces where the screen stops; a polish whose screen
+stops only at its last face solves one QR face, and every face it returns is
+such an exact face.  A screened face forms its dual only where the decision
+needs it: not where it drops a sign-inconsistent row.  Its dual's error is
+bounded in O(|A|) from per-(n, k) constants (``_cached_face_constants``)
+instead of a second pass over n.  ``fit`` keeps the best uncertified iterate
+for when every polish gives up and ``max_iter`` runs out.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -52,10 +58,10 @@ OVER_RELAXATION = 1.8
 POLISH_ROUNDS = 60
 
 # Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded /
-# solve_triangular validate their inputs and look these up again on every call
-# of the ADMM loop and the restricted solve.
-_PBTRF, _PBTRS, _TRTRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
-    ("pbtrf", "pbtrs", "trtrs", "potrf", "potrs"), dtype=np.float64)
+# solve_triangular and numpy's qr validate their inputs and look these up again
+# on every call of the ADMM loop and the restricted solve.
+_PBTRF, _PBTRS, _TRTRS, _POTRF, _POTRS, _GEQRF, _GEQRF_LWORK = scipy.linalg.get_lapack_funcs(
+    ("pbtrf", "pbtrs", "trtrs", "potrf", "potrs", "geqrf", "geqrf_lwork"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -87,12 +93,14 @@ class FitConfig:
 class FitResult:
     """``converged`` means ``kkt_residual`` met ``tol_kkt``.  ``iters`` is 0
     at lambda = 0 and for the polynomial fit at lambda >= lambda_max, n for
-    ``dp_k1``, the ADMM iteration whose polish trigger returned the fit (the
-    iterate or its polished face), and ``max_iter`` when every polish gave up.
-    An uncertified fit may therefore stop at 0 or at a trigger iteration: the
-    polynomial fit or polished face it returns satisfies KKT in exact
-    arithmetic, and only float64 rounding keeps the residual above
-    ``tol_kkt``."""
+    ``dp_k1``, 1 when the polish of the empty support at the closed-form
+    trigger returned the fit (ADMM's first iterate has that support, and the
+    loop is not run), otherwise the ADMM iteration whose polish trigger
+    returned the fit (the iterate or its polished face), and ``max_iter``
+    when every polish gave up.  An uncertified fit may therefore stop at 0,
+    1 or a trigger iteration: the polynomial fit or polished face it returns
+    satisfies KKT in exact arithmetic, and only float64 rounding keeps the
+    residual above ``tol_kkt``."""
 
     f_hat: np.ndarray
     objective: float
@@ -161,24 +169,28 @@ def _restricted_solve(y, k, lam, active, signs):
     two rounds of iterative refinement on the stationarity equations.
     Returns (f_hat, b) with b the differences at the active rows.
     """
-    n = len(y)
-    P = _cached_polynomial_basis(n, k)
-    if len(active):
-        Phi = falling_factorial_columns(n, k, active)
-        Phi -= P @ (P.T @ Phi)
-        scales = np.linalg.norm(Phi, axis=0)
-        X = np.concatenate([P, Phi / scales], axis=1)
-        c = np.concatenate([np.zeros(k), signs / scales])
-    else:
-        X = P
-        scales = np.zeros(0)
-        c = np.zeros(k)
-    # R is C-ordered, so R' is Fortran-ordered and LAPACK reads it in place.
-    # These are the trtrs calls solve_triangular(R', ., lower=True) and
-    # solve_triangular(R, .) make, so the bits are theirs.
-    Rt = np.linalg.qr(X, mode="r").T
+    n, a = len(y), len(active)
+    const = _cached_face_constants(n, k)
+    P = const.P
+    Phi = np.empty((n, a))
+    _place_columns(Phi, const.ramp, active)
+    Phi -= P @ (P.T @ Phi)
+    scales = np.linalg.norm(Phi, axis=0)
+    X = np.empty((n, k + a))
+    X[:, :k] = P
+    np.divide(Phi, scales, out=X[:, k:])
+    c = np.zeros(k + a)
+    c[k:] = signs / scales
+    # numpy's qr(X, mode="r") is this geqrf call with the workspace it asks
+    # for (past the crossover, the block size sets the bits).  R' is read in
+    # place, its lower triangle only, by the trtrs calls that
+    # solve_triangular(R', ., lower=True) and solve_triangular(R, .) make.
+    qr, _, _, info = _GEQRF(X, lwork=int(_GEQRF_LWORK(n, k + a)[0]))
+    if info:
+        raise np.linalg.LinAlgError("geqrf failed in the restricted solve")
+    Rt = np.ascontiguousarray(qr[:k + a]).T
     target = n * lam * c
-    theta = np.zeros(X.shape[1])
+    theta = np.zeros(k + a)
     for _ in range(3):
         defect = X.T @ (y - X @ theta) - target
         half, info = _TRTRS(Rt, defect, lower=1)
@@ -188,9 +200,44 @@ def _restricted_solve(y, k, lam, active, signs):
         theta += delta
         if np.max(np.abs(defect)) <= 1e-14 * max(1.0, n * lam, float(np.max(np.abs(y)))):
             break
-    f_hat = X @ theta
-    b = theta[k:] / scales if len(active) else np.zeros(0)
-    return f_hat, b
+    return X @ theta, theta[k:] / scales
+
+
+def _place_columns(out, ramp, rows):
+    """Write the falling-factorial columns of the 1-based ``rows`` into the
+    columns of ``out``: each is ``ramp`` (phi_1) moved down to its row, the
+    bits of ``falling_factorial_columns``."""
+    n = len(ramp)
+    for c, r in enumerate(rows):
+        out[:r - 1, c] = 0.0
+        out[r - 1:, c] = ramp[:n - r + 1]
+
+
+class _FaceConstants(NamedTuple):
+    P: np.ndarray           # the orthonormal polynomial block
+    ramp: np.ndarray        # phi_1; phi_j is phi_1 moved down j - 1 rows
+    phi_norms: np.ndarray   # ||phi_j|| is phi_norms[n - j]
+    gram_P: np.ndarray      # P'P
+    gain_P: np.ndarray      # c_l, the largest |u| that dual_witness makes of P_l
+    gain_psi: float         # c_psi, the largest column norm of Delta(k)^+
+
+
+@lru_cache(maxsize=32)
+def _cached_face_constants(n, k):
+    """Read-only per-(n, k) constants of the polish faces.
+
+    ``dual_witness`` of v orthogonal to P has entries <v, psi_j>, psi_j the
+    columns of Delta(k)^+, so by Cauchy-Schwarz the image of
+    X step = P step_P + v is at most sum_l c_l |step_l| + c_psi ||v||."""
+    P = _cached_polynomial_basis(n, k)
+    ramp = falling_factorial_columns(n, k, [1])[:, 0]
+    const = _FaceConstants(
+        P=P, ramp=ramp, phi_norms=np.sqrt(np.cumsum(ramp ** 2)), gram_P=P.T @ P,
+        gain_P=np.max(np.abs(dual_witness(P, k)), axis=0),
+        gain_psi=math.sqrt(float(np.max(_cached_pinv_sqnorms(n, k)))))
+    for array in const[:-1]:
+        array.setflags(write=False)
+    return const
 
 
 _POLISH_MAX_ACTIVE = 1500
@@ -212,29 +259,25 @@ class _FaceColumns:
     """The columns X = [P, psi_A] of ``_restricted_solve`` for the rows of the
     faces one polish passes through, and their Gram entries.
 
-    A row's unit-scaled, anti-projected falling-factorial column, and its Gram
-    entries against P, the other cached columns and y, are built once when
-    the row joins; when it leaves, the last column takes its place.  The
-    buffers grow by doubling, so memory stays O(n |A|), and a face costs
-    O(n |A|): the normal equations by Cholesky, one refinement step on the
-    true residual, and no QR."""
+    A row's unit-scaled, anti-projected falling-factorial column, its Gram
+    entries against P, the other cached columns and y, and its cancellation
+    test are computed once, when the row joins; when it leaves, the last
+    column takes its place.  The buffers grow by doubling, so memory stays
+    O(n |A|), and a face costs O(n |A|): the normal equations by Cholesky,
+    one refinement step on the true residual, and no QR.  The per-(n, k)
+    constants come from ``_cached_face_constants``."""
 
     def __init__(self, y, k, lam):
-        n = len(y)
-        P = _cached_polynomial_basis(n, k)
+        const = self.const = _cached_face_constants(len(y), k)
         self.y, self.k, self.lam = y, k, lam
-        self.round_err = math.sqrt(n) * _EPS * float(np.linalg.norm(y))
+        self.round_err = math.sqrt(len(y)) * _EPS * float(np.linalg.norm(y))
         self.rows = []                  # the row of column k + i is rows[i]
         self.slot = {}                  # row -> its column
-        # phi_1; phi_j is phi_1 moved down j - 1 rows, with the same bits, and
-        # ||phi_j|| is phi_norms[n - j].
-        self.ramp = falling_factorial_columns(n, k, [1])[:, 0]
-        self.phi_norms = np.sqrt(np.cumsum(self.ramp ** 2))
+        self.cancelled = set()          # the cached rows whose column is too cancelled
         self.X, self.gram, self.Xy, self.scales = self._buffers(2 * k + 16)
-        self.X[:, :k] = P
-        self.gram[:k, :k] = P.T @ P
-        self.Xy[:k] = P.T @ y
-        self.dual_gain = _cached_dual_gains(n, k)
+        self.X[:, :k] = const.P
+        self.gram[:k, :k] = const.gram_P
+        self.Xy[:k] = const.P.T @ y
 
     def _buffers(self, cap):
         return (np.empty((len(self.y), cap), order="F"), np.empty((cap, cap)),
@@ -248,6 +291,7 @@ class _FaceColumns:
         X, gram = self.X, self.gram
         for r in [r for r in self.rows if r not in wanted]:
             c, last = self.slot.pop(r), k + len(self.rows) - 1
+            self.cancelled.discard(r)
             moved = self.rows.pop()
             if c != last:
                 X[:, c] = X[:, last]
@@ -267,11 +311,8 @@ class _FaceColumns:
                 grown[2][:m], grown[3][:m] = self.Xy[:m], self.scales[:m]
                 self.X, self.gram, self.Xy, self.scales = grown
                 X, gram = self.X, self.gram
-            n = len(y)
             block = X[:, m:end]
-            for c, r in enumerate(new):
-                block[:r - 1, c] = 0.0
-                block[r - 1:, c] = self.ramp[:n - r + 1]
+            _place_columns(block, self.const.ramp, new)
             P = X[:, :k]
             block -= P @ (P.T @ block)
             scales = np.linalg.norm(block, axis=0)
@@ -281,6 +322,8 @@ class _FaceColumns:
             gram[m:end, :end] = cross.T
             self.Xy[m:end] = block.T @ y
             self.scales[m:end] = scales
+            lost = self.const.phi_norms[len(y) - np.array(new)] > _MAX_CANCELLATION * scales
+            self.cancelled.update(r for r, bad in zip(new, lost) if bad)
             self.slot.update((r, m + c) for c, r in enumerate(new))
             self.rows += new
         return [self.slot[r] for r in rows]
@@ -294,11 +337,11 @@ class _FaceColumns:
         on b never forms it.  None when a column is too cancelled or the
         Gram matrix does not factor."""
         pos = self._move_to(active)
+        if self.cancelled:
+            return None
         y, k, lam = self.y, self.k, self.lam
         n, m = len(y), k + len(self.rows)
         X, scales = self.X[:, :m], self.scales[pos]
-        if (self.phi_norms[n - active] > _MAX_CANCELLATION * scales).any():
-            return None
         target = np.zeros(m)
         target[pos] = n * lam * signs / scales
         chol, info = _POTRF(self.gram[:m, :m], lower=0)
@@ -316,29 +359,17 @@ class _FaceColumns:
         def dual():
             r_face = r - X @ step
             u = dual_witness(r_face / (n * lam), k)
-            # A bound on the step's image in u (``_cached_dual_gains``), plus n
-            # ulps for the rounding of the suffix sums.  ||psi_A step_A||^2 is
-            # read off the cached Gram entries, each rounded by up to n ulps.
-            gain_P, gain_psi = self.dual_gain
+            # A bound on the step's image in u (``_cached_face_constants``),
+            # plus n ulps for the rounding of the suffix sums.
+            # ||psi_A step_A||^2 is read off the cached Gram entries, each
+            # rounded by up to n ulps.
+            gain_P, gain_psi = self.const.gain_P, self.const.gain_psi
             s = step[k:]
             sq = float(s @ (self.gram[k:m, k:m] @ s)) + n * _EPS * float(np.sum(np.abs(s))) ** 2
             image = float(gain_P @ np.abs(step[:k])) + gain_psi * math.sqrt(max(sq, 0.0))
             return y - r_face, u, image / (n * lam) + n * _EPS
 
         return theta[pos] / scales, b_err / scales, dual
-
-
-@lru_cache(maxsize=32)
-def _cached_dual_gains(n, k):
-    """Per (n, k): c_l, the largest |u| that ``dual_witness`` makes of each
-    polynomial column P_l, and c_psi, the largest column norm of Delta(k)^+.
-
-    ``dual_witness`` of v orthogonal to P has entries <v, psi_j>, psi_j the
-    columns of Delta(k)^+, so by Cauchy-Schwarz the image of
-    X step = P step_P + v is at most sum_l c_l |step_l| + c_psi ||v||."""
-    gain_P = np.max(np.abs(dual_witness(_cached_polynomial_basis(n, k), k)), axis=0)
-    gain_P.setflags(write=False)
-    return gain_P, math.sqrt(float(np.max(_cached_pinv_sqnorms(n, k))))
 
 
 def _runs(over):
@@ -413,36 +444,33 @@ def _polish(y, k, lam, active, signs, tol_kkt):
     signs) state, so a state seen before starts a cycle that could only run
     out the rounds: it returns None at once.
 
-    Only the starting face and each face where the screen stops are solved
-    exactly, by ``_restricted_solve``.  The faces in between are screened:
-    solved from columns cached for this polish (``_FaceColumns``), with each
-    decision taken only where it clears its threshold by a margin over the
-    screen's error estimate.  Where the screen stops (at the face that may
-    be the last, or at a decision too close to call), the rules above are
-    applied to the exact face, and the polish goes on from there if that
-    face overturns the screen.  So every face the polish returns is
-    ``_restricted_solve`` and ``_certificate`` of its (active, signs), and
-    wherever the error estimates hold, the polish visits the states it would
-    visit solving every face exactly."""
+    Every face, the starting one included, is first screened: solved from
+    columns cached for this polish (``_FaceColumns``), with each decision
+    taken only where it clears its threshold by a margin over the screen's
+    error estimate.  Only where the screen stops (at the face that may be
+    the last, or at a decision too close to call) is the face solved
+    exactly, by ``_restricted_solve``; the rules above are applied to that
+    exact face, and the polish goes on from there if it overturns the
+    screen.  So a polish whose screen stops only at its last face solves one
+    QR face, every face the polish returns is ``_restricted_solve`` and
+    ``_certificate`` of its (active, signs), and wherever the error
+    estimates hold, the polish visits the states it would visit solving
+    every face exactly."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
     seen = set()
-    columns = None
+    columns = _FaceColumns(y, k, lam)
     for _ in range(POLISH_ROUNDS):
         state = (active.tobytes(), signs.tobytes())
         if state in seen:
             return None
-        starting = not seen
         seen.add(state)
-        if not starting:
-            if columns is None:
-                columns = _FaceColumns(y, k, lam)
-            screened = _screen(columns.solve(active, signs), active, signs, k, tol_kkt)
-            if screened is not None:
-                active, signs = screened
-                continue
+        screened = _screen(columns.solve(active, signs), active, signs, k, tol_kkt)
+        if screened is not None:
+            active, signs = screened
+            continue
         f_hat, b = _restricted_solve(y, k, lam, active, signs)
         keep = b * signs > 0
         if not np.all(keep):
@@ -699,8 +727,17 @@ def fit(y, cfg):
         f_hat = _restricted_solve(y, k, lam, [], [])[0]
         u, kkt = _certificate(y, f_hat, lam, k, tol)
         return _result(y, cfg, f_hat, u, kkt, 0, kkt <= tol)
-    best = None                     # (f, u, kkt) of the lowest uncertified residual
     polished = (None, None)         # the last polished (support, signs)
+    if np.max(np.abs(np.diff(y, k))) <= 2.0 * lam / RHO_INIT:
+        # From z = Delta(k) y and w = 0, ADMM's first f-update returns y, so
+        # its first z is soft(Delta(k) y, 2 lam / RHO_INIT), here the empty
+        # support: polish it before the loop is built.
+        hit = _polish(y, k, lam, [], [], tol)
+        if hit is not None:
+            f_hat, u, kkt = hit
+            return _result(y, cfg, f_hat, u, kkt, 1, kkt <= tol)
+        polished = (np.zeros(0, dtype=int), np.zeros(0))
+    best = None                     # (f, u, kkt) of the lowest uncertified residual
     for it, f, z in _admm_iterates(y, cfg):
         if z is None:
             break

@@ -31,7 +31,7 @@ import numpy as np
 from . import theory
 from .diffops import (ActiveSet, block_column_sqnorms, dual_witness, falling_factorial_columns,
                       polynomial_basis)
-from .estimator import FitConfig, fit
+from .estimator import ALGORITHMS, FitConfig, fit
 from .sparsity import gamma_closed_form
 
 SCHEMA_VERSION = 1
@@ -54,6 +54,15 @@ def _check_int(name, value, low, high=None):
         raise ConfigError(f"{name} must be {bounds}, got {value}")
 
 
+def _check_real(name, value, positive=True):
+    """Refuse ``value`` unless it is a finite real number (not a bool), and
+    positive when ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -74,6 +83,7 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        _check_int("schema_version", self.schema_version, 0)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unknown schema_version {self.schema_version}")
         _check_int("k", self.k, 1)
@@ -81,11 +91,22 @@ class ExperimentConfig:
         _check_int("s0", self.s0, 0, self.n - self.k - 1)
         _check_int("replications", self.replications, 1)
         _check_int("seed", self.seed, 0, 2 ** 64 - 1)     # the Philox key is a uint64
+        for name in ("u", "v", "tol_kkt", "lambda_scale"):
+            _check_real(name, getattr(self, name))
+        if self.lambda_value is not None:
+            _check_real("lambda_value", self.lambda_value)
+        _check_real("jump_delta", self.jump_delta, positive=False)
+        if not isinstance(self.record_timing, bool):
+            raise ConfigError(f"record_timing must be true or false, got {self.record_timing!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if self.algorithm == "dp_k1" and self.k != 1:
+            raise ConfigError(f"algorithm dp_k1 requires k = 1, got k = {self.k}")
         if self.lambda_rule not in LAMBDA_RULES:
             raise ConfigError(f"lambda_rule must be one of {LAMBDA_RULES}")
         if self.jump_layout not in JUMP_LAYOUTS:
             raise ConfigError(f"jump_layout must be one of {JUMP_LAYOUTS}")
-        if self.lambda_rule == "fixed" and (self.lambda_value is None or self.lambda_value <= 0):
+        if self.lambda_rule == "fixed" and self.lambda_value is None:
             raise ConfigError("fixed lambda_rule requires a positive lambda_value")
 
     @classmethod

@@ -75,8 +75,10 @@ class TestSolve:
 
     def test_uncertified_k4_face_is_written(self, tmp_path, capsys):
         # The k = 4 fit whose ADMM iterates break the banded factorization:
-        # the polish reaches the exact face, which float64 leaves about 1e-7
-        # short of the 1e-8 certificate, so solve writes it and exits 3.
+        # the polish of the empty support, at the closed-form trigger before
+        # ADMM (iteration 1), reaches the exact face, which float64 leaves
+        # about 1e-7 short of the 1e-8 certificate, so solve writes it and
+        # exits 3.
         y, cfg = recipe_input(4)
         path, out, rep = tmp_path / "y.csv", tmp_path / "f.csv", tmp_path / "r.json"
         write_signal(path, y)
@@ -85,7 +87,7 @@ class TestSolve:
         assert rc == 3
         assert "leading minor" not in capsys.readouterr().err
         report = json.loads(rep.read_text())
-        assert report["converged"] is False and report["iters"] == 2
+        assert report["converged"] is False and report["iters"] == 1
         assert 1e-8 < report["kkt_residual"] < 1e-6
         assert np.loadtxt(out).shape == (4096,)
 
@@ -302,6 +304,38 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert field in captured.err and captured.out == ""
         assert not csv.exists() and not summ.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("u", "x"), ("u", -1.0), ("u", True), ("v", -1.0), ("v", math.inf), ("tol_kkt", 0.0),
+        ("tol_kkt", math.nan), ("lambda_scale", -1.0), ("lambda_value", 0.0),
+        ("lambda_value", "x"), ("jump_delta", "x"), ("jump_delta", -math.inf),
+        ("algorithm", "bogus"), ("algorithm", None), ("schema_version", True),
+        ("schema_version", 1.0), ("record_timing", 3), ("record_timing", "false")])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_bad_float_or_flag_field_is_usage_error(self, tmp_path, capsys, field, value,
+                                                     dry_run):
+        # The float and flag fields are checked when the config loads too.
+        path = self.config(tmp_path, **{field: value})
+        csv, summ = tmp_path / "trials.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(path), "--out-csv", str(csv), "--out-json", str(summ)]
+        assert cli.main(argv + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and captured.out == ""
+        assert not csv.exists() and not summ.exists()
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_dp_k1_at_k2_is_usage_error(self, tmp_path, capsys, dry_run):
+        path = self.config(tmp_path, k=2, algorithm="dp_k1")
+        argv = ["simulate", "--config", str(path), "--out-json", str(tmp_path / "s.json")]
+        assert cli.main(argv + ["--dry-run"] * dry_run) == 2
+        assert "dp_k1" in capsys.readouterr().err
+
+    def test_good_float_and_flag_fields_accepted(self, tmp_path, capsys):
+        path = self.config(tmp_path, u=3, v=2.5, tol_kkt=1e-6, lambda_scale=2, jump_delta=-4.0,
+                           lambda_rule="fixed", lambda_value=0.5, record_timing=True,
+                           algorithm="dp_k1", schema_version=1)
+        assert cli.main(["simulate", "--config", str(path), "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
 
     @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_configs_valid(self, config, capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,11 @@ def _noncertifying_input(n, k, frac):
     return y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, tol_kkt=1e-300, max_iter=1000)
 
 
+def closed_form_empty(y, cfg):
+    """ADMM's first z, soft(Delta(k) y, 2 lambda / RHO_INIT), is empty."""
+    return bool(np.max(np.abs(np.diff(y, cfg.k))) <= 2.0 * cfg.lam / est.RHO_INIT)
+
+
 def assert_same_fit(res, ref):
     """The same certified (or best uncertified) fit, bit for bit."""
     assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
@@ -212,12 +220,18 @@ def assert_same_fit(res, ref):
 class TestAdmmLoop:
     """``fit`` is bitwise the plain loop that also polishes when z stops
     moving, and returns the fit of the plain loop without that trigger, no
-    later, whenever that fit certifies."""
+    later, whenever that fit certifies.  Where the closed-form trigger
+    returns (iteration 1), the loop returns the same fit at iteration 2: its
+    z is the empty support there, and the polish of the empty support is
+    what both return."""
 
     @staticmethod
-    def assert_same_bits(res, ref):
+    def assert_same_bits(res, ref, y, cfg):
         assert_same_fit(res, ref)
-        assert res.iters == ref.iters
+        if res.iters == 1:
+            assert closed_form_empty(y, cfg) and ref.iters == 2
+        else:
+            assert res.iters == ref.iters
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -227,7 +241,7 @@ class TestAdmmLoop:
         cfg = est.FitConfig(lam=frac * est.lambda_max(y, k), k=k)
         res = est.fit(y, cfg)
         assert res.converged
-        self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True))
+        self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True), y, cfg)
         ref = admm_reference(y, cfg)
         assert_same_fit(res, ref)
         assert res.iters <= ref.iters
@@ -239,7 +253,7 @@ class TestAdmmLoop:
         y, cfg = _noncertifying_input(*case)
         res = est.fit(y, cfg)
         assert not res.converged and res.iters < cfg.max_iter
-        self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True))
+        self.assert_same_bits(res, admm_reference(y, cfg, frozen_trigger=True), y, cfg)
         ref = admm_reference(y, cfg)
         assert_same_fit(res, ref)
         assert res.iters <= ref.iters < cfg.max_iter
@@ -265,7 +279,30 @@ class TestAdmmLoop:
         assert len(calls) == len(set(calls)) == len(set(triggered))
         assert set(calls) == set(triggered)
         assert res.iters == cfg.max_iter and not res.converged
-        self.assert_same_bits(res, ref)
+        self.assert_same_bits(res, ref, y, cfg)
+
+    def test_closed_form_give_up_runs_admm_unchanged(self, monkeypatch):
+        # When the polish of the empty support gives up at the closed-form
+        # trigger, ADMM runs as without that trigger, and the repeat-skip
+        # passes over its iteration-2 trigger, which holds the same empty
+        # support.
+        y, cfg = recipe_input(3, n=1024)
+        cfg = est.FitConfig(lam=cfg.lam, k=3, max_iter=600)
+        calls = []
+
+        def giving_up(y_, k, lam, active, signs, tol_kkt):
+            calls.append((tuple(active), tuple(signs)))
+            return None
+
+        monkeypatch.setattr(est, "_polish", giving_up)
+        ref = admm_reference(y, cfg, frozen_trigger=True)
+        triggered = list(calls)
+        calls.clear()
+        res = est.fit(y, cfg)
+        assert closed_form_empty(y, cfg) and triggered[0] == calls[0] == ((), ())
+        assert len(calls) == len(set(calls)) == len(set(triggered))
+        assert res.iters > 1
+        self.assert_same_bits(res, ref, y, cfg)
 
     def test_no_trigger_reached(self, rng, monkeypatch):
         # max_iter ends the loop before the first polish trigger (z moves on
@@ -285,20 +322,22 @@ class TestAdmmLoop:
         res = est.fit(y, cfg)
         assert calls == []
         assert res.iters == cfg.max_iter and not res.converged
-        self.assert_same_bits(res, admm_reference(y, cfg))
+        self.assert_same_bits(res, admm_reference(y, cfg), y, cfg)
 
     def test_recipe_k3_certifies_when_z_freezes(self):
         # z is zero from iteration 2 on, so the plain loop waits for the
         # 250th iteration to polish the empty support; the frozen-z trigger
-        # polishes it at once, with the same bits.
+        # polishes it at iteration 2, and the closed-form trigger, which
+        # reads that support off Delta(k) y, before the loop: the same bits.
         y, cfg = recipe_input(3)
         first, _, z = next(est._admm_iterates(y, cfg))
-        assert first < 250 and not np.any(z)
+        assert first == 2 and not np.any(z) and closed_form_empty(y, cfg)
         assert next(admm_iterates_reference(y, cfg))[0] == 250
         res = est.fit(y, cfg)
         ref = admm_reference(y, cfg)
-        assert res.converged and res.iters == first and ref.iters == 250
+        assert res.converged and res.iters == 1 and ref.iters == 250
         assert_same_fit(res, ref)
+        assert_same_fit(res, admm_reference(y, cfg, frozen_trigger=True))
 
 
 def _iterates(gen):
@@ -378,8 +417,9 @@ class TestPolishCycles:
     def test_same_result_fewer_solves(self, monkeypatch):
         # k = 3, n = 256: the one-worst-row polish revisits a state at the
         # first two triggers and certifies at iteration 500 after 25 rounds;
-        # the new rule certifies the same fit at the first trigger
-        # (iteration 2) after 8.
+        # the new rule certifies the same fit at the first trigger after 8:
+        # the closed-form trigger (iteration 1), which polishes the empty
+        # support that ADMM's first trigger (iteration 2) would.
         y = noisy_piecewise(np.random.default_rng(143), 256, 3, 4)
         cfg = est.FitConfig(lam=0.3 * est.lambda_max(y, 3), k=3)
         log = PolishLog(monkeypatch)
@@ -391,7 +431,9 @@ class TestPolishCycles:
         assert res.converged and ref.converged
         assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
         assert (res.kkt_residual, res.objective) == (ref.kkt_residual, ref.objective)
-        assert res.iters == next(est._admm_iterates(y, cfg))[0] < ref.iters
+        assert closed_form_empty(y, cfg) and res.iters == 1
+        first, _, z = next(est._admm_iterates(y, cfg))
+        assert first == 2 < ref.iters and not np.any(z)
         assert (rounds, len(log.rounds())) == (8, 25)
 
     def test_repeated_state_gives_up_at_once(self, monkeypatch):
@@ -610,14 +652,15 @@ class TestScreenedPolish:
         assert len(lies) == 1 and log.qr_faces() == honest + 1
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
-    def test_stop_at_first_screened_face_builds_two_qr_faces(self, monkeypatch):
-        # From the empty support: the starting face adds the worst row of its
-        # one violator run, and the next face is the last.
+    def test_stop_at_last_face_builds_one_qr_face(self, monkeypatch):
+        # From the empty support: the screened starting face adds the worst
+        # row of its one violator run, and the screen stops at the next face,
+        # the last, which is the one QR face of the polish.
         y, cfg = recipe_input(2, n=1024, frac=0.6)
         log = PolishLog(monkeypatch)
         got = est._polish(y, 2, cfg.lam, [], [], cfg.tol_kkt)
-        assert [kind for kind, _ in log.faces] == ["qr", "screen", "qr"]
-        assert len(log.rounds()) == 2 and log.qr_faces() == 2
+        assert [kind for kind, _ in log.faces] == ["screen", "screen", "qr"]
+        assert len(log.rounds()) == 2 and log.qr_faces() == 1
         ref = polish_exact_reference(y, 2, cfg.lam, [], [], cfg.tol_kkt)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -630,10 +673,11 @@ class TestKktFaces:
 
     def test_recipe_k4_returns_at_the_first_trigger(self):
         # ADMM would raise the rho-doubling LinAlgError soon after iteration
-        # 250; the empty-support polish at the frozen-z trigger ends the fit.
+        # 250; the empty-support polish at the closed-form trigger ends the
+        # fit before ADMM starts.
         y, cfg = recipe_input(4)
         res = est.fit(y, cfg)
-        assert res.iters == 2
+        assert res.iters == 1 and closed_form_empty(y, cfg)
         assert res.kkt_residual < 1e-6 and np.max(np.abs(res.dual)) <= 1.0 + 1e-12
         f_hat, u, kkt = est._polish(y, 4, cfg.lam, [], [], cfg.tol_kkt)
         assert np.array_equal(res.f_hat, f_hat) and np.array_equal(res.dual, u)
@@ -661,12 +705,17 @@ class TestKktFaces:
         assert np.array_equal(res.f_hat, f_hat) and np.array_equal(res.dual, u)
         assert res.kkt_residual == kkt < 1e-6
 
-    def test_k3_at_small_lambda_certifies_at_iteration_2(self):
+    def test_k3_at_small_lambda_certifies_at_iteration_1(self):
         # n = 2048, 0.1 lambda_max: the one-worst-row polish never certified
-        # this fit, which ran all 50 000 ADMM iterations.
+        # this fit, which ran all 50 000 ADMM iterations.  The polish of the
+        # empty support certifies it, at the closed-form trigger; ADMM's
+        # frozen-z trigger reaches the same fit at iteration 2.
         y, cfg = recipe_input(3, n=2048, frac=0.1)
         res = est.fit(y, cfg)
-        assert res.converged and res.iters == 2
+        assert res.converged and res.iters == 1
+        ref = admm_reference(y, cfg, frozen_trigger=True)
+        assert ref.iters == 2
+        assert_same_fit(res, ref)
 
     def test_battery_keeps_certified_bits(self, monkeypatch):
         # Every fit the one-worst-row polish certifies keeps its f_hat, dual
@@ -885,6 +934,34 @@ class TestPolishBits:
                 f_hat, b = est._restricted_solve(y, k, lam, rows, signs)
                 f_ref, b_ref = restricted_solve_reference(y, k, lam, rows, signs)
                 assert np.array_equal(f_hat, f_ref) and np.array_equal(b, b_ref)
+
+    def test_restricted_solve_past_the_qr_crossover(self):
+        # Past k + |A| = 128 LAPACK's QR works in blocks, whose size the
+        # workspace sets.  With two OpenBLAS threads the blocked QR's last
+        # bits change with the thread count, in numpy's qr and in scipy's
+        # geqrf alike, so the faces are compared in a fresh interpreter with
+        # one thread, as the recorded digests are.
+        script = """
+import numpy as np
+from conftest import restricted_solve_reference
+from tvtrend import estimator as est
+rng = np.random.default_rng(7)
+for k in (1, 2, 3, 4):
+    for n, a in ((300, 150), (1024, 126), (1024, 200)):
+        rows = np.sort(rng.choice(np.arange(k + 1, n + 1), a, replace=False))
+        signs = rng.choice([-1.0, 1.0], size=a)
+        y = rng.standard_normal(n)
+        got = est._restricted_solve(y, k, 0.1, rows, signs)
+        ref = restricted_solve_reference(y, k, 0.1, rows, signs)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref)), (k, n, a)
+print("ok")
+"""
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
 
     def test_cached_basis_is_read_only(self):
         P = _cached_polynomial_basis(64, 3)

@@ -230,3 +230,71 @@ def test_admm_start_factor_is_cached(monkeypatch):
         assert again.iters == res.iters and np.array_equal(again.f_hat, res.f_hat)
         assert len(calls) == len(rhos) and est.RHO_INIT not in rhos
         assert bool(rhos) == (cfg.k == 2)       # only y2's rho is rebalanced
+
+
+def test_closed_form_fit_builds_no_admm(monkeypatch):
+    """A fit whose closed-form first ADMM iterate, soft(Delta(k) y,
+    2 lambda / RHO_INIT), is the empty support, and whose polish of it
+    returns, neither runs the ADMM loop nor factors or solves a banded
+    system."""
+    from conftest import recipe_input
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ADMM entered by a closed-form fit")
+
+    for name in ("_admm_iterates", "_PBTRF", "_PBTRS"):
+        monkeypatch.setattr(est, name, refuse)
+    for k in (3, 4):
+        y, cfg = recipe_input(k, n=1024)
+        assert np.max(np.abs(np.diff(y, k))) <= 2.0 * cfg.lam / est.RHO_INIT
+        assert est.fit(y, cfg).iters == 1
+
+
+def test_k1_coverage_trial_enters_admm(monkeypatch):
+    """The closed-form trigger does not fire on a k1_coverage trial: its fit
+    still runs the ADMM loop, once."""
+    from pathlib import Path
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "k1_coverage.json"
+    prep = exp.prepare(exp.ExperimentConfig.from_json(config))
+    calls = []
+    admm = est._admm_iterates
+
+    def counting(y, cfg):
+        calls.append(cfg.k)
+        return admm(y, cfg)
+
+    monkeypatch.setattr(est, "_admm_iterates", counting)
+    for trial in range(3):
+        calls.clear()
+        assert exp.run_trial(prep, trial).converged
+        assert calls == [1]
+
+
+def test_polish_solves_by_qr_only_where_the_screen_stops(monkeypatch):
+    """Every ``_restricted_solve`` of a polish solves the state on which the
+    screen just stopped, the starting face included: a polish whose screen
+    stops only at its last face calls ``_restricted_solve`` once."""
+    from conftest import PolishLog, recipe_input
+
+    stops = []
+    screen = est._screen
+
+    def logged(face, active, signs, k, tol_kkt):
+        out = screen(face, active, signs, k, tol_kkt)
+        if out is None:
+            stops.append(PolishLog.state(active, signs))
+        return out
+
+    log = PolishLog(monkeypatch)
+    monkeypatch.setattr(est, "_screen", logged)
+    single = 0
+    for k, n, frac in ((2, 1024, 0.6), (2, 1024, 0.3), (3, 1024, 0.3), (3, 2048, 0.1)):
+        y, cfg = recipe_input(k, n=n, frac=frac)
+        log.clear()
+        stops.clear()
+        assert est._polish(y, k, cfg.lam, [], [], cfg.tol_kkt) is not None
+        qr = [state for kind, state in log.faces if kind == "qr"]
+        assert qr == stops and log.faces[0][0] == "screen"
+        single += len(qr) == 1
+    assert single >= 2
