@@ -172,6 +172,8 @@ def _restricted_solve(y, k, lam, active, signs):
     n, a = len(y), len(active)
     const = _cached_face_constants(n, k)
     P = const.P
+    # Phi is projected as its own C-ordered block, and X keeps C order for
+    # the refinement products: the operand layouts of the earlier bits.
     Phi = np.empty((n, a))
     _place_columns(Phi, const.ramp, active)
     Phi -= P @ (P.T @ Phi)
