@@ -7,8 +7,10 @@ with one OpenBLAS thread, once with one trial worker and once with two
 ``simulate_digests.json``: the outputs do not depend on the worker count.
 The JSON of every ``verify`` suite is compared with ``verify_digests.json``
 the same way.  ``fit_digests.json`` holds, for each of the 24 n = 4096
-inputs (``conftest.n4096_inputs``) and the 32 battery inputs
-(``conftest.battery_inputs``), the SHA-256 of the fit's f_hat, dual,
+inputs (``conftest.n4096_inputs``), the 32 battery inputs
+(``conftest.battery_inputs``) and the 3 benchmark draws that its fit-n4096
+batch leaves out and that certify quickly (``conftest.left_out_inputs``),
+the SHA-256 of the fit's f_hat, dual,
 objective, kkt_residual and converged, computed in a fresh interpreter with
 one OpenBLAS thread; ``iters`` is left out, so a change of how a fit gets to
 its face does not move them.
@@ -89,11 +91,12 @@ def fit_digests():
 
 
 def _fit_digests_here():
-    from conftest import battery_inputs, n4096_inputs
+    from conftest import battery_inputs, left_out_inputs, n4096_inputs
     from tvtrend import estimator as est
 
     digests = {}
-    for name, inputs in (("n4096", n4096_inputs()), ("battery", battery_inputs())):
+    for name, inputs in (("n4096", n4096_inputs()), ("battery", battery_inputs()),
+                         ("left_out", left_out_inputs())):
         for i, (y, cfg) in enumerate(inputs):
             h = hashlib.sha256()
             try:
@@ -134,7 +137,7 @@ def test_verify_outputs_match_recorded_digests(tmp_path):
 
 def test_fits_match_recorded_digests():
     want = recorded("fit")
-    assert len(want) == 24 + 32
+    assert len(want) == 24 + 32 + 3
     assert fit_digests() == want
 
 
