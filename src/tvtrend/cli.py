@@ -102,15 +102,28 @@ def _parse_active_set(args, n, k):
     return ActiveSet(n=n, k=k, t=t, q_S=signs)
 
 
+def _require_positive(*flags):
+    """Refuse any (flag, value) pair whose value is not a finite number > 0;
+    a flag left unset (None) passes."""
+    for flag, value in flags:
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InputError(f"{flag} must be a finite number > 0, got {value}")
+
+
 def cmd_solve(args):
     y = _read_signal_csv(args.input)
     n = len(y)
+    if args.n_max is not None and args.n_max < 1:
+        raise InputError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.lam is None and args.lambda_rule is not None and not 0 <= args.s0 <= n - args.k - 1:
+        raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
+                         f" got {args.s0}")
     if args.lam is not None:
         lam = args.lam
     elif args.lambda_rule == "equal_segment":
         lam = theory.equal_segment_lambda(n, args.k, args.s0, scale=args.lambda_scale)
     elif args.lambda_rule == "threshold":
-        n_max = args.n_max or (n + 1 - args.k) // (args.s0 + 1)
+        n_max = args.n_max if args.n_max is not None else (n + 1 - args.k) // (args.s0 + 1)
         lam = args.lambda_scale * theory.lambda_threshold(n, args.k, n_max, args.u, s=args.s0)
     else:
         raise InputError("provide --lambda or --lambda-rule")
@@ -129,6 +142,8 @@ def cmd_solve(args):
 
 
 def cmd_bounds(args):
+    _require_positive(("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u),
+                      ("--v", args.v))
     n, k = args.n, args.k
     S = _parse_active_set(args, n, k)
     s = S.s
@@ -155,6 +170,7 @@ def cmd_bounds(args):
 
 
 def cmd_interpolant(args):
+    _require_positive(("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u))
     S = _parse_active_set(args, args.n, args.k)
     weights = None
     if args.mode == "noisy":

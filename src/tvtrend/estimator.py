@@ -73,6 +73,9 @@ class FitConfig:
     algorithm: str = "admm"
 
     def __post_init__(self):
+        for name in ("lam", "tol_kkt"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not math.isfinite(self.lam):
             raise ValueError("lambda must be finite")
         if self.lam < 0:
@@ -633,70 +636,98 @@ def tv1d_exact(y, lam):
     jump backtracking, O(n) in practice.  The sweep runs on Python floats
     read once from y: they are IEEE doubles like numpy's float64 scalars, so
     every operation rounds as it would on those, without the interpreter
-    overhead of numpy scalar indexing and arithmetic.  Each finished segment
-    is written into the output by one slice assignment.
+    overhead of numpy scalar indexing and arithmetic.
+
+    Each stretch of the sweep between two backtracks is one ``for`` loop over
+    the samples.  A jump backtracks when the segment it closes ended before
+    the current sample (at kminus or kplus): the loop breaks and the next one
+    starts after the new segment start.  A jump whose new segment starts at
+    the current sample stays in the loop.  When a loop reaches the last
+    sample, the sweep closes the last segment or backtracks.  The tube
+    bounds vmin - lam and vmax + lam, the segment length offset 1 - k0 and
+    -lam are held in locals, refreshed only where vmin, vmax or the segment
+    start k0 change, so a sample costs a list read, two comparisons and two
+    updates.  Each finished segment is written into the output by one slice
+    assignment.  Every float operation, and its order, is that of the plain
+    loop on numpy scalars (``tests/conftest.tv1d_reference``), so the output
+    is bitwise the same.
     """
     y = np.asarray(y, dtype=float)
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     n = len(y)
     x = np.empty(n)
     if n == 0:
         return x
-    if n == 1 or lam <= 0:
+    if n == 1 or lam == 0:
         return y.copy()
     ys = y.tolist()
+    neg_lam = -lam
     k = k0 = kminus = kplus = 0
     vmin = ys[0] - lam
     vmax = ys[0] + lam
     umin = lam
-    umax = -lam
+    umax = neg_lam
+    lo = vmin - lam
+    hi = vmax + lam
     while True:
-        if k == n - 1:
+        off = 1 - k0
+        for k in range(k + 1, n):
+            y_next = ys[k]
+            if y_next + umin < lo:
+                x[k0:kminus + 1] = vmin
+                k0 = kminus = kplus = kminus + 1
+                vmin = ys[k0]
+                vmax = ys[k0] + 2.0 * lam
+            elif y_next + umax > hi:
+                x[k0:kplus + 1] = vmax
+                k0 = kminus = kplus = kplus + 1
+                vmin = ys[k0] - 2.0 * lam
+                vmax = ys[k0]
+            else:
+                umin += y_next - vmin
+                umax += y_next - vmax
+                if umin >= lam:
+                    vmin += (umin - lam) / (k + off)
+                    umin = lam
+                    kminus = k
+                    lo = vmin - lam
+                if umax <= neg_lam:
+                    vmax += (umax + lam) / (k + off)
+                    umax = neg_lam
+                    kplus = k
+                    hi = vmax + lam
+                continue
+            umin = lam
+            umax = neg_lam
+            lo = vmin - lam
+            hi = vmax + lam
+            if k0 < k:
+                k = k0
+                break
+            off = 1 - k0
+        else:
+            # The stretch reached the last sample, k = n - 1.
             if umin < 0.0:
                 x[k0:kminus + 1] = vmin
                 k = k0 = kminus = kminus + 1
                 vmin = ys[k]
                 umin = lam
                 umax = ys[k] + lam - vmax
+                lo = vmin - lam
             elif umax > 0.0:
                 x[k0:kplus + 1] = vmax
                 k = k0 = kplus = kplus + 1
                 vmax = ys[k]
-                umax = -lam
+                umax = neg_lam
                 umin = ys[k] - lam - vmin
+                hi = vmax + lam
             else:
                 x[k0:n] = vmin + umin / (k - k0 + 1)
                 return x
-            continue
-        y_next = ys[k + 1]
-        if y_next + umin < vmin - lam:
-            x[k0:kminus + 1] = vmin
-            k = k0 = kminus = kplus = kminus + 1
-            vmin = ys[k]
-            vmax = ys[k] + 2.0 * lam
-            umin = lam
-            umax = -lam
-        elif y_next + umax > vmax + lam:
-            x[k0:kplus + 1] = vmax
-            k = k0 = kminus = kplus = kplus + 1
-            vmin = ys[k] - 2.0 * lam
-            vmax = ys[k]
-            umin = lam
-            umax = -lam
-        else:
-            k += 1
-            umin += y_next - vmin
-            umax += y_next - vmax
-            if umin >= lam:
-                vmin += (umin - lam) / (k - k0 + 1)
-                umin = lam
-                kminus = k
-            if umax <= -lam:
-                vmax += (umax + lam) / (k - k0 + 1)
-                umax = -lam
-                kplus = k
 
 
 def _result(y, cfg, f_hat, dual, kkt, iters, converged):

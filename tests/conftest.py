@@ -524,10 +524,12 @@ def restricted_solve_reference(y, k, lam, active, signs):
     return f_hat, b
 
 
-def tv1d_reference(y, lam):
+def tv1d_reference(y, lam, events=None):
     """Condat's direct taut-string algorithm on numpy scalars: the loop that
     ``estimator.tv1d_exact`` runs on Python floats.  The two must agree bit
-    for bit.
+    for bit.  A list passed as ``events`` receives one (kind, k) per restart:
+    "jump-" / "jump+" for a jump found at sample k + 1, "last-" / "last+"
+    for a backtrack at the last sample, k = n - 1.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -543,6 +545,8 @@ def tv1d_reference(y, lam):
     umax = -lam
     while True:
         if k == n - 1:
+            if events is not None and (umin < 0.0 or umax > 0.0):
+                events.append(("last-" if umin < 0.0 else "last+", k))
             if umin < 0.0:
                 x[k0:kminus + 1] = vmin
                 k = k0 = kminus = kminus + 1
@@ -559,6 +563,8 @@ def tv1d_reference(y, lam):
                 x[k0:n] = vmin + umin / (k - k0 + 1)
                 return x
         elif y[k + 1] + umin < vmin - lam:
+            if events is not None:
+                events.append(("jump-", k))
             x[k0:kminus + 1] = vmin
             k = k0 = kminus = kplus = kminus + 1
             vmin = y[k]
@@ -566,6 +572,8 @@ def tv1d_reference(y, lam):
             umin = lam
             umax = -lam
         elif y[k + 1] + umax > vmax + lam:
+            if events is not None:
+                events.append(("jump+", k))
             x[k0:kplus + 1] = vmax
             k = k0 = kminus = kplus = kplus + 1
             vmin = y[k] - 2.0 * lam

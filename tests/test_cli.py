@@ -189,6 +189,17 @@ class TestBounds:
         assert cli.main(args + ["--signs", "+,-"]) == 0
         assert capsys.readouterr().out == spaced
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--c-k", "--u", "--v"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_numeric_flags_must_be_finite_and_positive(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        args = ["bounds", "--n", "100", "--k", "1", "--jumps", "30,60", f"{flag}={value}",
+                "--out", str(out)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} must be a finite number > 0" in captured.err
+        assert not out.exists()
+
 
 class TestInterpolant:
     def test_csv_columns_and_slack(self, tmp_path):
@@ -241,6 +252,15 @@ class TestInterpolant:
             outs.append(capsys.readouterr().out)
         assert len(set(outs)) == 1
         assert outs[0].splitlines()[30 - 1] == "30,1,1,0"
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--c-k", "--u"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_numeric_flags_must_be_finite_and_positive(self, flag, value, capsys):
+        args = ["interpolant", "--n", "100", "--k", "1", "--jumps", "30,60", "--mode", "noisy",
+                f"{flag}={value}"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} must be a finite number > 0" in captured.err
 
     def test_noiseless_mode(self, tmp_path):
         out = tmp_path / "q.csv"
@@ -394,6 +414,25 @@ class TestLambdaRules:
         from tvtrend import theory
         lam = json.loads(rep.read_text())["lambda"]
         assert lam == pytest.approx(theory.equal_segment_lambda(90, 1, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("rule", ["threshold", "equal_segment"])
+    @pytest.mark.parametrize("s0", ["-1", "-3", "89"])
+    def test_s0_outside_its_range_is_usage_error(self, tmp_path, signal, capsys, rule, s0):
+        # n = 90, k = 1: --s0 must lie in [0, 88]; 88 itself is accepted.
+        path, _ = signal
+        args = ["solve", "--input", str(path), "--k", "1", "--lambda-rule", rule,
+                "--report", str(tmp_path / "r.json")]
+        assert cli.main(args + [f"--s0={s0}"]) == 2
+        assert "--s0 must be in [0, n - k - 1] = [0, 88]" in capsys.readouterr().err
+        assert cli.main(args + ["--s0", "88"]) == 0
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_n_max_below_one_is_usage_error(self, tmp_path, signal, capsys, n_max):
+        path, _ = signal
+        rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda-rule", "threshold",
+                       f"--n-max={n_max}", "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "--n-max must be >= 1" in capsys.readouterr().err
 
     def test_missing_lambda_usage_error(self, tmp_path, signal):
         path, _ = signal

@@ -96,6 +96,11 @@ class TestFitBasics:
         for bad in (2.5, 10.0, np.float64(3.0), True):
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 est.FitConfig(lam=1.0, k=1, max_iter=bad)
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="lam must be a number"):
+                est.FitConfig(lam=bad, k=1)
+            with pytest.raises(ValueError, match="tol_kkt must be a number"):
+                est.FitConfig(lam=1.0, k=1, tol_kkt=bad)
         with pytest.raises(ValueError, match=r"\bk must be an integer"):
             est.FitConfig(lam=1.0, k=True)
         cfg = est.FitConfig(lam=1.0, k=np.int64(2), max_iter=np.int32(5))
@@ -843,12 +848,23 @@ class TestTautString:
         with pytest.raises(ValueError, match="finite"):
             est.tv1d_exact(np.arange(5.0), lam)
 
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300])
+    def test_rejects_negative_lambda(self, lam):
+        with pytest.raises(ValueError, match="nonnegative"):
+            est.tv1d_exact(np.arange(5.0), lam)
+        y = np.arange(5.0)
+        np.testing.assert_array_equal(est.tv1d_exact(y, 0.0), y)
 
-def assert_matches_tv1d_reference(y, lam):
+
+def assert_matches_tv1d_reference(y, lam, events=None):
     out = est.tv1d_exact(y, lam)
     assert out.dtype == np.float64 and out.shape == np.shape(y)
-    assert np.array_equal(out, tv1d_reference(y, lam))
+    assert out.tobytes() == tv1d_reference(y, lam, events).tobytes()
     return out
+
+
+def last_sample_backtracks(events):
+    return sum(kind.startswith("last") for kind, _ in events)
 
 
 class TestTautStringBits:
@@ -897,6 +913,51 @@ class TestTautStringBits:
         for trial in range(50):
             y = prep.f0 + experiments.trial_rng(cfg.seed, trial).standard_normal(cfg.n)
             assert_matches_tv1d_reference(y, cfg.n * prep.lam)
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_lambda_from_a_jump_per_sample_to_flat(self, n, rng):
+        # From 1e-9 ||y|| (nearly every sample starts a segment, each jump
+        # restarting at the sample it is found at) through the regime where
+        # jumps backtrack to an earlier segment end, to above the level at
+        # which the fit is flat.
+        y = rng.standard_normal(n)
+        flat = float(np.max(np.abs(np.cumsum(y - y.mean()))))
+        lams = np.geomspace(1e-9 * float(np.linalg.norm(y)), 2.0 * flat, 14)
+        for i, lam in enumerate(lams):
+            events = []
+            out = assert_matches_tv1d_reference(y, float(lam), events)
+            if i == 0:
+                assert len(events) > 0.9 * n
+        assert np.ptp(out) == 0.0
+
+    def test_spikes_in_the_last_samples(self, rng):
+        # A steep tail of m samples under a lambda of the tail's scale makes
+        # the sweep backtrack at the last sample, often several times.
+        counts = []
+        for _ in range(200):
+            n, m = int(rng.integers(20, 400)), int(rng.integers(2, 13))
+            y = rng.standard_normal(n)
+            y[-m:] += (rng.choice([-1.0, 1.0]) * 10.0
+                       * np.arange(1, m + 1) ** float(rng.choice([1.0, 2.0])))
+            events = []
+            assert_matches_tv1d_reference(y, 10.0 * m * float(rng.uniform(1.0, 8.0)), events)
+            counts.append(last_sample_backtracks(events))
+        assert sum(c >= 3 for c in counts) >= 10 and max(counts) >= 4
+
+    def test_long_integer_valued_with_ties(self, rng):
+        y = rng.integers(-3, 4, size=10_000).astype(float)
+        for lam in (0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0):
+            assert_matches_tv1d_reference(y, lam)
+
+    @given(n=st.integers(1, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           log_lam=st.floats(-9.0, 1.5), rounded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_over_n_scale_lambda(self, n, scale, log_lam, rounded, seed):
+        # lambda relative to ||y||: from a jump at every sample to a flat fit
+        y = scale * np.random.default_rng(seed).standard_normal(n)
+        if rounded:
+            y = np.round(y / scale) * scale
+        assert_matches_tv1d_reference(y, 10.0 ** log_lam * float(np.linalg.norm(y)))
 
 
 class TestPolishBits:
