@@ -115,7 +115,8 @@ def cmd_solve(args):
     n = len(y)
     if args.n_max is not None and args.n_max < 1:
         raise InputError(f"--n-max must be >= 1, got {args.n_max}")
-    if args.lam is None and args.lambda_rule is not None and not 0 <= args.s0 <= n - args.k - 1:
+    if (args.lam is None and args.lambda_rule is not None and n > args.k
+            and not 0 <= args.s0 <= n - args.k - 1):
         raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
                          f" got {args.s0}")
     if args.lam is not None:

@@ -706,6 +706,7 @@ def tv1d_exact(y, lam):
             lo = vmin - lam
             hi = vmax + lam
             if k0 < k:
+                # The new segment starts before sample k: scan again after k0.
                 k = k0
                 break
             off = 1 - k0

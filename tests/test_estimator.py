@@ -850,9 +850,9 @@ class TestTautString:
 
     @pytest.mark.parametrize("lam", [-1.0, -1e-300])
     def test_rejects_negative_lambda(self, lam):
-        with pytest.raises(ValueError, match="nonnegative"):
-            est.tv1d_exact(np.arange(5.0), lam)
         y = np.arange(5.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            est.tv1d_exact(y, lam)
         np.testing.assert_array_equal(est.tv1d_exact(y, 0.0), y)
 
 
@@ -861,10 +861,6 @@ def assert_matches_tv1d_reference(y, lam, events=None):
     assert out.dtype == np.float64 and out.shape == np.shape(y)
     assert out.tobytes() == tv1d_reference(y, lam, events).tobytes()
     return out
-
-
-def last_sample_backtracks(events):
-    return sum(kind.startswith("last") for kind, _ in events)
 
 
 class TestTautStringBits:
@@ -882,6 +878,9 @@ class TestTautStringBits:
             n = int(rng.integers(2, 200))
             y = rng.integers(-3, 4, size=n).astype(float)
             lam = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+            assert_matches_tv1d_reference(y, lam)
+        y = rng.integers(-3, 4, size=10_000).astype(float)
+        for lam in (0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0):
             assert_matches_tv1d_reference(y, lam)
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 7.0, 1e6])
@@ -941,13 +940,8 @@ class TestTautStringBits:
                        * np.arange(1, m + 1) ** float(rng.choice([1.0, 2.0])))
             events = []
             assert_matches_tv1d_reference(y, 10.0 * m * float(rng.uniform(1.0, 8.0)), events)
-            counts.append(last_sample_backtracks(events))
+            counts.append(sum(kind.startswith("last") for kind, _ in events))
         assert sum(c >= 3 for c in counts) >= 10 and max(counts) >= 4
-
-    def test_long_integer_valued_with_ties(self, rng):
-        y = rng.integers(-3, 4, size=10_000).astype(float)
-        for lam in (0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0):
-            assert_matches_tv1d_reference(y, lam)
 
     @given(n=st.integers(1, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]),
            log_lam=st.floats(-9.0, 1.5), rounded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
