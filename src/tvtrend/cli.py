@@ -113,9 +113,13 @@ def _require_positive(*flags):
 def cmd_solve(args):
     y = _read_signal_csv(args.input)
     n = len(y)
-    if args.n_max is not None and args.n_max < 1:
-        raise InputError(f"--n-max must be >= 1, got {args.n_max}")
-    if (args.lam is None and args.lambda_rule is not None and n > args.k
+    if n < args.k + 1:
+        raise InputError(f"--k {args.k} needs n >= k + 1 = {args.k + 1} samples, got n = {n}")
+    # The longest segment n samples can hold under k-th differences: n + 1 - k.
+    if args.n_max is not None and not 1 <= args.n_max <= n + 1 - args.k:
+        raise InputError(f"--n-max must be >= 1 and <= n + 1 - k = {n + 1 - args.k}"
+                         f" (n = {n}, k = {args.k}), got {args.n_max}")
+    if (args.lam is None and args.lambda_rule is not None
             and not 0 <= args.s0 <= n - args.k - 1):
         raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
                          f" got {args.s0}")
@@ -242,8 +246,10 @@ def build_parser():
     sp.add_argument("--max-iter", type=int, default=50_000)
     sp.add_argument("--out", default=None, help="fitted signal CSV")
     sp.add_argument("--report", default=None,
-                    help="fit report JSON (default: stdout); its iters is 0 for the polynomial"
-                         " fit, 1 at the closed-form trigger, else the ADMM iteration")
+                    help="fit report JSON (default: stdout).  Below lambda_max, admm polishes"
+                         " the closed-form candidate, then ADMM's trigger candidates, and"
+                         " returns the first polished face, or ADMM's final iterate when"
+                         " every polish gives up; iters is as in tvtrend.estimator.FitResult")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bounds", help="tuning rules and closed-form bound values")

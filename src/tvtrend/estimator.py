@@ -13,25 +13,28 @@ whose residual, box excess and sign mismatch are folded into
 lambda = 0 the fit is y.  ``dp_k1`` (k = 1) certifies Condat's direct taut
 string ``tv1d_exact``.  ``admm`` returns the polynomial fit, the minimizer
 when lambda >= lambda_max, certified or not: only float64 rounding can fail
-its certificate.  Otherwise the driver polishes each new (support, signs) by
-an active-set refinement and returns the first face that satisfies KKT in
-exact arithmetic, flagged converged when its certificate meets the
-tolerance.  The first trigger is closed-form: ADMM's first iterate is
-z = soft(Delta(k) y, 2 lambda / RHO_INIT), so when max |Delta(k) y| <=
-2 lambda / RHO_INIT it is the empty support, which is polished before any
-ADMM buffer or banded factor is built, and a face it returns has
-``iters = 1``.  If that polish gives up, ``_admm_iterates`` runs and yields
-iterates at the other triggers: settled residuals, every 250th iteration,
-and the first iteration of each run in which z does not move.  The
-refinement screens every face it passes through, its starting face included,
-on cached columns (normal equations and one refinement step) and solves
-exactly, by QR, only the faces where the screen stops; a polish whose screen
-stops only at its last face solves one QR face, and every face it returns is
-such an exact face.  A screened face forms its dual only where the decision
-needs it: not where it drops a sign-inconsistent row.  Its dual's error is
-bounded in O(|A|) from per-(n, k) constants (``_cached_face_constants``)
-instead of a second pass over n.  ``fit`` keeps the best uncertified iterate
-for when every polish gives up and ``max_iter`` runs out.
+its certificate.  Otherwise ``fit`` is one loop over the candidate supports
+of ``_candidates``, in order:
+
+1. the closed-form candidate, ADMM's first iterate when it is the empty
+   support, before any ADMM buffer or banded factor is built;
+2. the trigger candidates of ``_admm_iterates``: settled residuals, every
+   250th iteration, and the first iteration of each run in which z does not
+   move.
+
+Each new (support, signs) is polished once, by an active-set refinement, and
+the first face a polish returns is the fit: it satisfies KKT in exact
+arithmetic and is flagged converged when its certificate meets the
+tolerance.  ADMM only proposes supports; no raw iterate ends a fit before
+``max_iter``.  When every polish gives up, the fit is ADMM's final iterate,
+with its own certificate.  The refinement screens every face it passes
+through, its starting face included, on cached columns (normal equations
+and one refinement step) and solves exactly, by QR, only the faces where
+the screen stops; a polish whose screen stops only at its last face solves
+one QR face, and every face it returns is such an exact face.  A screened
+face forms its dual only where the decision needs it: not where it drops a
+sign-inconsistent row.  Its dual's error is bounded in O(|A|) from per-(n, k)
+constants (``_cached_face_constants``) instead of a second pass over n.
 """
 
 from __future__ import annotations
@@ -94,16 +97,17 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """``converged`` means ``kkt_residual`` met ``tol_kkt``.  ``iters`` is 0
-    at lambda = 0 and for the polynomial fit at lambda >= lambda_max, n for
-    ``dp_k1``, 1 when the polish of the empty support at the closed-form
-    trigger returned the fit (ADMM's first iterate has that support, and the
-    loop is not run), otherwise the ADMM iteration whose polish trigger
-    returned the fit (the iterate or its polished face), and ``max_iter``
-    when every polish gave up.  An uncertified fit may therefore stop at 0,
-    1 or a trigger iteration: the polynomial fit or polished face it returns
-    satisfies KKT in exact arithmetic, and only float64 rounding keeps the
-    residual above ``tol_kkt``."""
+    """``converged`` means ``kkt_residual`` met ``tol_kkt``.
+
+    ``iters`` is 0 at lambda = 0 and for the polynomial fit at lambda >=
+    lambda_max, and n for ``dp_k1``.  Otherwise it is the ADMM iteration of
+    the candidate whose polished face is the fit: 1 for the closed-form
+    candidate (ADMM is not run), else the trigger iteration.  It is
+    ``max_iter`` when every polish gave up and the fit is ADMM's final
+    iterate.  An uncertified fit may therefore stop before ``max_iter`` only
+    at 0, 1 or a trigger iteration: the polynomial fit or polished face it
+    returns satisfies KKT in exact arithmetic, and only float64 rounding
+    keeps the residual above ``tol_kkt``."""
 
     f_hat: np.ndarray
     objective: float
@@ -526,15 +530,6 @@ def _admm_factor(n, k, rho):
     return chol
 
 
-@lru_cache(maxsize=32)
-def _cached_start_factor(n, k):
-    """Read-only ``_admm_factor(n, k, RHO_INIT)``, the factor every ADMM run
-    starts from, built once per (n, k)."""
-    chol = _admm_factor(n, k, RHO_INIT)
-    chol.setflags(write=False)
-    return chol
-
-
 def _diff_plan(src, k, out, rows):
     """``(minuend, subtrahend, out)`` views whose subtractions, run in order,
     leave ``np.diff(src, k)`` in ``out``: the same k differences in the same
@@ -569,11 +564,7 @@ def _admm_iterates(y, cfg):
     pad = np.zeros(m + 2 * k)
     body = pad[k:k + m]
     sign_t = (-1.0) ** k
-
-    def factor(rho):
-        return _cached_start_factor(n, k) if rho == RHO_INIT else _admm_factor(n, k, rho)
-
-    chol = factor(rho)
+    chol = _admm_factor(n, k, rho)
     f = y.copy()                        # also the right-hand side: pbtrs solves in place
     z, z_old = np.diff(f, k), np.empty(m)
     w = np.zeros(m)
@@ -624,8 +615,19 @@ def _admm_iterates(y, cfg):
             step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
             rho *= step
             w /= step
-            chol = factor(rho)
+            chol = _admm_factor(n, k, rho)
     yield cfg.max_iter, f, None
+
+
+def _candidates(y, cfg):
+    """The candidate supports of ``fit``, as ADMM iterates (it, f, z), ended
+    by (max_iter, f, None).  From z = Delta(k) y and w = 0, ADMM's first
+    f-update returns y, so its first z is soft(Delta(k) y, 2 lam / RHO_INIT):
+    when that is the empty support it comes first, at iteration 1, and ADMM
+    is built only if the stream goes on past it."""
+    if np.max(np.abs(np.diff(y, cfg.k))) <= 2.0 * cfg.lam / RHO_INIT:
+        yield 1, y, np.zeros(len(y) - cfg.k)
+    yield from _admm_iterates(y, cfg)
 
 
 def tv1d_exact(y, lam):
@@ -761,39 +763,25 @@ def fit(y, cfg):
         f_hat = _restricted_solve(y, k, lam, [], [])[0]
         u, kkt = _certificate(y, f_hat, lam, k, tol)
         return _result(y, cfg, f_hat, u, kkt, 0, kkt <= tol)
-    polished = (None, None)         # the last polished (support, signs)
-    if np.max(np.abs(np.diff(y, k))) <= 2.0 * lam / RHO_INIT:
-        # From z = Delta(k) y and w = 0, ADMM's first f-update returns y, so
-        # its first z is soft(Delta(k) y, 2 lam / RHO_INIT), here the empty
-        # support: polish it before the loop is built.
-        hit = _polish(y, k, lam, [], [], tol)
-        if hit is not None:
-            f_hat, u, kkt = hit
-            return _result(y, cfg, f_hat, u, kkt, 1, kkt <= tol)
-        polished = (np.zeros(0, dtype=int), np.zeros(0))
-    best = None                     # (f, u, kkt) of the lowest uncertified residual
-    for it, f, z in _admm_iterates(y, cfg):
+    tried = set()                   # the (support, signs) polished so far
+    for it, f, z in _candidates(y, cfg):
         if z is None:
             break
         supp = np.nonzero(z)[0]
         signs = np.sign(z[supp])
         # _polish is a pure function of its arguments and every earlier call
-        # returned None, so a repeated (support, signs) is skipped.
-        if not (np.array_equal(supp, polished[0]) and np.array_equal(signs, polished[1])):
-            hit = _polish(y, k, lam, supp + k + 1, signs, tol)
-            if hit is not None:
-                f_hat, u, kkt = hit
-                return _result(y, cfg, f_hat, u, kkt, it, kkt <= tol)
-            polished = (supp, signs)
-        u, kkt = _certificate(y, f, lam, k, tol)
-        if kkt <= tol:
-            return _result(y, cfg, f, u, kkt, it, True)
-        if best is None or kkt < best[2]:
-            best = (f, u, kkt)
-    if best is None:
-        # No trigger was reached: report the last iterate.
-        best = (f, *_certificate(y, f, lam, k, tol))
-    return _result(y, cfg, *best, cfg.max_iter, False)
+        # returned None, so a state polished before is skipped.
+        state = (supp.tobytes(), signs.tobytes())
+        if state in tried:
+            continue
+        tried.add(state)
+        hit = _polish(y, k, lam, supp + k + 1, signs, tol)
+        if hit is not None:
+            f_hat, u, kkt = hit
+            return _result(y, cfg, f_hat, u, kkt, it, kkt <= tol)
+    # Every polish gave up: ADMM's final iterate, with its own certificate.
+    u, kkt = _certificate(y, f, lam, k, tol)
+    return _result(y, cfg, f, u, kkt, cfg.max_iter, kkt <= tol)
 
 
 def check_basic_inequality(result, y, f0, f):

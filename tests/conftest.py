@@ -172,9 +172,12 @@ def admm_reference(y, cfg, frozen_trigger=False):
 
     The triggers are settled residuals and every 250th iteration; with
     ``frozen_trigger`` also the first iteration of each run in which z equals
-    the previous z.  ``estimator.fit`` must reproduce the loop with it bit for
-    bit below lambda_max; without it, the same f_hat, dual, residual and
-    ``converged`` whenever a fit certifies, at an ``iters`` no later.
+    the previous z.  The first face a polish returns is the fit; no raw
+    iterate is accepted, and when every polish gives up the fit is the final
+    iterate, with its own certificate, at ``max_iter``.  ``estimator.fit``
+    must reproduce the loop with it bit for bit below lambda_max; without it,
+    the same f_hat, dual, residual and ``converged`` whenever a fit
+    certifies, at an ``iters`` no later.
     """
     n = len(y)
     k = cfg.k
@@ -190,7 +193,6 @@ def admm_reference(y, cfg, frozen_trigger=False):
     z = op.apply(f)
     w = np.zeros(op.m)
     thresh_scale = math.sqrt(op.m)
-    best = None
     was_frozen = False
     for it in range(1, cfg.max_iter + 1):
         rhs = (2.0 / n) * y + rho * op.apply_transpose(z - w)
@@ -214,13 +216,6 @@ def admm_reference(y, cfg, frozen_trigger=False):
                 return est.FitResult(f_hat=f_hat, objective=est.objective(f_hat, y, cfg.lam, k),
                                      kkt_residual=kkt, dual=u, iters=it,
                                      converged=kkt <= cfg.tol_kkt, lam=cfg.lam, k=k)
-            u, kkt = est._certificate(y, f, cfg.lam, k, cfg.tol_kkt)
-            if best is None or kkt < best[2]:
-                best = (f.copy(), u, kkt, it)
-            if kkt <= cfg.tol_kkt:
-                return est.FitResult(f_hat=f, objective=est.objective(f, y, cfg.lam, k),
-                                     kkt_residual=kkt, dual=u, iters=it, converged=True,
-                                     lam=cfg.lam, k=k)
         was_frozen = frozen
         if it % 10 == 0:
             if r_norm > 10.0 * s_norm:
@@ -231,13 +226,10 @@ def admm_reference(y, cfg, frozen_trigger=False):
                 rho /= 2.0
                 w *= 2.0
                 chol = factor(rho)
-    if best is None:
-        u, kkt = est._certificate(y, f, cfg.lam, k, cfg.tol_kkt)
-        best = (f, u, kkt, cfg.max_iter)
-    f_hat, u, kkt, _ = best
-    return est.FitResult(f_hat=f_hat, objective=est.objective(f_hat, y, cfg.lam, k),
-                         kkt_residual=kkt, dual=u, iters=cfg.max_iter, converged=False,
-                         lam=cfg.lam, k=k)
+    u, kkt = est._certificate(y, f, cfg.lam, k, cfg.tol_kkt)
+    return est.FitResult(f_hat=f, objective=est.objective(f, y, cfg.lam, k),
+                         kkt_residual=kkt, dual=u, iters=cfg.max_iter,
+                         converged=kkt <= cfg.tol_kkt, lam=cfg.lam, k=k)
 
 
 def admm_system_banded_reference(n, k, rho):

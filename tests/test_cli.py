@@ -434,6 +434,25 @@ class TestLambdaRules:
         assert rc == 2
         assert "--n-max must be >= 1" in capsys.readouterr().err
 
+    def test_n_max_above_the_longest_segment_is_usage_error(self, tmp_path, rng, capsys):
+        # 8 samples hold segments of at most n + 1 - k = 8 points at k = 1.
+        path = tmp_path / "y8.csv"
+        write_signal(path, rng.standard_normal(8))
+        args = ["solve", "--input", str(path), "--k", "1", "--lambda-rule", "threshold",
+                "--report", str(tmp_path / "r.json")]
+        assert cli.main(args + ["--n-max", "100"]) == 2
+        assert ("--n-max must be >= 1 and <= n + 1 - k = 8 (n = 8, k = 1), got 100"
+                in capsys.readouterr().err)
+        assert cli.main(args + ["--n-max", "8"]) == 0
+
+    def test_signal_shorter_than_k_plus_one_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "y2.csv"
+        write_signal(path, [0.5, -1.0])
+        rc = cli.main(["solve", "--input", str(path), "--k", "2", "--lambda-rule", "threshold",
+                       "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "--k 2 needs n >= k + 1 = 3 samples, got n = 2" in capsys.readouterr().err
+
     def test_missing_lambda_usage_error(self, tmp_path, signal):
         path, _ = signal
         assert cli.main(["solve", "--input", str(path), "--k", "1"]) == 2

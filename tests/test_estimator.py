@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -199,10 +200,9 @@ class TestFastPath:
 # (n, k, lambda / lambda_max) with tol_kkt = 1e-300, which nothing meets.  The
 # polish returns its KKT face uncertified at the first trigger (iteration 7 and
 # 250; 215 and 250 without the frozen-z trigger).  With a polish that always
-# gives up, ADMM settles and triggers it on every iteration: the first case
-# then keeps its best iterate (residual 1.47) from a trigger that repeats a
-# support (784 triggers, two supports); the second visits two supports (86
-# triggers).
+# gives up, ADMM settles and triggers it on every iteration, and the fit is the
+# final iterate: the first case repeats a support (784 triggers, two
+# supports); the second visits two supports (86 triggers).
 NONCERTIFYING = [(64, 2, 0.1), (160, 1, 0.3)]
 
 
@@ -217,7 +217,7 @@ def closed_form_empty(y, cfg):
 
 
 def assert_same_fit(res, ref):
-    """The same certified (or best uncertified) fit, bit for bit."""
+    """The same fit, certified or not, bit for bit."""
     assert np.array_equal(res.f_hat, ref.f_hat) and np.array_equal(res.dual, ref.dual)
     assert res.kkt_residual == ref.kkt_residual and res.converged == ref.converged
 
@@ -266,7 +266,7 @@ class TestAdmmLoop:
     @pytest.mark.parametrize("case", NONCERTIFYING)
     def test_each_support_polished_once(self, case, monkeypatch):
         # A polish that always gives up drives the repeat-skip: each (support,
-        # signs) the triggers reach is polished once, and the best iterate is
+        # signs) the triggers reach is polished once, and the final iterate is
         # the reference loop's.
         y, cfg = _noncertifying_input(*case)
         calls = []
@@ -288,7 +288,7 @@ class TestAdmmLoop:
 
     def test_closed_form_give_up_runs_admm_unchanged(self, monkeypatch):
         # When the polish of the empty support gives up at the closed-form
-        # trigger, ADMM runs as without that trigger, and the repeat-skip
+        # candidate, ADMM runs as without that candidate, and the repeat-skip
         # passes over its iteration-2 trigger, which holds the same empty
         # support.
         y, cfg = recipe_input(3, n=1024)
@@ -308,6 +308,49 @@ class TestAdmmLoop:
         assert len(calls) == len(set(calls)) == len(set(triggered))
         assert res.iters > 1
         self.assert_same_bits(res, ref, y, cfg)
+
+    @pytest.mark.parametrize("case, tol_kkt", [(NONCERTIFYING[0], 1e-300),
+                                               (NONCERTIFYING[1], 1e-300),
+                                               (NONCERTIFYING[0], 1e-8)])
+    def test_give_up_returns_the_final_iterate(self, case, tol_kkt, monkeypatch):
+        # With every polish giving up, no trigger iterate is accepted: not one
+        # of lower residual than the final iterate (tol_kkt = 1e-300), nor
+        # one that passes its certificate (the first case at 1e-8 does at
+        # iteration 226).  The fit is ADMM's final iterate, with its own
+        # certificate, at max_iter.
+        y, cfg = _noncertifying_input(*case)
+        cfg = dataclasses.replace(cfg, tol_kkt=tol_kkt)
+        monkeypatch.setattr(est, "_polish", lambda *args: None)
+        res = est.fit(y, cfg)
+        it, f, z = list(admm_iterates_reference(y, cfg))[-1]
+        assert it == cfg.max_iter and z is None
+        u, kkt = est._certificate(y, f, cfg.lam, cfg.k, tol_kkt)
+        assert res.f_hat.tobytes() == f.tobytes() and res.dual.tobytes() == u.tobytes()
+        assert res.kkt_residual == kkt and res.converged == (kkt <= cfg.tol_kkt)
+        assert res.iters == cfg.max_iter
+
+    def test_returning_state_polished_once(self, rng, monkeypatch):
+        # A (support, signs) that comes back after another one is not
+        # polished again: candidates A, B, A polish A and B once each.
+        y = noisy_piecewise(rng, 64, 2, 3)
+        cfg = est.FitConfig(lam=0.1 * est.lambda_max(y, 2), k=2, max_iter=40)
+        a, b, final = np.zeros(62), np.zeros(62), rng.standard_normal(64)
+        a[[5, 30]] = [1.0, -2.0]
+        b[[5, 31]] = [1.0, -2.0]
+        calls = []
+
+        def candidates(y_, cfg_):
+            yield from ((1, y, a), (2, y, b), (3, y, a.copy()), (cfg.max_iter, final, None))
+
+        def giving_up(y_, k, lam, active, signs, tol_kkt):
+            calls.append((tuple(active), tuple(signs)))
+            return None
+
+        monkeypatch.setattr(est, "_candidates", candidates)
+        monkeypatch.setattr(est, "_polish", giving_up)
+        res = est.fit(y, cfg)
+        assert calls == [((8, 33), (1.0, -1.0)), ((8, 34), (1.0, -1.0))]
+        assert np.array_equal(res.f_hat, final) and res.iters == cfg.max_iter
 
     def test_no_trigger_reached(self, rng, monkeypatch):
         # max_iter ends the loop before the first polish trigger (z moves on

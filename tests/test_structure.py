@@ -135,6 +135,34 @@ def test_fit_result_built_in_one_place():
     assert not {"_polish", "_certificate", "objective", "FitResult"} & set(_called_names(gen))
 
 
+def test_fit_certifies_no_trigger_iterate(monkeypatch):
+    """A raw ADMM iterate ends no fit before ``max_iter``: with every polish
+    giving up, ``_certificate`` is called once, on the final iterate, even
+    where a loose ``tol_kkt`` would pass a trigger iterate."""
+    rng = np.random.default_rng(3)
+    y = np.repeat(rng.standard_normal(4), 64) + 0.3 * rng.standard_normal(256)
+    cfg = est.FitConfig(lam=0.1 * est.lambda_max(y, 1), k=1, tol_kkt=1e-2, max_iter=900)
+    certified, triggers = [], []
+    certificate, iterates = est._certificate, est._admm_iterates
+
+    def recording(y_, f_hat, lam, k, tol_kkt):
+        certified.append(f_hat.tobytes())
+        return certificate(y_, f_hat, lam, k, tol_kkt)
+
+    def watched(y_, cfg_):
+        for it, f, z in iterates(y_, cfg_):
+            if z is not None and it < cfg_.max_iter:
+                triggers.append(f.tobytes())
+            yield it, f, z
+
+    monkeypatch.setattr(est, "_polish", lambda *args: None)
+    monkeypatch.setattr(est, "_certificate", recording)
+    monkeypatch.setattr(est, "_admm_iterates", watched)
+    res = est.fit(y, cfg)
+    assert triggers and not set(triggers) & set(certified)
+    assert certified == [res.f_hat.tobytes()] and res.iters == cfg.max_iter
+
+
 def test_admm_loop_allocates_only_what_it_yields():
     """Every array an ADMM iteration needs is allocated once per fit: the
     loop of ``_admm_iterates`` calls no ``np.diff``, ``np.zeros``,
@@ -191,45 +219,6 @@ def test_screened_face_forms_its_dual_at_most_once(monkeypatch):
     drops = [c for c, dropped in faces if dropped]
     assert drops and not any(drops)
     assert max(c for c, _ in faces) == 1
-
-
-def test_admm_start_factor_is_cached(monkeypatch):
-    """The factor at rho = RHO_INIT is built once per (n, k), read-only: a
-    second fit at the same (n, k) calls ``pbtrf`` only when rho changes, on
-    the system of the new rho."""
-    rng = np.random.default_rng(5)
-    n = 1000
-    steps = np.repeat(rng.standard_normal(5), n // 5)
-    y1 = steps + 0.3 * rng.standard_normal(n)            # rho stays at RHO_INIT
-    y2 = np.cumsum(np.cumsum(steps)) / n + 0.3 * rng.standard_normal(n)
-    cfgs = [(y1, est.FitConfig(lam=0.1 * est.lambda_max(y1, 1), k=1)),
-            (y2, est.FitConfig(lam=0.05 * est.lambda_max(y2, 2), k=2, max_iter=200))]
-    first = [est.fit(y, cfg) for y, cfg in cfgs]
-    for k in (1, 2):
-        chol = est._cached_start_factor(n, k)
-        assert not chol.flags.writeable
-        with pytest.raises(ValueError):
-            chol[0, 0] = 0.0
-    pbtrf, system = est._PBTRF, est._admm_system_banded
-    calls, rhos = [], []
-
-    def factoring(ab, lower):
-        calls.append(ab)
-        return pbtrf(ab, lower=lower)
-
-    def building(n_, k_, rho):
-        rhos.append(rho)
-        return system(n_, k_, rho)
-
-    monkeypatch.setattr(est, "_PBTRF", factoring)
-    monkeypatch.setattr(est, "_admm_system_banded", building)
-    for (y, cfg), res in zip(cfgs, first):
-        calls.clear()
-        rhos.clear()
-        again = est.fit(y, cfg)
-        assert again.iters == res.iters and np.array_equal(again.f_hat, res.f_hat)
-        assert len(calls) == len(rhos) and est.RHO_INIT not in rhos
-        assert bool(rhos) == (cfg.k == 2)       # only y2's rho is rebalanced
 
 
 def test_closed_form_fit_builds_no_admm(monkeypatch):
