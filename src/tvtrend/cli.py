@@ -119,10 +119,11 @@ def cmd_solve(args):
     if args.n_max is not None and not 1 <= args.n_max <= n + 1 - args.k:
         raise InputError(f"--n-max must be >= 1 and <= n + 1 - k = {n + 1 - args.k}"
                          f" (n = {n}, k = {args.k}), got {args.n_max}")
-    if (args.lam is None and args.lambda_rule is not None
-            and not 0 <= args.s0 <= n - args.k - 1):
-        raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
-                         f" got {args.s0}")
+    if args.lam is None and args.lambda_rule is not None:
+        if not 0 <= args.s0 <= n - args.k - 1:
+            raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
+                             f" got {args.s0}")
+        _require_positive(("--lambda-scale", args.lambda_scale), ("--u", args.u))
     if args.lam is not None:
         lam = args.lam
     elif args.lambda_rule == "equal_segment":

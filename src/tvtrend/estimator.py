@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,11 +60,15 @@ RHO_INIT = 1.0
 OVER_RELAXATION = 1.8
 POLISH_ROUNDS = 60
 
-# Fetched once: the scipy wrappers cholesky_banded / cho_solve_banded /
-# solve_triangular and numpy's qr validate their inputs and look these up again
-# on every call of the ADMM loop and the restricted solve.
-_PBTRF, _PBTRS, _TRTRS, _POTRF, _POTRS, _GEQRF, _GEQRF_LWORK = scipy.linalg.get_lapack_funcs(
-    ("pbtrf", "pbtrs", "trtrs", "potrf", "potrs", "geqrf", "geqrf_lwork"), dtype=np.float64)
+# Fetched once: the scipy wrappers solveh_banded / solve_triangular and numpy's
+# qr validate their inputs and look these up again on every call of the ADMM
+# loop and the restricted solve.  The ADMM f-update solves its banded system as
+# solveh_banded does: by the tridiagonal L D L' routines pttrf / pttrs at k = 1,
+# by a banded Cholesky factor (pbtrf / pbtrs) at k >= 2.
+(_PBTRF, _PBTRS, _PTTRF, _PTTRS, _TRTRS, _POTRF, _POTRS, _GEQRF,
+ _GEQRF_LWORK) = scipy.linalg.get_lapack_funcs(
+    ("pbtrf", "pbtrs", "pttrf", "pttrs", "trtrs", "potrf", "potrs", "geqrf", "geqrf_lwork"),
+    dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,13 @@ class FitResult:
     iterate.  An uncertified fit may therefore stop before ``max_iter`` only
     at 0, 1 or a trigger iteration: the polynomial fit or polished face it
     returns satisfies KKT in exact arithmetic, and only float64 rounding
-    keeps the residual above ``tol_kkt``."""
+    keeps the residual above ``tol_kkt``.
+
+    A settled trigger fires where float64 residuals cross a threshold, so it
+    depends on the last bits of the iterates.  A k = 1 fit's ``iters``
+    (printed by ``solve --report``) can therefore move with the rounding of
+    the tridiagonal f-update solve while f_hat, dual and residual bytes
+    hold."""
 
     f_hat: np.ndarray
     objective: float
@@ -523,11 +533,23 @@ def _admm_system_banded(n, k, rho):
 
 
 def _admm_factor(n, k, rho):
-    """Upper banded Cholesky factor of ``_admm_system_banded(n, k, rho)``."""
-    chol, info = _PBTRF(_admm_system_banded(n, k, rho), lower=0)
+    """Factor ``_admm_system_banded(n, k, rho)`` and return the solve that
+    overwrites a float64 right-hand side with the solution, bit for bit what
+    ``scipy.linalg.solveh_banded`` returns.  At k = 1 the system is
+    tridiagonal: pttrf factors it as L D L' and pttrs solves with the
+    divisions off the recurrences' dependency chain, where a banded Cholesky
+    solve divides at every step of both.  At k >= 2 it is the upper banded
+    Cholesky factor (pbtrf / pbtrs)."""
+    ab = _admm_system_banded(n, k, rho)
+    if k == 1:
+        d, e, info = _PTTRF(ab[1], ab[0, 1:])
+        solve = partial(_PTTRS, d, e, overwrite_b=1)
+    else:
+        chol, info = _PBTRF(ab, lower=0)
+        solve = partial(_PBTRS, chol, lower=0, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-    return chol
+    return solve
 
 
 def _diff_plan(src, k, out, rows):
@@ -543,8 +565,9 @@ def _diff_plan(src, k, out, rows):
 
 
 def _admm_iterates(y, cfg):
-    """ADMM on the analysis form, as iterates for ``fit``: a banded Cholesky
-    factorization of (2/n) I + rho D'D, over-relaxed updates and residual
+    """ADMM on the analysis form, as iterates for ``fit``: f-updates that
+    solve (2/n) I + rho D'D through ``_admm_factor`` (tridiagonal L D L' at
+    k = 1, banded Cholesky at k >= 2), over-relaxed updates and residual
     balancing of rho.  Yields fresh (it, f, z) at each polish trigger and
     (max_iter, f, None) at the end.  The triggers are settled residuals, every
     250th iteration, and the first iteration of each run with dual residual
@@ -564,8 +587,8 @@ def _admm_iterates(y, cfg):
     pad = np.zeros(m + 2 * k)
     body = pad[k:k + m]
     sign_t = (-1.0) ** k
-    chol = _admm_factor(n, k, rho)
-    f = y.copy()                        # also the right-hand side: pbtrs solves in place
+    solve = _admm_factor(n, k, rho)
+    f = y.copy()                        # also the right-hand side: solved in place
     z, z_old = np.diff(f, k), np.empty(m)
     w = np.zeros(m)
     Df, Df_rel, v, t, r = (np.empty(m) for _ in range(5))
@@ -576,13 +599,14 @@ def _admm_iterates(y, cfg):
     thresh_scale = math.sqrt(m)
     was_stuck = False
     for it in range(1, cfg.max_iter + 1):
-        # f = solve(chol, two_y + (sign_t * rho) * np.diff(pad, k)), pad holding z - w
+        # f = solveh_banded(_admm_system_banded(n, k, rho),
+        #                  two_y + (sign_t * rho) * np.diff(pad, k)), pad holding z - w
         np.subtract(z, w, out=body)
         for a, b, out in transpose:
             np.subtract(a, b, out=out)
         np.multiply(Dt, sign_t * rho, out=f)
         np.add(two_y, f, out=f)
-        _PBTRS(chol, f, lower=0, overwrite_b=1)
+        solve(f)
         for a, b, out in forward:       # Df = np.diff(f, k)
             np.subtract(a, b, out=out)
         np.multiply(Df, alpha, out=Df_rel)  # Df_rel = alpha * Df + (1 - alpha) * z
@@ -615,7 +639,7 @@ def _admm_iterates(y, cfg):
             step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
             rho *= step
             w /= step
-            chol = _admm_factor(n, k, rho)
+            solve = _admm_factor(n, k, rho)
     yield cfg.max_iter, f, None
 
 

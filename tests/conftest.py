@@ -167,8 +167,9 @@ def left_out_inputs():
 
 
 def admm_reference(y, cfg, frozen_trigger=False):
-    """The ADMM loop written plainly: scipy's banded Cholesky wrappers,
-    ``apply_transpose``, ``np.linalg.norm`` and a polish at every trigger.
+    """The ADMM loop written plainly: ``scipy.linalg.solveh_banded`` on the
+    banded system for every f-update, ``apply_transpose``,
+    ``np.linalg.norm`` and a polish at every trigger.
 
     The triggers are settled residuals and every 250th iteration; with
     ``frozen_trigger`` also the first iteration of each run in which z equals
@@ -184,11 +185,6 @@ def admm_reference(y, cfg, frozen_trigger=False):
     op = build_delta(n, k)
     rho = est.RHO_INIT
     alpha = est.OVER_RELAXATION
-
-    def factor(rho):
-        return scipy.linalg.cholesky_banded(est._admm_system_banded(n, k, rho), lower=False)
-
-    chol = factor(rho)
     f = y.copy()
     z = op.apply(f)
     w = np.zeros(op.m)
@@ -196,7 +192,7 @@ def admm_reference(y, cfg, frozen_trigger=False):
     was_frozen = False
     for it in range(1, cfg.max_iter + 1):
         rhs = (2.0 / n) * y + rho * op.apply_transpose(z - w)
-        f = scipy.linalg.cho_solve_banded((chol, False), rhs)
+        f = scipy.linalg.solveh_banded(est._admm_system_banded(n, k, rho), rhs)
         Df = op.apply(f)
         Df_rel = alpha * Df + (1.0 - alpha) * z
         z_old = z
@@ -221,11 +217,9 @@ def admm_reference(y, cfg, frozen_trigger=False):
             if r_norm > 10.0 * s_norm:
                 rho *= 2.0
                 w /= 2.0
-                chol = factor(rho)
             elif s_norm > 10.0 * r_norm:
                 rho /= 2.0
                 w *= 2.0
-                chol = factor(rho)
     u, kkt = est._certificate(y, f, cfg.lam, k, cfg.tol_kkt)
     return est.FitResult(f_hat=f, objective=est.objective(f, y, cfg.lam, k),
                          kkt_residual=kkt, dual=u, iters=cfg.max_iter,
@@ -250,7 +244,10 @@ def admm_iterates_reference(y, cfg, frozen_trigger=False):
     """The ADMM iterate generator written with fresh arrays and ``np.diff``
     on every step, yielding at settled residuals and every 250th iteration,
     and with ``frozen_trigger`` also at the first iteration of each run in
-    which z equals the previous z.  ``estimator._admm_iterates`` must yield
+    which z equals the previous z.  Each f-update is
+    ``scipy.linalg.solveh_banded`` on the banded system; a factorization it
+    refuses raises with the estimator's wording ("237-th leading minor"
+    where scipy writes "237th").  ``estimator._admm_iterates`` must yield
     the same bits as with it, and a superset of the yields without it."""
     n, k = len(y), cfg.k
     m = n - k
@@ -261,14 +258,6 @@ def admm_iterates_reference(y, cfg, frozen_trigger=False):
     pad = np.zeros(m + 2 * k)
     body = pad[k:k + m]
     sign_t = (-1.0) ** k
-
-    def factor(rho):
-        chol, info = est._PBTRF(admm_system_banded_reference(n, k, rho), lower=0)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-        return chol
-
-    chol = factor(rho)
     f = y.copy()
     z = np.diff(f, k)
     w = np.zeros(m)
@@ -277,7 +266,10 @@ def admm_iterates_reference(y, cfg, frozen_trigger=False):
     for it in range(1, cfg.max_iter + 1):
         np.subtract(z, w, out=body)
         rhs = two_y + (sign_t * rho) * np.diff(pad, k)
-        f, _ = est._PBTRS(chol, rhs, lower=0)
+        try:
+            f = scipy.linalg.solveh_banded(admm_system_banded_reference(n, k, rho), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(str(exc).replace("th leading", "-th leading")) from None
         Df = np.diff(f, k)
         Df_rel = alpha * Df + (1.0 - alpha) * z
         z_old = z
@@ -300,7 +292,6 @@ def admm_iterates_reference(y, cfg, frozen_trigger=False):
             step = 2.0 if r_norm > s_norm else 0.5    # a power of two: scales exactly
             rho *= step
             w /= step
-            chol = factor(rho)
     yield cfg.max_iter, f, None
 
 

@@ -426,6 +426,18 @@ class TestLambdaRules:
         assert "--s0 must be in [0, n - k - 1] = [0, 88]" in capsys.readouterr().err
         assert cli.main(args + ["--s0", "88"]) == 0
 
+    @pytest.mark.parametrize("rule, flag, value", [
+        ("threshold", "--lambda-scale", "0"), ("threshold", "--lambda-scale", "-1"),
+        ("equal_segment", "--lambda-scale", "nan"), ("threshold", "--u", "nan")])
+    def test_rule_inputs_must_be_finite_and_positive(self, tmp_path, signal, capsys, rule,
+                                                     flag, value):
+        # As in simulate's config: a scale of 0 would return y at lambda = 0.
+        path, _ = signal
+        rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda-rule", rule,
+                       f"{flag}={value}", "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert f"{flag} must be a finite number > 0, got" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_n_max_below_one_is_usage_error(self, tmp_path, signal, capsys, n_max):
         path, _ = signal

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (PolishLog, admm_iterates_reference, admm_reference,
@@ -152,6 +153,19 @@ class TestAdmmSystem:
             with pytest.raises(ValueError):
                 gram[0, 0] = 1.0
             ab[k, 0] = 1.0    # the factorization still gets a writable copy
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_f_update_solve_matches_solveh_banded(self, k, rng):
+        # pttrf / pttrs at k = 1 and pbtrf / pbtrs at k >= 2 are the
+        # routines solveh_banded calls (ptsv, pbsv), over the rho a fit visits.
+        for n in (k + 1, 64, 4096):
+            for j in range(-8, 13):
+                rho = est.RHO_INIT * 2.0 ** j
+                rhs = rng.standard_normal(n)
+                f = rhs.copy()
+                est._admm_factor(n, k, rho)(f)
+                ref = scipy.linalg.solveh_banded(est._admm_system_banded(n, k, rho), rhs)
+                assert f.tobytes() == ref.tobytes()
 
 
 class TestFastPath:
@@ -427,6 +441,16 @@ class TestAdmmIterates:
         cfg = est.FitConfig(lam=frac * est.lambda_max(y, k), k=k, max_iter=600)
         got, _ = self.assert_matches_references(y, cfg)
         assert got[-1][0] == cfg.max_iter and got[-1][2] is None
+
+    def test_matches_reference_loop_at_n4096(self):
+        # The first k = 1 input of the n = 4096 batch, where the tridiagonal
+        # solve is most of an iteration; 300 iterations pass one rho step
+        # after another and the 250th-iteration trigger.
+        y, cfg = n4096_inputs()[0]
+        cfg = dataclasses.replace(cfg, max_iter=300)
+        assert cfg.k == 1
+        got, _ = self.assert_matches_references(y, cfg)
+        assert got[-1][0] == cfg.max_iter and any(it == 250 for it, _, _ in got)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_smallest_signals(self, k, rng):

@@ -225,17 +225,21 @@ def test_closed_form_fit_builds_no_admm(monkeypatch):
     """A fit whose closed-form first ADMM iterate, soft(Delta(k) y,
     2 lambda / RHO_INIT), is the empty support, and whose polish of it
     returns, neither runs the ADMM loop nor factors or solves a banded
-    system."""
+    system, tridiagonal (k = 1) or not."""
     from conftest import recipe_input
 
     def refuse(*args, **kwargs):
         raise AssertionError("ADMM entered by a closed-form fit")
 
-    for name in ("_admm_iterates", "_PBTRF", "_PBTRS"):
+    for name in ("_admm_iterates", "_PBTRF", "_PBTRS", "_PTTRF", "_PTTRS"):
         monkeypatch.setattr(est, name, refuse)
-    for k in (3, 4):
-        y, cfg = recipe_input(k, n=1024)
-        assert np.max(np.abs(np.diff(y, k))) <= 2.0 * cfg.lam / est.RHO_INIT
+    # At k = 1, 2 the recipe's noise keeps Delta(k) y large; a smooth signal
+    # has small differences.
+    sine = np.sin(2.0 * math.pi * np.linspace(0.0, 1.0, 1024))
+    inputs = [(sine, est.FitConfig(lam=0.1 * est.lambda_max(sine, k), k=k)) for k in (1, 2)]
+    inputs += [recipe_input(k, n=1024) for k in (3, 4)]
+    for y, cfg in inputs:
+        assert np.max(np.abs(np.diff(y, cfg.k))) <= 2.0 * cfg.lam / est.RHO_INIT
         assert est.fit(y, cfg).iters == 1
 
 
