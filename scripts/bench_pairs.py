@@ -5,10 +5,12 @@
         --pairs 10 --seed 561 --trace 0 --out BENCH.json
 
 Each checkout's ``src/``, ``perfbench/``, ``configs/`` and ``BENCHMARK.json``
-are copied into a work directory first, and every run happens in a copy, so
+are copied into a temporary directory first, removed at the end, and every
+run happens in a copy, so
 neither checkout's ``perfbench/`` (whose ``run.py`` writes ``results/``) nor
 its ``BENCHMARK.json`` is touched.  Pair i of a workload runs seed
-``--seed + i`` once on each side, one process per run, the parent first in
+``--seed + i`` once on each side for the parent's ``run_seconds``, one
+process per run, the parent first in
 even pairs and the change first in odd ones; the workloads run one after
 the other.
 
@@ -41,16 +43,11 @@ def parse_args(argv):
                    help="default: every workload of the parent's BENCHMARK.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="default: run_seconds of the parent's BENCHMARK.json")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--work", default=None, help="directory for the copies (default: a new one)")
     p.add_argument("--out", required=True, help="JSON file to write or update")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be >= 2 (quartiles need two runs a side)")
-    if args.seconds is not None and not args.seconds > 0:
-        p.error("--seconds must be > 0")
     for side in SIDES:
         root = getattr(args, side)
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
@@ -113,44 +110,46 @@ def machine():
             "scipy": scipy.__version__}
 
 
+def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace):
+    seeds = [seed + i for i in range(pairs)]
+    firsts = [SIDES[i % 2] for i in range(pairs)]
+    runs = {side: [] for side in SIDES}
+    for s, first in zip(seeds, firsts):
+        for side in (first, SIDES[1 - SIDES.index(first)]):
+            runs[side].append(run_once(roots[side], command, workload, s, seconds, trace))
+        print(f"{workload} seed {s}: " + "  ".join(
+            f"{side} {runs[side][-1]['metrics'][metrics[0]['name']]['value']:.6g}"
+            for side in SIDES), flush=True)
+    table = compare(runs, metrics)
+    for name, row in table.items():
+        p, c = row["parent"], row["change"]
+        print(f"  {name} [{row['unit']}]: parent {p['median']:.6g} "
+              f"(q1 {p['q1']:.6g}, q3 {p['q3']:.6g})  change {c['median']:.6g} "
+              f"(q1 {c['q1']:.6g}, q3 {c['q3']:.6g})  "
+              f"won {row['pairs_won_by_change']}/{pairs}", flush=True)
+    return {
+        "seeds": seeds, "pairs": pairs, "first": firsts,
+        "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+        "attempted_failed": {side: [[r["attempted"], r["failed"]] for r in runs[side]]
+                             for side in SIDES},
+        "metrics": table,
+    }
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["per_layer" if args.trace else "end_to_end"]
-    work = args.work or tempfile.mkdtemp(prefix="bench-pairs-")
-    roots = {side: os.path.join(work, side) for side in SIDES}
-    for side in SIDES:
-        copy_checkout(getattr(args, side), roots[side])
-
-    section = {}
-    for workload in workloads:
-        seeds = [args.seed + i for i in range(args.pairs)]
-        firsts = [SIDES[i % 2] for i in range(args.pairs)]
-        runs = {side: [] for side in SIDES}
-        for seed, first in zip(seeds, firsts):
-            for side in (first, SIDES[1 - SIDES.index(first)]):
-                runs[side].append(run_once(roots[side], bench["command"], workload, seed,
-                                           seconds, args.trace))
-            print(f"{workload} seed {seed}: " + "  ".join(
-                f"{side} {runs[side][-1]['metrics'][metrics[0]['name']]['value']:.6g}"
-                for side in SIDES), flush=True)
-        table = compare(runs, metrics)
-        section[workload] = {
-            "seeds": seeds, "pairs": args.pairs, "first": firsts,
-            "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
-            "attempted_failed": {side: [[r["attempted"], r["failed"]] for r in runs[side]]
-                                 for side in SIDES},
-            "metrics": table,
-        }
-        for name, row in table.items():
-            p, c = row["parent"], row["change"]
-            print(f"  {name} [{row['unit']}]: parent {p['median']:.6g} "
-                  f"(q1 {p['q1']:.6g}, q3 {p['q3']:.6g})  change {c['median']:.6g} "
-                  f"(q1 {c['q1']:.6g}, q3 {c['q3']:.6g})  "
-                  f"won {row['pairs_won_by_change']}/{args.pairs}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
+        roots = {side: os.path.join(work, side) for side in SIDES}
+        for side in SIDES:
+            copy_checkout(getattr(args, side), roots[side])
+        section = {workload: run_workload(roots, bench["command"], workload, metrics,
+                                          args.seed, args.pairs, seconds, args.trace)
+                   for workload in workloads}
 
     record = {}
     if os.path.isfile(args.out):

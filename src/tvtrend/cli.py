@@ -123,7 +123,9 @@ def cmd_solve(args):
         if not 0 <= args.s0 <= n - args.k - 1:
             raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
                              f" got {args.s0}")
-        _require_positive(("--lambda-scale", args.lambda_scale), ("--u", args.u))
+        _require_positive(("--lambda-scale", args.lambda_scale))
+        if args.lambda_rule == "threshold":
+            _require_positive(("--u", args.u))
     if args.lam is not None:
         lam = args.lam
     elif args.lambda_rule == "equal_segment":

@@ -114,10 +114,9 @@ class FitResult:
     keeps the residual above ``tol_kkt``.
 
     A settled trigger fires where float64 residuals cross a threshold, so it
-    depends on the last bits of the iterates.  A k = 1 fit's ``iters``
-    (printed by ``solve --report``) can therefore move with the rounding of
-    the tridiagonal f-update solve while f_hat, dual and residual bytes
-    hold."""
+    depends on the last bits of the iterates: ``iters`` (printed by ``solve
+    --report``) is not stable under a change of rounding in the f-update
+    solve, even where f_hat, dual and residual keep their bytes."""
 
     f_hat: np.ndarray
     objective: float

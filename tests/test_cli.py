@@ -438,6 +438,14 @@ class TestLambdaRules:
         assert rc == 2
         assert f"{flag} must be a finite number > 0, got" in capsys.readouterr().err
 
+    def test_equal_segment_ignores_u(self, tmp_path, signal):
+        # --u enters only the threshold rule, so equal_segment does not check it.
+        path, _ = signal
+        rc = cli.main(["solve", "--input", str(path), "--k", "1",
+                       "--lambda-rule", "equal_segment", "--u=nan",
+                       "--report", str(tmp_path / "r.json")])
+        assert rc == 0
+
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_n_max_below_one_is_usage_error(self, tmp_path, signal, capsys, n_max):
         path, _ = signal
