@@ -7,17 +7,24 @@ positive part of
 
 with weights w_j = ||psi_j^{-S}||_n lambda0(u) / lambda built from the
 dictionary column lengths (zero at active and mock rows).  Three routes to
-it live here: the exact value from the box-constrained least-squares dual
-(bounded-variable least squares, one Householder QR solve per face),
-certified by the primal value at the recovered maximizer, the dual value and
-their gap, for n up to ``DENSE_CAP_DEFAULT``; the energy n ||D' q||_2^2 of a
-feasible interpolating vector (always an upper bound); and the closed-form
-segment-sum bound with the shipped constants.
+it live here: the exact value from the box-constrained least-squares dual;
+the energy n ||D' q||_2^2 of a feasible interpolating vector (always an
+upper bound); and the closed-form segment-sum bound with the shipped
+constants.
+
+The dual has one solver per order.  At k = 1 it is a string pinned to q_S
+at the active rows and to 0 past both ends, kept inside the tube
+|xi_j| <= 1 - w_j, and the taut string through that tube is found by an
+O(n) funnel sweep with no matrix at all.  At k >= 2 it is solved by
+bounded-variable least squares on the dense D, one Householder QR solve per
+face, for n up to ``DENSE_CAP_DEFAULT``.  Both end in the same certificate:
+the primal value at the recovered maximizer, the dual value and their gap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +64,8 @@ class Weights:
 
 def compute_weights(S, u, lam):
     """Weights w_j = ||psi_j^{-S}||_n lambda0(u) / lambda for the free rows."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     m = S.n - S.k
     rows, sqn = block_column_sqnorms(S)
     l0 = lambda0(u, S.n, S.n - S.k - S.s)
@@ -142,6 +149,66 @@ def _box_least_squares(A, b, caps):
     return xi
 
 
+def _taut_string(lo, hi):
+    """Values at x = 0..len(lo)-1 of the shortest path through the vertical
+    gates [lo[x], hi[x]], the first and last gates being points.
+
+    The path is the taut string through the tube, which also minimizes
+    sum_x (v_{x+1} - v_x)^2 over the tube (every convex function of the
+    increments; Davies & Kovac, AoS 2001; Barbero & Sra, JMLR 2018).  One
+    funnel sweep (Lee & Preparata 1984) finds it in O(len): the apex is the
+    last vertex fixed; the upper chain, convex, is the shortest path from it
+    to the latest ceiling point, and the lower chain, concave, to the latest
+    floor point.  A new point first drops the tail of its own chain that it
+    sees past; if that empties the chain down to the apex, the apex moves
+    along the other chain past every vertex the point lies beyond.  A point
+    gate (a pin, or a cap of 0) fixes the path up to it.
+    """
+    # The two sides are written out in full: this loop is the whole cost.
+    xs, ys = [0], [lo[0]]
+    upper, lower = deque([(0, lo[0])]), deque([(0, lo[0])])
+    for x in range(1, len(lo)):
+        y = hi[x]
+        while len(upper) > 1:
+            (ax, ay), (bx, by) = upper[-2], upper[-1]
+            if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                break
+            upper.pop()
+        if len(upper) == 1:
+            while len(lower) > 1:
+                (ax, ay), (bx, by) = lower[0], lower[1]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
+                lower.popleft()
+                xs.append(bx)
+                ys.append(by)
+            upper[0] = lower[0]
+        upper.append((x, y))
+        if lo[x] == y:
+            for vx, vy in list(upper)[1:]:
+                xs.append(vx)
+                ys.append(vy)
+            upper, lower = deque([(x, y)]), deque([(x, y)])
+            continue
+        y = lo[x]
+        while len(lower) > 1:
+            (ax, ay), (bx, by) = lower[-2], lower[-1]
+            if (bx - ax) * (y - ay) < (by - ay) * (x - ax):
+                break
+            lower.pop()
+        if len(lower) == 1:
+            while len(upper) > 1:
+                (ax, ay), (bx, by) = upper[0], upper[1]
+                if (bx - ax) * (y - ay) < (by - ay) * (x - ax):
+                    break
+                upper.popleft()
+                xs.append(bx)
+                ys.append(by)
+            lower[0] = upper[0]
+        lower.append((x, y))
+    return np.interp(np.arange(len(lo)), xs, ys)
+
+
 @dataclass(frozen=True)
 class DirectSparsityResult:
     """Effective sparsity with its primal-dual certificate.
@@ -165,24 +232,37 @@ def effective_sparsity_direct(S, weights=None, seed=0):
         max { q_S' (Df)_S - sum_{j off S} c_j |(Df)_j| : ||f||_n = 1 }
           = min { sqrt(n) ||D_S' q_S - D_off' xi||_2 : |xi_j| <= c_j },
 
-    c_j = 1 - w_j (1 without weights).  Any c_j < 0 leaves the box empty and
-    raises ``NegativeCapError`` naming the rows and lambda.  The dual is
-    solved exactly by bounded-variable least squares, one Householder QR
-    solve per face; the maximizer is f = sqrt(n) r / ||r||_2 with
-    r = D_S' q_S - D_off' xi, and the result is certified by the primal value
+    c_j = 1 - w_j (1 without weights); ``weights`` built for another active
+    set raise ``ValueError``.  Any c_j < 0 leaves the box empty and raises
+    ``NegativeCapError`` naming the rows and lambda.  The dual is solved
+    exactly, by one solver per order:
+
+    * k = 1: with xi~ = q_S on S and -xi off S, the dual minimizes
+      ||D' xi~||_2^2 = xi~_1^2 + sum (xi~_{j+1} - xi~_j)^2 + xi~_m^2,
+      a string pinned to q_S at the active rows and to 0 past both ends
+      inside the tube |xi~_j| <= c_j: the taut string (``_taut_string``),
+      O(n) time and memory, no dense D and no size cap;
+    * k >= 2: bounded-variable least squares on the dense D, one
+      Householder QR solve per face; D comes from ``DiffOperator.to_dense``,
+      so n above ``DENSE_CAP_DEFAULT`` (4096) raises
+      ``DenseCapExceededError`` before anything is allocated.
+
+    Both share one certificate: the maximizer is f = sqrt(n) r / ||r||_2
+    with r = D_S' q_S - D_off' xi, and the result carries the primal value
     at f, the dual value and their gap: ``reliable`` means
     |gap| <= 1e-6 dual + 1e-12 (a negative gap beyond that breaks weak
     duality).  ``gamma_sq`` is the squared positive part of the primal
     value.  ``seed`` is accepted and ignored; the computation is
     deterministic.
-
-    D is dense (``DiffOperator.to_dense``), so n above ``DENSE_CAP_DEFAULT``
-    (4096) raises ``DenseCapExceededError`` before anything is allocated.
     """
     n, k = S.n, S.k
+    if weights is not None and weights.S != S:
+        raise ValueError("weights were computed for another active set; "
+                         "compute_weights(S, u, lam) builds them for S")
     op = build_delta(n, k)
+    active = [t - k - 1 for t in S.t]
     off = np.ones(op.m, dtype=bool)
-    off[[t - k - 1 for t in S.t]] = False
+    off[active] = False
     caps = np.ones(int(off.sum())) if weights is None else 1.0 - weights.w[off]
     neg = np.nonzero(caps < 0)[0]
     if len(neg):
@@ -192,14 +272,33 @@ def effective_sparsity_direct(S, weights=None, seed=0):
         raise NegativeCapError(
             f"{len(bad)} caps 1 - w_j are negative at lambda={weights.lam:.6g} "
             f"(lambda too small?): {worst}", rows=bad)
-    D = op.to_dense()
-    c = D[~off].T @ np.asarray(S.q_S, dtype=float)
-    A = D[off].T
-    r = c - A @ _box_least_squares(A, c, caps)
+    if k == 1:
+        # the string v at x = 0..m+1, row j at x = j - 1: pinned to 0 past
+        # both ends and to q_S on S, boxed by the caps off S; D'v = v[:-1] - v[1:]
+        hi = np.zeros(op.m + 2)
+        hi[[t - 1 for t in S.t]] = S.q_S
+        c = hi[:-1] - hi[1:]
+        lo = hi.copy()
+        lo[1:-1][off] = -caps
+        hi[1:-1][off] = caps
+        # clipped so xi stays in the box when rounding leaves it by an ulp
+        v = np.clip(_taut_string(lo.tolist(), hi.tolist()), lo, hi)
+        r = v[:-1] - v[1:]
+
+        def d_off(f):
+            return (f[1:] - f[:-1])[off]
+    else:
+        D = op.to_dense()
+        c = D[~off].T @ np.asarray(S.q_S, dtype=float)
+        A = D[off].T
+        r = c - A @ _box_least_squares(A, c, caps)
+
+        def d_off(f):
+            return A.T @ f
     norm_r = float(np.linalg.norm(r))
     # r = 0 only for an empty active set; a constant attains the value 0 there
     f = math.sqrt(n) * r / norm_r if norm_r > 0 else np.ones(n)
-    primal = float(f @ c - caps @ np.abs(A.T @ f))
+    primal = float(f @ c - caps @ np.abs(d_off(f)))
     dual = math.sqrt(n) * norm_r
     gap = dual - primal
     tol = 1e-6 * dual + 1e-12

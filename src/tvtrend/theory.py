@@ -21,8 +21,8 @@ def lambda0(u, n, m_minus_s):
     ``m_minus_s`` is the number of inactive rows; for the difference
     operator with s active rows it equals n - k - s.
     """
-    if u <= 0:
-        raise ValueError("confidence parameter u must be positive")
+    if not (math.isfinite(u) and u > 0):
+        raise ValueError(f"confidence parameter u must be finite and positive, got {u}")
     if m_minus_s < 1:
         raise ValueError("need at least one inactive row")
     return math.sqrt((2.0 * math.log(2.0 * m_minus_s) + 2.0 * u) / n)

@@ -583,7 +583,8 @@ def sparsity_dual_reference(S, weights=None):
         Gamma = max(0, min { sqrt(n) ||D_S' q_S - D_off' xi||_2 :
                              |xi_j| <= 1 - w_j }),
 
-    the exact value of the concave maximization (minimax equality).
+    the exact value of the concave maximization (minimax equality).  A cap
+    of 0 fixes xi_j = 0, so its column is left out (bvls needs lb < ub).
     """
     n, k = S.n, S.k
     op = build_delta(n, k)
@@ -594,7 +595,10 @@ def sparsity_dual_reference(S, weights=None):
     caps = np.ones(len(off))
     if weights is not None:
         caps = 1.0 - weights.w[off]
-    A = D[off].T
+    A = D[off[caps > 0]].T
+    caps = caps[caps > 0]
+    if not len(caps):
+        return n * float(c @ c)
     res = scipy.optimize.lsq_linear(A, c, bounds=(-caps, caps), method="bvls", tol=1e-14)
     val = math.sqrt(n) * np.linalg.norm(A @ res.x - c)
     return max(0.0, val) ** 2
@@ -847,6 +851,24 @@ def random_active_set(rng, k, max_s=3, max_mult=4, n_pad=0):
     for i in range(s):
         pos += int(lengths[i])
         t.append(pos)
+    signs = tuple(int(v) for v in rng.choice([-1, 1], size=s))
+    return ActiveSet(n=n, k=k, t=tuple(t), q_S=signs)
+
+
+def sample_sandwich_instance(rng):
+    """n <= 64, k <= 3, s <= 3, segment lengths >= k(k+2)."""
+    k = int(rng.integers(1, 4))
+    ml = minimum_segment_length(k)
+    s_cap = (64 - k + 1) // ml - 1
+    s = int(rng.integers(0, min(3, s_cap) + 1))
+    budget = 64 - (k - 1) - (s + 1) * ml
+    extra = rng.multinomial(int(rng.integers(0, budget + 1)), np.ones(s + 1) / (s + 1))
+    lengths = ml + extra
+    t, pos = [], k
+    for i in range(s):
+        pos += int(lengths[i])
+        t.append(pos)
+    n = int(np.sum(lengths)) + k - 1
     signs = tuple(int(v) for v in rng.choice([-1, 1], size=s))
     return ActiveSet(n=n, k=k, t=tuple(t), q_S=signs)
 

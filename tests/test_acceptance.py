@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import dense_pinv, sparsity_dual_reference
+from conftest import dense_pinv, sample_sandwich_instance, sparsity_dual_reference
 from tvtrend import diffops as dop
 from tvtrend import estimator as est
 from tvtrend import experiments as exp
@@ -30,24 +30,6 @@ def record(name, passed, detail, elapsed, budget):
     print(line)
     assert passed, line
     assert elapsed <= budget, line
-
-
-def sample_sandwich_instance(rng):
-    """n <= 64, k <= 3, s <= 3, segment lengths >= k(k+2)."""
-    k = int(rng.integers(1, 4))
-    ml = minimum_segment_length(k)
-    s_cap = (64 - k + 1) // ml - 1
-    s = int(rng.integers(0, min(3, s_cap) + 1))
-    budget = 64 - (k - 1) - (s + 1) * ml
-    extra = rng.multinomial(int(rng.integers(0, budget + 1)), np.ones(s + 1) / (s + 1))
-    lengths = ml + extra
-    t, pos = [], k
-    for i in range(s):
-        pos += int(lengths[i])
-        t.append(pos)
-    n = int(np.sum(lengths)) + k - 1
-    signs = tuple(int(v) for v in rng.choice([-1, 1], size=s))
-    return dop.ActiveSet(n=n, k=k, t=tuple(t), q_S=signs)
 
 
 def test_closed_form_column_norms():

@@ -1,10 +1,11 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import dense_delta, random_active_set, sparsity_dual_reference
+from conftest import dense_delta, random_active_set, sample_sandwich_instance, sparsity_dual_reference
 from tvtrend import sparsity as sp
 from tvtrend.diffops import DENSE_CAP_DEFAULT, ActiveSet, DenseCapExceededError, block_column_sqnorms
 from tvtrend.interpolants import InfeasibleInterpolantError, InterpolatingVector, build_noisy
@@ -39,6 +40,13 @@ class TestWeights:
             w = sp.compute_weights(S, U, lam)
             assert np.all(w.w <= 1.0 + 1e-12)
             assert np.all(w.w >= 0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_lambda_not_finite_and_positive(self, lam):
+        # nan <= 0 is false: a nan lambda used to give nan caps and an
+        # unreliable oracle result instead of an error
+        with pytest.raises(ValueError, match="lambda must be finite and positive"):
+            sp.compute_weights(_active(40, 1, (15,), (1,)), U, lam)
 
 
 def _objective(S, weights, f):
@@ -172,6 +180,14 @@ class TestDirectOracle:
         assert res.gap < -(1e-6 * res.dual_value + 1e-12)
         assert not res.reliable
 
+    def test_refuses_weights_of_another_active_set(self):
+        # same (n, k), so the weight vector fits, but its caps belong to S1
+        S1 = _active(40, 1, (15,), (1,))
+        S2 = _active(40, 1, (25,), (1,))
+        w = sp.compute_weights(S1, U, lambda_threshold(40, 1, S1.n_max, U, s=1))
+        with pytest.raises(ValueError, match="another active set"):
+            sp.effective_sparsity_direct(S2, weights=w)
+
     def test_lambda_monotonicity(self):
         # larger lambda shrinks the weights, weakly decreasing the noisy value
         S = _active(40, 1, (15, 28), (1, -1))
@@ -183,9 +199,9 @@ class TestDirectOracle:
         assert vals[0] >= vals[1] - 1e-8 >= vals[2] - 2e-8
 
     def test_stops_at_the_dense_cap(self):
-        # D comes from to_dense, so past DENSE_CAP_DEFAULT the oracle refuses,
-        # before allocating the n x n identity (134 MB at n = 4097)
-        S = _active(DENSE_CAP_DEFAULT + 1, 1, (2049,), (1,))
+        # at k >= 2 D comes from to_dense, so past DENSE_CAP_DEFAULT the oracle
+        # refuses, before allocating the n x n identity (134 MB at n = 4097)
+        S = _active(DENSE_CAP_DEFAULT + 1, 2, (2049,), (1,))
         tracemalloc.start()
         try:
             with pytest.raises(DenseCapExceededError, match="4097"):
@@ -194,6 +210,128 @@ class TestDirectOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _k1_instance(rng, i):
+    """Active set and weights of the k = 1 battery: n in [8, 80], up to five
+    knots anywhere (adjacent knots, same-sign neighbours), every fourth with
+    a knot at the first admissible row 2 and every fourth at the last, n;
+    weights by turns none, at or above the plain admissibility level, random
+    caps in [0, 1) with about 15% of them 0, and one flat cap in [0, 1]."""
+    n = int(rng.integers(8, 81))
+    t = set(int(v) for v in rng.choice(np.arange(2, n + 1), int(rng.integers(0, 6)), replace=False))
+    if i % 4 == 1:
+        t.add(2)
+    if i % 4 == 2:
+        t.add(n)
+    t = sorted(t)
+    S = _active(n, 1, t, rng.choice([-1, 1], size=len(t)))
+    kind = i % 4
+    if kind == 0:
+        return S, None
+    if kind == 1:
+        _, sqn = block_column_sqnorms(S)
+        lam = math.sqrt(np.max(sqn) / n) * lambda0(U, n, n - 1 - S.s) * rng.uniform(1.0, 3.0)
+        return S, sp.compute_weights(S, U, lam)
+    if kind == 2:
+        caps = rng.uniform(0.0, 1.0, n - 1)
+        caps[rng.random(n - 1) < 0.15] = 0.0
+        caps[[j - 2 for j in t]] = 1.0
+        return S, sp.Weights(S=S, u=U, lam=1.0, lam0=1.0, w=1.0 - caps)
+    return S, _flat_weights(S, float(rng.choice([0.0, rng.uniform(), 1.0])))
+
+
+def _assert_matches_references(S, weights, res):
+    """Certified, and equal to 1e-9 relative to scipy's bvls and to the
+    k >= 2 route's bounded-variable least squares on the dense A."""
+    assert res.reliable
+    assert res.gamma_sq == pytest.approx(sparsity_dual_reference(S, weights=weights),
+                                         rel=1e-9, abs=1e-12)
+    D = dense_delta(S.n, S.k)
+    active = [t - S.k - 1 for t in S.t]
+    off = np.setdiff1d(np.arange(S.n - S.k), active)
+    caps = np.ones(len(off)) if weights is None else 1.0 - weights.w[off]
+    c = D[active].T @ np.asarray(S.q_S, dtype=float)
+    A = D[off].T
+    dual = math.sqrt(S.n) * np.linalg.norm(c - A @ sp._box_least_squares(A, c, caps))
+    assert res.gamma_sq == pytest.approx(dual ** 2, rel=1e-9, abs=1e-12)
+
+
+class TestTautStringOracle:
+    """The k = 1 dual as a taut string, against independent references."""
+
+    def test_agrees_with_box_least_squares_references(self):
+        rng = np.random.default_rng(23)
+        for i in range(120):
+            S, w = _k1_instance(rng, i)
+            _assert_matches_references(S, w, sp.effective_sparsity_direct(S, weights=w))
+
+    def test_string_stays_in_the_tube(self):
+        # caps of 0 pin the string to 0; the others bound it
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m = int(rng.integers(3, 60))
+            hi = rng.uniform(0.0, 1.0, m)
+            hi[rng.random(m) < 0.2] = 0.0
+            hi[0] = hi[-1] = 0.0
+            v = sp._taut_string((-hi).tolist(), hi.tolist())
+            assert np.all(np.abs(v) <= hi * (1 + 1e-15))
+            assert v[0] == 0.0 and v[-1] == 0.0
+
+    def test_acceptance_pool(self):
+        # the k = 1 instances among the first 40 draws of the acceptance
+        # sampler (seed 111), the pool of the benchmark's sparsity workload
+        rng = np.random.default_rng(111)
+        pool = [sample_sandwich_instance(rng) for _ in range(40)]
+        k1 = [S for S in pool if S.k == 1]
+        assert len(k1) == 14
+        for S in k1:
+            w = sp.compute_weights(S, U, lambda_threshold(S.n, 1, S.n_max, U, s=S.s))
+            _assert_matches_references(S, w, sp.effective_sparsity_direct(S, weights=w))
+
+    def test_three_jumps_at_ten_thousand(self):
+        n = 10_000
+        S = _active(n, 1, (n // 4, n // 2, 3 * n // 4), (1, -1, 1))
+        w = sp.compute_weights(S, 3.0, lambda_threshold(n, 1, S.n_max, 3.0, s=S.s))
+        t0 = time.perf_counter()
+        res = sp.effective_sparsity_direct(S, weights=w)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.reliable and res.gamma_sq > 0.0
+        assert res.max_value == pytest.approx(_objective_k1(S, w, res.maximizer), rel=1e-9)
+
+
+def _objective_k1(S, weights, f):
+    """The maximand at k = 1 from np.diff, for n past the dense reach."""
+    d = np.diff(f)
+    active = [t - 2 for t in S.t]
+    off = np.setdiff1d(np.arange(len(d)), active)
+    return float(np.asarray(S.q_S, dtype=float) @ d[active] - (1.0 - weights.w[off]) @ np.abs(d[off]))
+
+
+def _k1_family(rng, n, count):
+    """Active sets of length n with 0-5 knots, segments of at least 3
+    (k(k+2) at k = 1) and lengths drawn from a flat Dirichlet."""
+    sets = []
+    for _ in range(count):
+        s = int(rng.integers(0, 6))
+        lengths = 3 + rng.multinomial(n - 3 * (s + 1), rng.dirichlet(np.ones(s + 1)))
+        t = 1 + np.cumsum(lengths[:-1])
+        sets.append(_active(n, 1, t, rng.choice([-1, 1], size=s)))
+    return sets
+
+
+def test_k1_exact_below_energy_below_closed_form_up_to_ten_thousand():
+    # Gamma^2 <= interpolant energy <= closed form, with the threshold lambda
+    # and its weights, at n well past the n <= 2400 the constants were fitted on
+    rng = np.random.default_rng(23)
+    for n in (64, 256, 1024, 4096, 10_000):
+        for S in _k1_family(rng, n, 6):
+            w = sp.compute_weights(S, U, lambda_threshold(n, 1, S.n_max, U, s=S.s))
+            energy = sp.effective_sparsity_via_interpolant(build_noisy(S, weights=w), weights=w)
+            res = sp.effective_sparsity_direct(S, weights=w)
+            assert res.reliable
+            assert res.gamma_sq <= energy * (1 + 1e-9) + 1e-12
+            assert energy <= sp.gamma_closed_form(S) * (1 + 1e-12)
 
 
 class TestInterpolantBound:

@@ -39,9 +39,9 @@ def test_dataclass_type_hints_resolve():
 
 
 class TestNoDenseOnRuntimePaths:
-    """The Monte-Carlo harness, both solvers, the weights, the interpolants
-    and the interpolant energy run in O(n) memory: none of them may build
-    the dense difference operator."""
+    """The Monte-Carlo harness, both solvers, the weights, the interpolants,
+    the interpolant energy and the k = 1 sparsity oracle run in O(n) memory:
+    none of them may build the dense difference operator."""
 
     @pytest.fixture(autouse=True)
     def forbid_dense(self, monkeypatch):
@@ -78,6 +78,13 @@ class TestNoDenseOnRuntimePaths:
         w = sp.compute_weights(S, u, lam)
         vec = itp.build_noisy(S, weights=w)
         assert sp.effective_sparsity_via_interpolant(vec, weights=w) > 0.0
+
+    def test_k1_oracle(self):
+        S = dop.ActiveSet(n=300, k=1, t=(75, 150, 225), q_S=(1, -1, 1))
+        u = math.log(20.0)
+        w = sp.compute_weights(S, u, lambda_threshold(S.n, 1, S.n_max, u, s=S.s))
+        res = sp.effective_sparsity_direct(S, weights=w)
+        assert res.reliable and res.gamma_sq > 0.0
 
 
 def test_oracle_solves_faces_by_qr_alone(monkeypatch):

@@ -36,6 +36,12 @@ class TestLambda0:
         with pytest.raises(ValueError):
             theory.lambda0(1.0, 10, 0)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_refuses_u_not_finite(self, u):
+        # nan <= 0 is false: a nan u used to give a nan lambda0
+        with pytest.raises(ValueError, match="u must be finite and positive"):
+            theory.lambda0(u, 10, 5)
+
 
 class TestThreshold:
     @pytest.mark.parametrize("k,expected", [(1, 2.0), (2, 2.0), (3, 9.5), (4, 56.8333)])
