@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Run alternated pairs of the benchmark on two checkouts and compare them.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change . \\
         --pairs 10 --seed 561 --trace 0 --out BENCH.json
 
 Each checkout's ``src/``, ``perfbench/``, ``configs/`` and ``BENCHMARK.json``
 are copied into a temporary directory first, removed at the end, and every
 run happens in a copy, so
 neither checkout's ``perfbench/`` (whose ``run.py`` writes ``results/``) nor
-its ``BENCHMARK.json`` is touched.  Pair i of a workload runs seed
+its ``BENCHMARK.json`` is touched.  ``--parent`` is a checkout or a git
+revision of the ``--change`` checkout's repository; a revision's files are
+extracted with ``git archive``.  Pair i of a workload runs seed
 ``--seed + i`` once on each side for the parent's ``run_seconds``, one
 process per run, the parent first in
 even pairs and the change first in odd ones; the workloads run one after
@@ -22,6 +24,7 @@ and records the same under the key ``workloads`` (``traced`` with
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -29,6 +32,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
@@ -37,7 +41,8 @@ COPIED = ("src", "perfbench", "configs", "BENCHMARK.json")
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", required=True, help="checkout of the parent commit")
+    p.add_argument("--parent", required=True,
+                   help="checkout of the parent commit, or a git revision of --change's repository")
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--workloads", nargs="+", default=None,
                    help="default: every workload of the parent's BENCHMARK.json")
@@ -48,11 +53,37 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be >= 2 (quartiles need two runs a side)")
-    for side in SIDES:
-        root = getattr(args, side)
-        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
-            p.error(f"--{side} {root}: no perfbench/run.py there")
+    args.parent_commit = None
+    if not has_runner(args.change):
+        p.error(f"--change {args.change}: no perfbench/run.py there")
+    if not has_runner(args.parent):
+        args.parent_commit = git(args.change, "rev-parse", "--verify", "--quiet",
+                                 f"{args.parent}^{{commit}}").strip().decode()
+        if not args.parent_commit:
+            p.error(f"--parent {args.parent}: neither a checkout with perfbench/run.py "
+                    f"nor a revision of the repository at {args.change}")
     return args
+
+
+def has_runner(root):
+    return os.path.isfile(os.path.join(root, "perfbench", "run.py"))
+
+
+def git(repo, *argv):
+    """Standard output of ``git -C repo argv``; empty when git fails."""
+    proc = subprocess.run(["git", "-C", repo, *argv], capture_output=True)
+    return proc.stdout if proc.returncode == 0 else b""
+
+
+def extract_commit(repo, commit, dst):
+    """The ``COPIED`` files of ``commit`` into ``dst``, by ``git archive``."""
+    names = git(repo, "ls-tree", "--name-only", commit, "--", *COPIED).decode().split()
+    archive = git(repo, "archive", "--format=tar", commit, "--", *names)
+    if not archive:
+        raise RuntimeError(f"git archive {commit} in {repo} failed")
+    os.makedirs(dst)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dst, filter="data")
 
 
 def copy_checkout(src, dst):
@@ -138,15 +169,18 @@ def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace)
 
 def main(argv=None):
     args = parse_args(argv)
-    with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = bench["run_seconds"]
-    metrics = bench["per_layer" if args.trace else "end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         roots = {side: os.path.join(work, side) for side in SIDES}
-        for side in SIDES:
-            copy_checkout(getattr(args, side), roots[side])
+        if args.parent_commit:
+            extract_commit(args.change, args.parent_commit, roots["parent"])
+        else:
+            copy_checkout(args.parent, roots["parent"])
+        copy_checkout(args.change, roots["change"])
+        with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
+            bench = json.load(fh)
+        workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+        seconds = bench["run_seconds"]
+        metrics = bench["per_layer" if args.trace else "end_to_end"]
         section = {workload: run_workload(roots, bench["command"], workload, metrics,
                                           args.seed, args.pairs, seconds, args.trace)
                    for workload in workloads}

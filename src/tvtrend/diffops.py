@@ -14,6 +14,12 @@ that differs from the convention here by a global sign, which is immaterial
 for every l1 functional and norm used in this package.
 
 Throughout the package ``||v||_n^2`` means ``||v||_2^2 / n``.
+
+Per-shape arrays are built once: ``_cached_polynomial_basis`` and
+``_cached_pinv_sqnorms`` keep read-only arrays per (n, k) in bounded LRU
+caches, so a batch of active sets pays for each block length once.
+``polynomial_basis`` calls LAPACK directly; see its docstring for the two
+ways that can go wrong.
 """
 
 from __future__ import annotations
@@ -101,13 +107,34 @@ def build_delta(n, k):
     return DiffOperator(int(n), int(k))
 
 
+@lru_cache(maxsize=1)
+def _qr_routines():
+    """LAPACK dgeqrf and dorgqr, looked up on first use: importing
+    scipy.linalg here would slow every import of the package."""
+    import scipy.linalg
+    return scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64)
+
+
 def polynomial_basis(n, k):
-    """Orthonormal basis (n x k) of degree < k discrete polynomials."""
+    """Orthonormal basis (n x k) of degree < k discrete polynomials.
+
+    The Q factor of the Vandermonde matrix in x in [-1, 1] by LAPACK dgeqrf
+    and dorgqr, the two calls ``np.linalg.qr`` makes, at less than half its
+    overhead for these thin matrices; Q equals numpy's bit for bit.  It is
+    returned C-contiguous, as numpy returns it: the Fortran-ordered Q of
+    dorgqr changes the rounding of later products with it (43 of the 59
+    pinned fit digests).  The routines are looked up on first use
+    (``_qr_routines``), not at import.
+    """
     i = np.arange(n, dtype=float)
     x = (2 * i - (n - 1)) / max(n - 1, 1)
-    V = np.column_stack([x ** p for p in range(k)])
-    Q, _ = np.linalg.qr(V)
-    return Q
+    V = np.empty((n, k), order="F")
+    for p in range(k):
+        V[:, p] = x ** p
+    geqrf, orgqr = _qr_routines()
+    qr, tau, _, _ = geqrf(V, overwrite_a=True)
+    Q, _, _ = orgqr(qr, tau, overwrite_a=True)
+    return np.ascontiguousarray(Q)
 
 
 def falling_factorial_columns(n, k, rows):

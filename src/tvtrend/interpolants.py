@@ -23,12 +23,18 @@ large-segment limit, takes derivatives instead.  Both solve to one
 Without junctions (k <= 2, or a segment too short for them) the profile is
 the two-piece power law.  Segments without a sign change use the shallow
 profile 1 - (4 j (n_i - j) / (n_i n_max))^{(2k-1)/2}.
+
+The sign-change profile depends only on (k, segment length, exponent), so
+it is solved once per key and kept read-only in a bounded LRU cache
+(``_cached_profile``).  Weights
+built for another active set are refused with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -334,12 +340,21 @@ def sign_change_profile(k, nseg, exponent=None):
 
     nseg must be even for k >= 3 (odd segment lengths are handled one level
     up by the parity trick).  Junctions fall at floor(l * nseg / N); for
-    k <= 2 there are none and any nseg gives the two-piece profile.
+    k <= 2 there are none and any nseg gives the two-piece profile.  Built
+    once per (k, nseg, exponent) (``_cached_profile``) and returned
+    read-only.
     """
+    return _cached_profile(k, nseg, noisy_exponent(k) if exponent is None else exponent)
+
+
+@lru_cache(maxsize=512)
+def _cached_profile(k, nseg, exponent):
+    """``sign_change_profile`` for a given exponent.  Active sets of one n
+    share most segment lengths, so the interpolants of a batch solve each
+    matching system once; the arrays are read-only so no caller can change
+    what the cache holds."""
     if nseg < 1:
         raise ValueError(f"segment length {nseg} must be at least 1")
-    if exponent is None:
-        exponent = noisy_exponent(k)
     if k > 2 and nseg % 2:
         raise ValueError(f"segment length {nseg} must be even for k={k}")
     N = n_subintervals(k)
@@ -348,7 +363,9 @@ def sign_change_profile(k, nseg, exponent=None):
         # too short for the junction construction; fall back to the two-piece
         # polynomial shape (only reachable below the minimum-length condition)
         junctions, exponent = [], min(exponent, float(k))
-    return _solve_matching(k, junctions, nseg / 2, exponent).values(np.arange(nseg + 1))
+    out = _solve_matching(k, junctions, nseg / 2, exponent).values(np.arange(nseg + 1))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -409,8 +426,7 @@ def _segment_values(S, i, exponent, mode):
             return left * v
 
     if k == 1:
-        prof = sign_change_profile(k, n_i, exponent)
-        return mapped(prof)
+        return mapped(sign_change_profile(k, n_i, exponent))
     # parity trick: absorb one step so the profile length is even
     if n_i % 2:
         reduced = sign_change_profile(k, n_i - 1, exponent)
@@ -440,11 +456,21 @@ def _build(S, exponent_rule, mode, weights=None):
     caps = np.ones(m)
     caps[active] = np.inf
     if weights is not None:
+        _require_weights_for(S, weights)
         if weights.w.shape != (m,):
             raise ValueError(f"weights must align with the {m} rows")
         caps = np.where(np.isinf(caps), caps, caps - weights.w)
         _require_feasible(q, caps, k, FEASIBILITY_TOL)
     return InterpolatingVector(S=S, mode=mode, q=q, caps=caps)
+
+
+def _require_weights_for(S, weights):
+    """Raise ``ValueError`` unless ``weights`` is None or was built for S:
+    the weights of another active set of the same (n, k) have the right
+    shape but the wrong caps."""
+    if weights is not None and weights.S != S:
+        raise ValueError("weights were computed for another active set; "
+                         "compute_weights(S, u, lam) builds them for S")
 
 
 def _require_feasible(q, caps, k, tol):
@@ -476,7 +502,8 @@ def build_noisy(S, weights=None):
     Sign-flip segments must satisfy the minimum-length condition
     n_i >= k(k+2).  When ``weights`` is given the caps 1 - w_j are enforced
     entrywise, up to ``FEASIBILITY_TOL``, and violations raise
-    ``InfeasibleInterpolantError`` listing the worst rows.
+    ``InfeasibleInterpolantError`` listing the worst rows; ``weights`` built
+    for another active set raise ``ValueError``.
     """
     min_len = minimum_segment_length(S.k)
     for i in sorted(S.sign_flip_segments):

@@ -19,6 +19,9 @@ O(n) funnel sweep with no matrix at all.  At k >= 2 it is solved by
 bounded-variable least squares on the dense D, one Householder QR solve per
 face, for n up to ``DENSE_CAP_DEFAULT``.  Both end in the same certificate:
 the primal value at the recovered maximizer, the dual value and their gap.
+The empty active set needs neither: its value is 0 at every k and n, and
+the oracle returns that certificate without building D.  The weights reuse
+the per-(n, k) column lengths that ``diffops`` caches.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import scipy.linalg
 
 from .constants import ck_sparsity
 from .diffops import ActiveSet, block_column_sqnorms, build_delta
-from .interpolants import _require_feasible, delta_k_energy
+from .interpolants import _require_feasible, _require_weights_for, delta_k_energy
 from .theory import lambda0
 
 # Slack allowed when the interpolant's feasibility is checked again here.
@@ -79,8 +82,10 @@ def effective_sparsity_via_interpolant(vec, weights=None):
 
     Feasibility (|q_j| <= caps entrywise off the active rows, the caps
     1 - w_j when ``weights`` is given) is re-checked; an infeasible vector
-    raises with the violating rows listed.
+    raises with the violating rows listed.  ``weights`` built for another
+    active set than ``vec.S`` raise ``ValueError``.
     """
+    _require_weights_for(vec.S, weights)
     caps = vec.caps if weights is None else np.where(np.isinf(vec.caps), np.inf, 1.0 - weights.w)
     _require_feasible(vec.q, caps, vec.k, FEASIBILITY_RECHECK_TOL)
     return delta_k_energy(vec)
@@ -234,8 +239,11 @@ def effective_sparsity_direct(S, weights=None, seed=0):
 
     c_j = 1 - w_j (1 without weights); ``weights`` built for another active
     set raise ``ValueError``.  Any c_j < 0 leaves the box empty and raises
-    ``NegativeCapError`` naming the rows and lambda.  The dual is solved
-    exactly, by one solver per order:
+    ``NegativeCapError`` naming the rows and lambda.  An empty active set
+    then returns the zero certificate at every k and n, with no D built:
+    D_S' q_S = 0, so xi = 0 attains the dual value 0 and any constant f
+    (the maximizer, all ones) the primal value 0.  Otherwise the dual is
+    solved exactly, by one solver per order:
 
     * k = 1: with xi~ = q_S on S and -xi off S, the dual minimizes
       ||D' xi~||_2^2 = xi~_1^2 + sum (xi~_{j+1} - xi~_j)^2 + xi~_m^2,
@@ -244,8 +252,8 @@ def effective_sparsity_direct(S, weights=None, seed=0):
       O(n) time and memory, no dense D and no size cap;
     * k >= 2: bounded-variable least squares on the dense D, one
       Householder QR solve per face; D comes from ``DiffOperator.to_dense``,
-      so n above ``DENSE_CAP_DEFAULT`` (4096) raises
-      ``DenseCapExceededError`` before anything is allocated.
+      so a non-empty active set with n above ``DENSE_CAP_DEFAULT`` (4096)
+      raises ``DenseCapExceededError`` before anything is allocated.
 
     Both share one certificate: the maximizer is f = sqrt(n) r / ||r||_2
     with r = D_S' q_S - D_off' xi, and the result carries the primal value
@@ -256,9 +264,7 @@ def effective_sparsity_direct(S, weights=None, seed=0):
     deterministic.
     """
     n, k = S.n, S.k
-    if weights is not None and weights.S != S:
-        raise ValueError("weights were computed for another active set; "
-                         "compute_weights(S, u, lam) builds them for S")
+    _require_weights_for(S, weights)
     op = build_delta(n, k)
     active = [t - k - 1 for t in S.t]
     off = np.ones(op.m, dtype=bool)
@@ -272,6 +278,9 @@ def effective_sparsity_direct(S, weights=None, seed=0):
         raise NegativeCapError(
             f"{len(bad)} caps 1 - w_j are negative at lambda={weights.lam:.6g} "
             f"(lambda too small?): {worst}", rows=bad)
+    if not S.s:
+        return DirectSparsityResult(gamma_sq=0.0, max_value=0.0, dual_value=0.0, gap=0.0,
+                                    reliable=True, maximizer=np.ones(n))
     if k == 1:
         # the string v at x = 0..m+1, row j at x = j - 1: pinned to 0 past
         # both ends and to q_S on S, boxed by the caps off S; D'v = v[:-1] - v[1:]
@@ -296,8 +305,7 @@ def effective_sparsity_direct(S, weights=None, seed=0):
         def d_off(f):
             return A.T @ f
     norm_r = float(np.linalg.norm(r))
-    # r = 0 only for an empty active set; a constant attains the value 0 there
-    f = math.sqrt(n) * r / norm_r if norm_r > 0 else np.ones(n)
+    f = math.sqrt(n) * r / norm_r
     primal = float(f @ c - caps @ np.abs(d_off(f)))
     dual = math.sqrt(n) * norm_r
     gap = dual - primal

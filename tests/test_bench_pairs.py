@@ -1,0 +1,60 @@
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git repository with two commits of a stand-in checkout."""
+    root = tmp_path / "repo"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "perfbench" / "run.py").write_text("print('first')\n")
+    (root / "BENCHMARK.json").write_text("{}\n")
+    (root / "notes.txt").write_text("not copied\n")
+
+    def git(*argv):
+        subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *argv], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (root / "perfbench" / "run.py").write_text("print('second')\n")
+    git("commit", "-q", "-am", "second")
+    return root
+
+
+def test_parent_may_be_a_revision(bench_pairs, repo, tmp_path):
+    args = bench_pairs.parse_args(["--parent", "HEAD~1", "--change", str(repo), "--seed", "1",
+                                   "--out", str(tmp_path / "out.json")])
+    assert args.parent_commit and len(args.parent_commit) == 40
+    dst = tmp_path / "parent"
+    bench_pairs.extract_commit(str(repo), args.parent_commit, str(dst))
+    assert (dst / "perfbench" / "run.py").read_text() == "print('first')\n"
+    assert (dst / "BENCHMARK.json").is_file()
+    assert not (dst / "notes.txt").exists()
+
+
+def test_parent_checkout_is_not_a_revision(bench_pairs, repo, tmp_path):
+    args = bench_pairs.parse_args(["--parent", str(repo), "--change", str(repo), "--seed", "1",
+                                   "--out", str(tmp_path / "out.json")])
+    assert args.parent_commit is None
+
+
+def test_unknown_parent_is_refused(bench_pairs, repo, tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--parent", "no-such-revision", "--change", str(repo),
+                                "--seed", "1", "--out", str(tmp_path / "out.json")])

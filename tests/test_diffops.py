@@ -107,6 +107,17 @@ class TestPinv:
         with pytest.raises(dop.DenseCapExceededError):
             dop.build_delta(5000, 2).to_dense()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_polynomial_basis_is_numpys_q(self, k):
+        # LAPACK dgeqrf + dorgqr give numpy's Q bit for bit, in C order as
+        # numpy returns it (a Fortran-ordered Q rounds later products apart)
+        for n in [k, k + 1, 7, 50, 64, 1000, 4095, 4096, 4097, 10_000, 65_536]:
+            x = (2 * np.arange(n, dtype=float) - (n - 1)) / max(n - 1, 1)
+            Q = np.linalg.qr(np.column_stack([x ** p for p in range(k)]))[0]
+            got = dop.polynomial_basis(n, k)
+            assert got.flags.c_contiguous and got.shape == Q.shape, n
+            assert got.tobytes() == Q.tobytes(), n
+
     def test_nullspace_dimension(self):
         for k in (1, 2, 3, 4):
             D = dense_delta(40, k)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (build_reference, random_active_set, sign_change_profile_reference,
-                      solve_matching_reference)
+from conftest import (build_reference, random_active_set, sample_sandwich_instance,
+                      sign_change_profile_reference, solve_matching_reference)
 from tvtrend import interpolants as itp
 from tvtrend.constants import CK_ASYMPTOTIC, JOIN_CONST, ck_sparsity, minimum_segment_length
 from tvtrend.diffops import ActiveSet, build_delta
@@ -209,6 +209,18 @@ class TestNoisy:
         assert v.q[7 - 2] == pytest.approx(0.5, abs=1e-12)
         assert v.q[10 - 2] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sets", [
+        # the caps of the first set happen to fit the second's q
+        ((60, 2, (20,), (1,)), (60, 2, (21,), (-1,))),
+        # they do not, which used to read as "lambda too small?"
+        ((40, 1, (15,), (1,)), (40, 1, (25,), (1,))),
+    ])
+    def test_refuses_weights_of_another_active_set(self, sets):
+        S1, S2 = (_active(*args) for args in sets)
+        w = compute_weights(S1, U, lambda_threshold(S1.n, S1.k, S1.n_max, U, s=S1.s))
+        with pytest.raises(ValueError, match="another active set"):
+            itp.build_noisy(S2, weights=w)
+
     def test_min_length_enforced(self):
         S = _active(40, 2, (12, 18), (1, -1))   # segment of length 6 < 8
         with pytest.raises(itp.SegmentLengthError, match="segment"):
@@ -285,6 +297,39 @@ def _segments_set(k, lengths, pad, signs):
         pos += int(length)
         t.append(pos)
     return ActiveSet(n=int(sum(lengths)) + k - 1 + pad, k=k, t=tuple(t), q_S=tuple(signs))
+
+
+class TestProfileCache:
+    def test_one_matching_solve_per_profile_shape(self, monkeypatch):
+        # the 40 sets of the acceptance pool (seed 111) ask for 73 profiles
+        # of 31 distinct (k, length, exponent)
+        rng = np.random.default_rng(111)
+        pool = [sample_sandwich_instance(rng) for _ in range(40)]
+        asked, solved = [], []
+        profile, solve = itp.sign_change_profile, itp._solve_matching
+
+        def ask(*key):
+            asked.append(key)
+            return profile(*key)
+
+        def count(*args, **kwargs):
+            solved.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(itp, "sign_change_profile", ask)
+        monkeypatch.setattr(itp, "_solve_matching", count)
+        itp._cached_profile.cache_clear()
+        for S in pool:
+            lam = lambda_threshold(S.n, S.k, S.n_max, U, s=S.s)
+            itp.build_noisy(S, weights=compute_weights(S, U, lam))
+        assert (len(asked), len(set(asked)), len(solved)) == (73, 31, 31)
+
+    def test_profiles_cannot_be_changed_through_a_caller(self):
+        first = itp.sign_change_profile(3, 24)
+        expected = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert np.array_equal(itp.sign_change_profile(3, 24), expected)
 
 
 class TestConstructionBits:

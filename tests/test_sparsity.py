@@ -188,6 +188,23 @@ class TestDirectOracle:
         with pytest.raises(ValueError, match="another active set"):
             sp.effective_sparsity_direct(S2, weights=w)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_empty_set_certifies_zero_without_dense_d(self, k):
+        # past the dense cap, at every k: no D, no solve, well under 1 MB
+        n = 10_000
+        S = _active(n, k, (), ())
+        w = sp.compute_weights(S, U, lambda_threshold(n, k, S.n_max, U, s=0))
+        tracemalloc.start()
+        try:
+            res = sp.effective_sparsity_direct(S, weights=w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (res.gamma_sq, res.max_value, res.dual_value, res.gap) == (0.0, 0.0, 0.0, 0.0)
+        assert res.reliable
+        assert np.array_equal(res.maximizer, np.ones(n))
+
     def test_lambda_monotonicity(self):
         # larger lambda shrinks the weights, weakly decreasing the noisy value
         S = _active(40, 1, (15, 28), (1, -1))
@@ -346,6 +363,18 @@ class TestInterpolantBound:
             energy = sp.effective_sparsity_via_interpolant(vec, weights=w)
             res = sp.effective_sparsity_direct(S, weights=w)
             assert res.gamma_sq <= energy * (1 + 1e-9)
+
+    @pytest.mark.parametrize("sets", [
+        ((60, 2, (20,), (1,)), (60, 2, (21,), (-1,))),
+        ((40, 1, (15,), (1,)), (40, 1, (25,), (1,))),
+    ])
+    def test_refuses_weights_of_another_active_set(self, sets):
+        # the first pair's caps fit the second set's q, the second's do not;
+        # either way the bound would be taken under the wrong caps
+        S1, S2 = (_active(*args) for args in sets)
+        w = sp.compute_weights(S1, U, lambda_threshold(S1.n, S1.k, S1.n_max, U, s=S1.s))
+        with pytest.raises(ValueError, match="another active set"):
+            sp.effective_sparsity_via_interpolant(build_noisy(S2), weights=w)
 
     def test_infeasible_vector_rejected(self):
         S = _active(40, 1, (15, 28), (1, -1))
