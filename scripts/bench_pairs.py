@@ -17,7 +17,8 @@ even pairs and the change first in odd ones; the workloads run one after
 the other.
 
 For each metric of ``BENCHMARK.json`` (``end_to_end`` with ``--trace 0``,
-``per_layer`` with ``--trace 1``) it prints each side's median and
+``per_layer`` with ``--trace 1``) it prints both sides' values after each
+pair, and at the end of a workload each side's median and
 inclusive quartiles and the pairs the change wins (ties count for neither),
 and records the same under the key ``workloads`` (``traced`` with
 ``--trace 1``) of the ``--out`` JSON, keeping the file's other keys.
@@ -141,6 +142,15 @@ def machine():
             "scipy": scipy.__version__}
 
 
+def pair_line(workload, seed, pair, metrics):
+    """Progress line of one pair: every metric's value on each side of
+    ``pair`` (side -> one run's result)."""
+    return f"{workload} seed {seed}: " + "; ".join(
+        f"{spec['name']} " + " ".join(
+            f"{side} {pair[side]['metrics'][spec['name']]['value']:.6g}" for side in SIDES)
+        for spec in metrics)
+
+
 def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace):
     seeds = [seed + i for i in range(pairs)]
     firsts = [SIDES[i % 2] for i in range(pairs)]
@@ -148,9 +158,8 @@ def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace)
     for s, first in zip(seeds, firsts):
         for side in (first, SIDES[1 - SIDES.index(first)]):
             runs[side].append(run_once(roots[side], command, workload, s, seconds, trace))
-        print(f"{workload} seed {s}: " + "  ".join(
-            f"{side} {runs[side][-1]['metrics'][metrics[0]['name']]['value']:.6g}"
-            for side in SIDES), flush=True)
+        print(pair_line(workload, s, {side: runs[side][-1] for side in SIDES}, metrics),
+              flush=True)
     table = compare(runs, metrics)
     for name, row in table.items():
         p, c = row["parent"], row["change"]

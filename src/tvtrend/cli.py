@@ -218,6 +218,10 @@ def cmd_simulate(args):
         cfg = experiments.ExperimentConfig.from_json(args.config)
     except (OSError, json.JSONDecodeError, experiments.ConfigError) as exc:
         raise InputError(f"bad config: {exc}")
+    try:
+        experiments.n_threads()
+    except experiments.ConfigError as exc:
+        raise InputError(str(exc))
     if args.dry_run:
         _dump_json({"config": cfg.to_dict(), "valid": True})
         return EXIT_OK

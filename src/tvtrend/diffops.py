@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._lapack import dgeqrf, dorgqr
+
 DENSE_CAP_DEFAULT = 4096
 
 
@@ -107,14 +109,6 @@ def build_delta(n, k):
     return DiffOperator(int(n), int(k))
 
 
-@lru_cache(maxsize=1)
-def _qr_routines():
-    """LAPACK dgeqrf and dorgqr, looked up on first use: importing
-    scipy.linalg here would slow every import of the package."""
-    import scipy.linalg
-    return scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64)
-
-
 def polynomial_basis(n, k):
     """Orthonormal basis (n x k) of degree < k discrete polynomials.
 
@@ -123,17 +117,16 @@ def polynomial_basis(n, k):
     overhead for these thin matrices; Q equals numpy's bit for bit.  It is
     returned C-contiguous, as numpy returns it: the Fortran-ordered Q of
     dorgqr changes the rounding of later products with it (43 of the 59
-    pinned fit digests).  The routines are looked up on first use
-    (``_qr_routines``), not at import.
+    pinned fit digests).  The routines come from ``_lapack``, which loads
+    scipy's LAPACK extension without the ``scipy.linalg`` package.
     """
     i = np.arange(n, dtype=float)
     x = (2 * i - (n - 1)) / max(n - 1, 1)
     V = np.empty((n, k), order="F")
     for p in range(k):
         V[:, p] = x ** p
-    geqrf, orgqr = _qr_routines()
-    qr, tau, _, _ = geqrf(V, overwrite_a=True)
-    Q, _, _ = orgqr(qr, tau, overwrite_a=True)
+    qr, tau, _, _ = dgeqrf(V, overwrite_a=True)
+    Q, _, _ = dorgqr(qr, tau, overwrite_a=True)
     return np.ascontiguousarray(Q)
 
 

@@ -46,8 +46,10 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import dgeqrf as _GEQRF, dgeqrf_lwork as _GEQRF_LWORK
+from ._lapack import dpbtrf as _PBTRF, dpbtrs as _PBTRS, dpotrf as _POTRF, dpotrs as _POTRS
+from ._lapack import dpttrf as _PTTRF, dpttrs as _PTTRS, dtrtrs as _TRTRS
 from .diffops import (_cached_pinv_sqnorms, _cached_polynomial_basis, build_delta,
                       difference_coefficients, dual_witness, falling_factorial_columns)
 
@@ -60,15 +62,12 @@ RHO_INIT = 1.0
 OVER_RELAXATION = 1.8
 POLISH_ROUNDS = 60
 
-# Fetched once: the scipy wrappers solveh_banded / solve_triangular and numpy's
-# qr validate their inputs and look these up again on every call of the ADMM
-# loop and the restricted solve.  The ADMM f-update solves its banded system as
-# solveh_banded does: by the tridiagonal L D L' routines pttrf / pttrs at k = 1,
-# by a banded Cholesky factor (pbtrf / pbtrs) at k >= 2.
-(_PBTRF, _PBTRS, _PTTRF, _PTTRS, _TRTRS, _POTRF, _POTRS, _GEQRF,
- _GEQRF_LWORK) = scipy.linalg.get_lapack_funcs(
-    ("pbtrf", "pbtrs", "pttrf", "pttrs", "trtrs", "potrf", "potrs", "geqrf", "geqrf_lwork"),
-    dtype=np.float64)
+# The LAPACK routines are called directly (``_lapack``): the scipy wrappers
+# solveh_banded / solve_triangular and numpy's qr validate their inputs and
+# look them up again on every call of the ADMM loop and the restricted solve.
+# The ADMM f-update solves its banded system as solveh_banded does: by the
+# tridiagonal L D L' routines pttrf / pttrs at k = 1, by a banded Cholesky
+# factor (pbtrf / pbtrs) at k >= 2.
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import dgels as _GELS
 from .constants import ck_sparsity
 from .diffops import ActiveSet, block_column_sqnorms, build_delta
 from .interpolants import _require_feasible, _require_weights_for, delta_k_energy
@@ -40,9 +40,6 @@ from .theory import lambda0
 
 # Slack allowed when the interpolant's feasibility is checked again here.
 FEASIBILITY_RECHECK_TOL = 1e-9
-
-# Fetched once: the oracle solves one least-squares face per active-set step.
-(_GELS,) = scipy.linalg.get_lapack_funcs(("gels",), dtype=np.float64)
 
 
 class NegativeCapError(ValueError):

@@ -58,3 +58,14 @@ def test_unknown_parent_is_refused(bench_pairs, repo, tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["--parent", "no-such-revision", "--change", str(repo),
                                 "--seed", "1", "--out", str(tmp_path / "out.json")])
+
+
+def test_pair_line_shows_every_metric(bench_pairs):
+    metrics = [{"name": "ops_per_s"}, {"name": "setup_s"}, {"name": "peak_rss_mb"}]
+    values = {"parent": (150.0, 0.157, 140.5), "change": (152.0, 0.0612, 140.25)}
+    pair = {side: {"metrics": {spec["name"]: {"value": v}
+                               for spec, v in zip(metrics, values[side])}}
+            for side in values}
+    assert bench_pairs.pair_line("fit-n4096", 561, pair, metrics) == (
+        "fit-n4096 seed 561: ops_per_s parent 150 change 152; "
+        "setup_s parent 0.157 change 0.0612; peak_rss_mb parent 140.5 change 140.25")

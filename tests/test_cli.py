@@ -350,6 +350,19 @@ class TestSimulate:
         assert cli.main(argv + ["--dry-run"] * dry_run) == 2
         assert "dp_k1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads,
+                                             dry_run):
+        monkeypatch.setenv("TVTREND_THREADS", threads)
+        path = self.config(tmp_path)
+        csv, summ = tmp_path / "trials.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(path), "--out-csv", str(csv), "--out-json", str(summ)]
+        assert cli.main(argv + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert f"TVTREND_THREADS must be an integer >= 1, got {threads!r}" in captured.err
+        assert captured.out == "" and not csv.exists() and not summ.exists()
+
     def test_good_float_and_flag_fields_accepted(self, tmp_path, capsys):
         path = self.config(tmp_path, u=3, v=2.5, tol_kkt=1e-6, lambda_scale=2, jump_delta=-4.0,
                            lambda_rule="fixed", lambda_value=0.5, record_timing=True,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,21 @@ class TestTrials:
         exp.run_monte_carlo(c, json_path=pa)
         exp.run_monte_carlo(c, json_path=pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "", " 2", "2.0", "1e1"])
+    def test_bad_thread_count_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("TVTREND_THREADS", value)
+        with pytest.raises(exp.ConfigError, match=f"TVTREND_THREADS.*{re.escape(repr(value))}"):
+            exp.n_threads()
+        with pytest.raises(exp.ConfigError, match="TVTREND_THREADS"):
+            exp.run_monte_carlo(cfg(replications=1))
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.delenv("TVTREND_THREADS", raising=False)
+        assert exp.n_threads() == 1
+        for value, workers in (("1", 1), ("2", 2), ("08", 8)):
+            monkeypatch.setenv("TVTREND_THREADS", value)
+            assert exp.n_threads() == workers
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         c = cfg(replications=6)
