@@ -3,6 +3,7 @@
 
 Fits the shipped sweep config at each n, prints the per-n median errors and
 the fitted log-log slope (expected near -1 with logarithmic corrections).
+A grid with fewer than two distinct n is an error (exit code 2).
 """
 
 import argparse
@@ -10,7 +11,7 @@ import json
 import pathlib
 import sys
 
-from tvtrend.experiments import ExperimentConfig, rate_sweep
+from tvtrend.experiments import ConfigError, ExperimentConfig, rate_sweep
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -24,7 +25,11 @@ def main():
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
     cfg = ExperimentConfig.from_json(args.config)
-    medians, slope = rate_sweep(cfg, args.n_grid, trials=args.trials)
+    try:
+        medians, slope = rate_sweep(cfg, args.n_grid, trials=args.trials)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for n in sorted(medians):
         print(f"n={n}: median error {medians[n]:.6f}")
     print(f"log-log slope: {slope:.4f}")

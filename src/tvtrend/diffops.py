@@ -68,7 +68,16 @@ class DiffOperator:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        # A numpy integer is stored as int; a float or bool (not an int by
+        # type) is refused, not truncated.
+        for name, what in (("n", "signal length"), ("k", "difference order")):
+            value = getattr(self, name)
+            if type(value) is int:
+                continue
+            if not isinstance(value, np.integer):
+                raise InvalidOrderError(f"{what} {name}={value!r} must be an integer")
+            object.__setattr__(self, name, int(value))
+        if self.n < 2:
             raise InvalidOrderError(f"signal length n={self.n} must be an integer >= 2")
         if not 1 <= self.k <= self.n - 1:
             raise InvalidOrderError(
@@ -106,7 +115,7 @@ class DiffOperator:
 
 def build_delta(n, k):
     """Construct the k-th order difference operator for signals of length n."""
-    return DiffOperator(int(n), int(k))
+    return DiffOperator(n, k)
 
 
 def polynomial_basis(n, k):
@@ -346,9 +355,3 @@ def block_column_sqnorms(S):
             rows.append(np.arange(a + S.k, b + 1))
             sqn.append(_cached_pinv_sqnorms(nb, S.k))
     return np.concatenate(rows), np.concatenate(sqn)
-
-
-def write_dense_csv(array, path):
-    """Export a dense matrix or vector as CSV, 17 significant digits."""
-    np.savetxt(path, np.atleast_2d(np.asarray(array, dtype=float)),
-               delimiter=",", fmt="%.17g")

@@ -100,7 +100,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """``converged`` means ``kkt_residual`` met ``tol_kkt``.
+    """``converged`` is the decision of the certificate (``_certificate``)
+    whose residual is ``kkt_residual``: every exit of ``fit`` reports it
+    unchanged, and nothing else in the estimator decides convergence.
 
     ``iters`` is 0 at lambda = 0 and for the polynomial fit at lambda >=
     lambda_max, and n for ``dp_k1``.  Otherwise it is the ADMM iteration of
@@ -154,12 +156,14 @@ def lambda_max(y, k):
 
 
 def _certificate(y, f_hat, lam, k, tol_kkt):
-    """Dual vector and KKT residual for a candidate minimizer.
+    """Dual vector, KKT residual and the decision on a candidate minimizer:
+    (u, kkt, converged).
 
     The dual is the unique solution of D' u = (y - f_hat) / (n lambda); the
-    returned residual is the max of the stationarity residual (inf-norm of
-    the gradient inclusion), the box excess max(0, |u|_inf - 1) and the sign
-    mismatch on clearly-active rows.
+    residual is the max of the stationarity residual (inf-norm of the
+    gradient inclusion), the box excess max(0, |u|_inf - 1) and the sign
+    mismatch on clearly-active rows.  ``converged`` is the one convergence
+    rule of the estimator: every exit of ``fit`` reports it as it is.
     """
     n = len(y)
     op = build_delta(n, k)
@@ -171,7 +175,8 @@ def _certificate(y, f_hat, lam, k, tol_kkt):
     d = op.apply(f_hat)
     strong = np.abs(d) > 10.0 * tol_kkt
     sign_mis = float(np.max(np.abs(u[strong] - np.sign(d[strong])), initial=0.0))
-    return u, max(stat_res, box, sign_mis)
+    kkt = max(stat_res, box, sign_mis)
+    return u, kkt, kkt <= tol_kkt
 
 
 def _restricted_solve(y, k, lam, active, signs):
@@ -454,7 +459,8 @@ def _polish(y, k, lam, active, signs, tol_kkt):
     """Active-set refinement: drop sign-inconsistent rows, else add the worst
     row of each run of consecutive rows whose dual exceeds the box.
 
-    Returns (f_hat, u, kkt) at the first certified face, and at the first
+    Returns the fit and ``_certificate`` of a face, (f_hat, u, kkt,
+    converged): at the first certified face, and at the first
     sign-consistent face with no off-support |u| > 1 + 1e-12 even when its
     certificate fails: that face satisfies KKT in exact arithmetic, so only
     float64 rounding can fail it.  A round is a pure function of its (active,
@@ -493,14 +499,13 @@ def _polish(y, k, lam, active, signs, tol_kkt):
         if not np.all(keep):
             active, signs = active[keep], signs[keep]
             continue
-        u, kkt = _certificate(y, f_hat, lam, k, tol_kkt)
-        if kkt <= tol_kkt:
-            return f_hat, u, kkt
-        mag = np.abs(u)
-        over = mag > 1.0 + 1e-12
+        u, kkt, converged = _certificate(y, f_hat, lam, k, tol_kkt)
+        if converged:
+            return f_hat, u, kkt, converged
+        over = np.abs(u) > 1.0 + 1e-12
         over[active - k - 1] = False
         if not np.any(over):
-            return f_hat, u, kkt
+            return f_hat, u, kkt, converged
         active, signs = _add_worst_rows(active, signs, _runs(over), u, k)
     return None
 
@@ -755,8 +760,9 @@ def tv1d_exact(y, lam):
                 return x
 
 
-def _result(y, cfg, f_hat, dual, kkt, iters, converged):
-    """The one constructor of ``FitResult``; the objective is recomputed."""
+def _result(y, cfg, f_hat, dual, kkt, converged, iters):
+    """The one constructor of ``FitResult``, from a fit and its
+    ``_certificate``; the objective is recomputed."""
     return FitResult(f_hat=f_hat, objective=objective(f_hat, y, cfg.lam, cfg.k),
                      kkt_residual=kkt, dual=dual, iters=iters, converged=converged,
                      lam=cfg.lam, k=cfg.k)
@@ -774,17 +780,15 @@ def fit(y, cfg):
     if n < k + 1:
         raise ValueError(f"need n >= k + 1 = {k + 1}, got n = {n}")
     if lam == 0.0:
-        return _result(y, cfg, y.copy(), np.zeros(n - k), 0.0, 0, True)
+        return _result(y, cfg, y.copy(), np.zeros(n - k), 0.0, True, iters=0)
     if cfg.algorithm == "dp_k1":
         f_hat = tv1d_exact(y, n * lam)
-        u, kkt = _certificate(y, f_hat, lam, k, tol)
-        return _result(y, cfg, f_hat, u, kkt, n, kkt <= tol)
+        return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=n)
     if lam >= lambda_max(y, k):
         # The minimizer is the polynomial fit, so a candidate that fails its
         # certificate fails on float64 rounding alone and is returned as it is.
         f_hat = _restricted_solve(y, k, lam, [], [])[0]
-        u, kkt = _certificate(y, f_hat, lam, k, tol)
-        return _result(y, cfg, f_hat, u, kkt, 0, kkt <= tol)
+        return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=0)
     tried = set()                   # the (support, signs) polished so far
     for it, f, z in _candidates(y, cfg):
         if z is None:
@@ -799,11 +803,9 @@ def fit(y, cfg):
         tried.add(state)
         hit = _polish(y, k, lam, supp + k + 1, signs, tol)
         if hit is not None:
-            f_hat, u, kkt = hit
-            return _result(y, cfg, f_hat, u, kkt, it, kkt <= tol)
+            return _result(y, cfg, *hit, iters=it)
     # Every polish gave up: ADMM's final iterate, with its own certificate.
-    u, kkt = _certificate(y, f, lam, k, tol)
-    return _result(y, cfg, f, u, kkt, cfg.max_iter, kkt <= tol)
+    return _result(y, cfg, f, *_certificate(y, f, lam, k, tol), iters=cfg.max_iter)
 
 
 def check_basic_inequality(result, y, f0, f):

@@ -416,11 +416,16 @@ def rate_sweep(cfg, n_values, trials=100):
     """Median prediction error over a grid of n, with the log-log slope.
 
     Events are skipped; only the fit and the error enter.  Returns (per-n
-    medians, fitted slope of log median vs log n).
+    medians, fitted slope of log median vs log n).  A slope needs at least
+    two distinct n: fewer raise ``ConfigError``, as does an n that is not an
+    integer.
     """
+    if len(set(n_values)) < 2:
+        raise ConfigError("a rate sweep needs at least two distinct n values,"
+                          f" got {list(n_values)}")
     medians = {}
     for n in n_values:
-        sub = dataclasses.replace(cfg, n=int(n), replications=trials)
+        sub = dataclasses.replace(cfg, n=n, replications=trials)    # refuses a non-integer n
         f0, S = generate_signal(sub)
         lam = resolve_lambda(sub, S)
         mses = np.empty(trials)

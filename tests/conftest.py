@@ -9,7 +9,8 @@ import scipy.optimize
 from tvtrend import estimator as est
 from tvtrend import experiments
 from tvtrend.constants import minimum_segment_length
-from tvtrend.diffops import ActiveSet, build_delta, difference_coefficients, polynomial_basis
+from tvtrend.diffops import (ActiveSet, build_delta, difference_coefficients,
+                             falling_factorial_columns, polynomial_basis)
 from tvtrend.interpolants import MatchingSystemError, n_subintervals, noisy_exponent
 
 
@@ -65,6 +66,20 @@ def block_dictionary_reference(S):
     return np.array(rows, dtype=int), columns
 
 
+def _box_dual(y, lam, k):
+    """The box-constrained dual by bounded-variable least squares:
+    (A, result) for u = argmin_{|u| <= 1} ||y - A u||_2, A = n lam D'.  At
+    k >= 3 bvls can need more than its default m iterations; it is given
+    ten times that, and must stop on its tolerance."""
+    n = len(y)
+    op = build_delta(n, k)
+    A = n * lam * op.apply_transpose(np.eye(op.m))
+    res = scipy.optimize.lsq_linear(A, y, bounds=(-1.0, 1.0), method="bvls", tol=1e-14,
+                                    max_iter=10 * op.m)
+    assert res.status > 0, res.message
+    return A, res
+
+
 def tv_dual_reference(y, lam, k):
     """Reference minimizer through the box-constrained dual:
 
@@ -72,11 +87,37 @@ def tv_dual_reference(y, lam, k):
 
     Independent of both the ADMM path and the taut-string program.
     """
-    n = len(y)
-    op = build_delta(n, k)
-    A = n * lam * op.apply_transpose(np.eye(op.m))
-    res = scipy.optimize.lsq_linear(A, y, bounds=(-1.0, 1.0), method="bvls", tol=1e-14)
+    A, res = _box_dual(y, lam, k)
     return y - A @ res.x
+
+
+def reference_face(y, lam, k):
+    """The face of the minimizer as a program that shares no code with ADMM
+    or the polish selects it: (rows, signs), rows 1-based.  At k = 1 the
+    jumps of the taut string ``tv1d_exact(y, n lam)`` (Condat's algorithm);
+    at k >= 2 the rows where the bvls dual of ``tv_dual_reference`` sits at
+    a bound, with the bound's sign.  bvls takes seconds at n = 256 and
+    minutes at n = 1024, so it is refused past n = 256."""
+    n = len(y)
+    if k == 1:
+        d = np.diff(est.tv1d_exact(y, n * lam))
+        rows = np.flatnonzero(d)
+        return rows + 2, np.sign(d[rows])
+    assert n <= 256, "bvls is too slow past n = 256: pin the fit by its digest"
+    mask = _box_dual(y, lam, k)[1].active_mask
+    rows = np.flatnonzero(mask)
+    return rows + k + 1, mask[rows].astype(float)
+
+
+def noisy_piecewise(rng, n, k, s0, amp=8.0):
+    """Unit noise on s0 random falling-factorial columns, jumps of size
+    amp n^{-(k-1)} (so the signal is O(amp) against the noise)."""
+    cols = falling_factorial_columns(n, k, [int(v) for v in
+                                            np.sort(rng.choice(np.arange(k + 1, n + 1), s0,
+                                                               replace=False))])
+    mags = amp * float(n) ** (-(k - 1)) * rng.standard_normal(s0)
+    f0 = cols @ mags if s0 else np.zeros(n)
+    return f0 + rng.standard_normal(n)
 
 
 def recipe_input(k, n=4096, frac=0.3):
@@ -166,64 +207,19 @@ def left_out_inputs():
     return [left_out_input(*draw) for draw in LEFT_OUT_DRAWS]
 
 
-def admm_reference(y, cfg, frozen_trigger=False):
-    """The ADMM loop written plainly: ``scipy.linalg.solveh_banded`` on the
-    banded system for every f-update, ``apply_transpose``,
-    ``np.linalg.norm`` and a polish at every trigger.
-
-    The triggers are settled residuals and every 250th iteration; with
-    ``frozen_trigger`` also the first iteration of each run in which z equals
-    the previous z.  The first face a polish returns is the fit; no raw
-    iterate is accepted, and when every polish gives up the fit is the final
-    iterate, with its own certificate, at ``max_iter``.  ``estimator.fit``
-    must reproduce the loop with it bit for bit below lambda_max; without it,
-    the same f_hat, dual, residual and ``converged`` whenever a fit
-    certifies, at an ``iters`` no later.
-    """
-    n = len(y)
-    k = cfg.k
-    op = build_delta(n, k)
-    rho = est.RHO_INIT
-    alpha = est.OVER_RELAXATION
-    f = y.copy()
-    z = op.apply(f)
-    w = np.zeros(op.m)
-    thresh_scale = math.sqrt(op.m)
-    was_frozen = False
-    for it in range(1, cfg.max_iter + 1):
-        rhs = (2.0 / n) * y + rho * op.apply_transpose(z - w)
-        f = scipy.linalg.solveh_banded(est._admm_system_banded(n, k, rho), rhs)
-        Df = op.apply(f)
-        Df_rel = alpha * Df + (1.0 - alpha) * z
-        z_old = z
-        v = Df_rel + w
-        z = np.sign(v) * np.maximum(np.abs(v) - 2.0 * cfg.lam / rho, 0.0)
-        w = w + Df_rel - z
-        r_norm = np.linalg.norm(Df - z)
-        s_norm = rho * np.linalg.norm(op.apply_transpose(z - z_old))
-        scale = max(np.linalg.norm(Df), np.linalg.norm(z), 1e-12)
-        settled = r_norm <= 1e-7 * thresh_scale * scale and s_norm <= 1e-7 * thresh_scale * scale
-        frozen = frozen_trigger and np.array_equal(z, z_old)
-        if settled or it % 250 == 0 or (frozen and not was_frozen):
-            supp = np.nonzero(z)[0]
-            polished = est._polish(y, k, cfg.lam, supp + k + 1, np.sign(z[supp]), cfg.tol_kkt)
-            if polished is not None:
-                f_hat, u, kkt = polished
-                return est.FitResult(f_hat=f_hat, objective=est.objective(f_hat, y, cfg.lam, k),
-                                     kkt_residual=kkt, dual=u, iters=it,
-                                     converged=kkt <= cfg.tol_kkt, lam=cfg.lam, k=k)
-        was_frozen = frozen
-        if it % 10 == 0:
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                w /= 2.0
-            elif s_norm > 10.0 * r_norm:
-                rho /= 2.0
-                w *= 2.0
-    u, kkt = est._certificate(y, f, cfg.lam, k, cfg.tol_kkt)
-    return est.FitResult(f_hat=f, objective=est.objective(f, y, cfg.lam, k),
-                         kkt_residual=kkt, dual=u, iters=cfg.max_iter,
-                         converged=kkt <= cfg.tol_kkt, lam=cfg.lam, k=k)
+def pinned_inputs():
+    """The inputs of fit tests that no independent reference reaches (k >= 2
+    past n = 256), by name: their bytes are pinned by ``fit_digests.json``."""
+    inputs = {}
+    for k in (2, 3):
+        for frac in (0.1, 0.3):
+            y = noisy_piecewise(np.random.default_rng(20250809), 1024, k, 4)
+            inputs[f"loop-k{k}-{frac}"] = (y, est.FitConfig(lam=frac * est.lambda_max(y, k), k=k))
+    inputs["recipe-k3"] = recipe_input(3)
+    inputs["recipe-k4"] = recipe_input(4)
+    inputs["recipe-k3-n2048"] = recipe_input(3, n=2048, frac=0.1)
+    inputs["recipe-k4-n512"] = recipe_input(4, n=512)
+    return inputs
 
 
 def admm_system_banded_reference(n, k, rho):
@@ -295,98 +291,15 @@ def admm_iterates_reference(y, cfg, frozen_trigger=False):
     yield cfg.max_iter, f, None
 
 
-def polish_reference(y, k, lam, active, signs, tol_kkt):
-    """The one-worst-row polish: each round adds only the single worst
-    violating row, and a face left with no violator gives up (None) whatever
-    its certificate, so ``fit`` goes on to the next trigger.  Wherever ``fit``
-    certifies with it, ``fit`` with ``estimator._polish`` must return the same
-    f_hat, dual and residual bits."""
-    active = np.sort(np.asarray(active, dtype=int))
-    signs = np.asarray(signs, dtype=float)
-    if len(active) > est._POLISH_MAX_ACTIVE:
-        return None
-    seen = set()
-    for _ in range(est.POLISH_ROUNDS):
-        state = (active.tobytes(), signs.tobytes())
-        if state in seen:
-            return None
-        seen.add(state)
-        f_hat, b = est._restricted_solve(y, k, lam, active, signs)
-        keep = b * signs > 0
-        if not np.all(keep):
-            active, signs = active[keep], signs[keep]
-            continue
-        u, kkt = est._certificate(y, f_hat, lam, k, tol_kkt)
-        if kkt <= tol_kkt:
-            return f_hat, u, kkt
-        over = np.abs(u) > 1.0 + 1e-12
-        over[active - k - 1] = False
-        if not np.any(over):
-            return None
-        worst = int(np.argmax(np.abs(u) * over))
-        j = worst + k + 1
-        pos = int(np.searchsorted(active, j))
-        active = np.insert(active, pos, j)
-        signs = np.insert(signs, pos, np.sign(u[worst]))
-    return None
-
-
-def polish_exact_reference(y, k, lam, active, signs, tol_kkt):
-    """``estimator._polish`` with every face solved exactly by
-    ``_restricted_solve`` and none screened.  Wherever the screen's error
-    estimates hold, ``fit`` with ``estimator._polish`` returns the same bits
-    as ``fit`` with this polish.
-
-    Active-set refinement: drop sign-inconsistent rows, else add the worst
-    row of each run of consecutive rows whose dual exceeds the box.
-
-    Returns (f_hat, u, kkt) at the first certified face, and at the first
-    sign-consistent face with no off-support |u| > 1 + 1e-12 even when its
-    certificate fails: that face satisfies KKT in exact arithmetic, so only
-    float64 rounding can fail it.  A round is a pure function of its (active,
-    signs) state, so a state seen before starts a cycle that could only run
-    out the rounds: it returns None at once."""
-    active = np.sort(np.asarray(active, dtype=int))
-    signs = np.asarray(signs, dtype=float)
-    if len(active) > est._POLISH_MAX_ACTIVE:
-        return None
-    seen = set()
-    for _ in range(est.POLISH_ROUNDS):
-        state = (active.tobytes(), signs.tobytes())
-        if state in seen:
-            return None
-        seen.add(state)
-        f_hat, b = est._restricted_solve(y, k, lam, active, signs)
-        keep = b * signs > 0
-        if not np.all(keep):
-            active, signs = active[keep], signs[keep]
-            continue
-        u, kkt = est._certificate(y, f_hat, lam, k, tol_kkt)
-        if kkt <= tol_kkt:
-            return f_hat, u, kkt
-        mag = np.abs(u)
-        over = mag > 1.0 + 1e-12
-        over[active - k - 1] = False
-        if not np.any(over):
-            return f_hat, u, kkt
-        # The worst row of each maximal run of consecutive violators.
-        edges = np.flatnonzero(np.diff(over, prepend=False, append=False))
-        worst = np.array([a + int(np.argmax(mag[a:b])) for a, b in zip(edges[::2], edges[1::2])])
-        j = worst + k + 1
-        pos = np.searchsorted(active, j)
-        active = np.insert(active, pos, j)
-        signs = np.insert(signs, pos, np.sign(u[worst]))
-    return None
-
-
 class PolishLog:
     """Every face a polish solves, in order: ("screen", state) for each call
     of ``_FaceColumns.solve`` and ("qr", state) for each call of
     ``_restricted_solve``, with state = (active rows, signs) as tuples.
 
-    A polish round screens its face, solves it by QR (the starting face), or
-    both on one state (where the screen stops); ``rounds`` counts each round
-    once, so it also counts the rounds of ``polish_exact_reference``."""
+    A polish round screens its face, solves it by QR, or both on one state
+    (where the screen stops); ``rounds`` counts each round once, so it also
+    counts the rounds of a polish whose screen always stops
+    (``exact_polish``)."""
 
     def __init__(self, monkeypatch):
         self.faces = []

@@ -75,10 +75,10 @@ class TestSolve:
 
     def test_uncertified_k4_face_is_written(self, tmp_path, capsys):
         # The k = 4 fit whose ADMM iterates break the banded factorization:
-        # the polish of the empty support, at the closed-form trigger before
-        # ADMM (iteration 1), reaches the exact face, which float64 leaves
+        # a polish reaches the exact face before that, which float64 leaves
         # about 1e-7 short of the 1e-8 certificate, so solve writes it and
-        # exits 3.
+        # exits 3.  Which candidate reached it is not pinned: ``iters`` only
+        # lies before max_iter, as for every face returned uncertified.
         y, cfg = recipe_input(4)
         path, out, rep = tmp_path / "y.csv", tmp_path / "f.csv", tmp_path / "r.json"
         write_signal(path, y)
@@ -87,7 +87,7 @@ class TestSolve:
         assert rc == 3
         assert "leading minor" not in capsys.readouterr().err
         report = json.loads(rep.read_text())
-        assert report["converged"] is False and report["iters"] == 1
+        assert report["converged"] is False and 1 <= report["iters"] < cfg.max_iter
         assert 1e-8 < report["kkt_residual"] < 1e-6
         assert np.loadtxt(out).shape == (4096,)
 

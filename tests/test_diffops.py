@@ -65,6 +65,20 @@ class TestOperator:
         with pytest.raises(dop.InvalidOrderError):
             dop.build_delta(5, 5)
 
+    def test_non_integer_sizes_refused(self):
+        # A float or bool n or k is refused, not truncated (10.9 -> 10).
+        for n, k in ((10, 2.7), (10.9, 2), (10, 2.0), (10.0, 2), (10, True),
+                     (10, np.float64(2.0)), (np.bool_(True), 1)):
+            with pytest.raises(dop.InvalidOrderError, match="must be an integer"):
+                dop.build_delta(n, k)
+            with pytest.raises(dop.InvalidOrderError, match="must be an integer"):
+                dop.DiffOperator(n, k)
+        with pytest.raises(dop.InvalidOrderError, match="must be an integer"):
+            dop.ActiveSet(n=20, k=2.0, t=(8,), q_S=(1,))
+        op = dop.DiffOperator(np.int64(10), np.int32(2))
+        assert (op.n, op.k, op.m) == (10, 2, 8) and type(op.n) is int and type(op.k) is int
+        assert dop.ActiveSet(n=np.int64(20), k=np.int64(2), t=(8,), q_S=(1,)).k == 2
+
 class TestFallingFactorial:
     def test_k1_indicator_steps(self):
         psi = dop.falling_factorial_columns(5, 1, range(1, 6))
@@ -300,14 +314,6 @@ class TestBlockDictionary:
         ref_rows, cols = block_dictionary_reference(S)
         assert np.array_equal(rows, ref_rows)
         np.testing.assert_allclose(sqn, np.sum(cols ** 2, axis=0), rtol=1e-8)
-
-
-def test_write_dense_csv_roundtrip(tmp_path, rng):
-    M = rng.standard_normal((5, 7))
-    path = tmp_path / "m.csv"
-    dop.write_dense_csv(M, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, M)
 
 
 class TestRightInverseSweep:

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +287,33 @@ def test_rate_sweep_runs():
     medians, slope = exp.rate_sweep(c, [128, 256, 512], trials=12)
     assert set(medians) == {128, 256, 512}
     assert slope < 0.0
+
+
+@pytest.mark.parametrize("grid", [[], [256], [256, 256], [256.0, 256]])
+def test_rate_sweep_needs_two_distinct_n(grid):
+    # One n has no slope: refused before any fit, not a RankWarning and a
+    # meaningless number.
+    c = cfg(n=128, k=1, s0=1, algorithm="dp_k1", lambda_rule="equal_segment")
+    with pytest.raises(exp.ConfigError, match="two distinct n"):
+        exp.rate_sweep(c, grid, trials=5)
+
+
+def test_rate_sweep_refuses_a_non_integer_n():
+    # 256.7 was run as n = 256.
+    c = cfg(n=128, k=1, s0=1, algorithm="dp_k1", lambda_rule="equal_segment")
+    with pytest.raises(exp.ConfigError, match="n must be an integer"):
+        exp.rate_sweep(c, [256.7, 512], trials=2)
+
+
+def test_rate_sweep_script_reports_a_single_n():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "")
+                                                  .split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, str(root / "scripts" / "run_rate_sweep.py"),
+                          "--n-grid", "256", "--trials", "2"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and "two distinct n" in out.stderr
 
 
 def test_rate_sweep_second_order_smoke():

@@ -8,18 +8,24 @@ with one OpenBLAS thread, once with one trial worker and once with two
 The JSON of every ``verify`` suite is compared with ``verify_digests.json``
 the same way.  ``fit_digests.json`` holds, for each of the 24 n = 4096
 inputs (``conftest.n4096_inputs``), the 32 battery inputs
-(``conftest.battery_inputs``) and the 3 benchmark draws that its fit-n4096
-batch leaves out and that certify quickly (``conftest.left_out_inputs``),
-the SHA-256 of the fit's f_hat, dual,
-objective, kkt_residual and converged, computed in a fresh interpreter with
-one OpenBLAS thread; ``iters`` is left out, so a change of how a fit gets to
-its face does not move them.
+(``conftest.battery_inputs``), the 3 benchmark draws that its fit-n4096
+batch leaves out and that certify quickly (``conftest.left_out_inputs``) and
+the inputs of the fit tests that no independent reference reaches
+(``conftest.pinned_inputs``), the SHA-256 of the fit's f_hat, dual,
+objective, kkt_residual and converged (``fit_digest``), computed in a
+fresh interpreter with one OpenBLAS thread; ``iters`` is left out, so a
+change of how a fit gets to its face does not move them.
 
 The digests hold for the numpy / scipy build and machine recorded beside
 them; on any other build the last bits of a BLAS or LAPACK call may differ,
-so the tests skip there rather than compare.  To re-record after an intended
-output change, run this file as a script:
-``PYTHONPATH=src python tests/test_output_digests.py``.
+so the tests skip there rather than compare.  Run this file as a script to
+compare or re-record:
+
+- ``PYTHONPATH=src python tests/test_output_digests.py --check`` prints each
+  entry that differs on this build (``fit n4096/15``, ``simulate
+  k1_coverage.csv``) and exits 1 if any does; it writes nothing.
+- ``PYTHONPATH=src python tests/test_output_digests.py`` re-records all three
+  files, after an intended output change.
 """
 
 import hashlib
@@ -44,6 +50,26 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 def this_build():
     return {"numpy": np.__version__, "scipy": scipy.__version__, "machine": platform.machine()}
+
+
+def fit_digest(res):
+    """SHA-256 of the pinned fields of a fit: f_hat, dual, objective,
+    kkt_residual and converged.  ``iters`` is left out, so a change of how
+    a fit gets to its face does not move it."""
+    h = hashlib.sha256()
+    for value in (res.f_hat, res.dual, res.objective, res.kkt_residual):
+        h.update(np.asarray(value, dtype=float).tobytes())
+    h.update(bytes([res.converged]))
+    return h.hexdigest()
+
+
+def recorded_fit_digest(name):
+    """The digest recorded for fit ``name``, or None on a numpy / scipy
+    build other than the recorded one."""
+    data = json.loads(DIGESTS["fit"].read_text())
+    if any(data[key] != value for key, value in this_build().items()):
+        return None
+    return data["sha256"][name]
 
 
 def _run(args, threads=1):
@@ -91,23 +117,20 @@ def fit_digests():
 
 
 def _fit_digests_here():
-    from conftest import battery_inputs, left_out_inputs, n4096_inputs
+    from conftest import battery_inputs, left_out_inputs, n4096_inputs, pinned_inputs
     from tvtrend import estimator as est
 
+    groups = [("n4096", enumerate(n4096_inputs())), ("battery", enumerate(battery_inputs())),
+              ("left_out", enumerate(left_out_inputs())), ("pinned", pinned_inputs().items())]
     digests = {}
-    for name, inputs in (("n4096", n4096_inputs()), ("battery", battery_inputs()),
-                         ("left_out", left_out_inputs())):
-        for i, (y, cfg) in enumerate(inputs):
-            h = hashlib.sha256()
+    for group, inputs in groups:
+        for key, (y, cfg) in inputs:
             try:
-                res = est.fit(y, cfg)
+                digest = fit_digest(est.fit(y, cfg))
             except np.linalg.LinAlgError as exc:
-                h.update(f"LinAlgError: {exc}".encode())
-            else:
-                for value in (res.f_hat, res.dual, res.objective, res.kkt_residual):
-                    h.update(np.asarray(value, dtype=float).tobytes())
-                h.update(bytes([res.converged]))
-            digests[f"{name}/{i:02d}"] = h.hexdigest()
+                digest = hashlib.sha256(f"LinAlgError: {exc}".encode()).hexdigest()
+            name = f"{key:02d}" if isinstance(key, int) else key
+            digests[f"{group}/{name}"] = digest
     return digests
 
 
@@ -137,8 +160,26 @@ def test_verify_outputs_match_recorded_digests(tmp_path):
 
 def test_fits_match_recorded_digests():
     want = recorded("fit")
-    assert len(want) == 24 + 32 + 3
+    assert len(want) == 24 + 32 + 3 + 8
     assert fit_digests() == want
+
+
+def _check(tmp):
+    """Print every recorded entry that differs on this build, or is missing
+    from either side; return the number printed."""
+    differing = 0
+    for name, digests in (("simulate", simulate_digests(tmp)), ("verify", verify_digests(tmp)),
+                          ("fit", fit_digests())):
+        data = json.loads(DIGESTS[name].read_text())
+        if any(data[key] != value for key, value in this_build().items()):
+            print(f"{name}: recorded on numpy {data['numpy']} / scipy {data['scipy']}"
+                  f" / {data['machine']}, not on this build")
+        want = data["sha256"]
+        for entry in sorted(set(want) | set(digests)):
+            if want.get(entry) != digests.get(entry):
+                print(f"{name} {entry}")
+                differing += 1
+    return differing
 
 
 if __name__ == "__main__":
@@ -147,7 +188,11 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--fits"]:
         print(json.dumps(_fit_digests_here()))
         sys.exit(0)
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     with tempfile.TemporaryDirectory() as tmp:
+        if sys.argv[1:] == ["--check"]:
+            sys.exit(1 if _check(tmp) else 0)
         for name, digests in (("simulate", simulate_digests(tmp)), ("verify", verify_digests(tmp)),
                               ("fit", fit_digests())):
             DIGESTS[name].write_text(json.dumps({**this_build(), "sha256": digests},

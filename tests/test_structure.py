@@ -250,27 +250,6 @@ def test_closed_form_fit_builds_no_admm(monkeypatch):
         assert est.fit(y, cfg).iters == 1
 
 
-def test_k1_coverage_trial_enters_admm(monkeypatch):
-    """The closed-form trigger does not fire on a k1_coverage trial: its fit
-    still runs the ADMM loop, once."""
-    from pathlib import Path
-
-    config = Path(__file__).resolve().parent.parent / "configs" / "k1_coverage.json"
-    prep = exp.prepare(exp.ExperimentConfig.from_json(config))
-    calls = []
-    admm = est._admm_iterates
-
-    def counting(y, cfg):
-        calls.append(cfg.k)
-        return admm(y, cfg)
-
-    monkeypatch.setattr(est, "_admm_iterates", counting)
-    for trial in range(3):
-        calls.clear()
-        assert exp.run_trial(prep, trial).converged
-        assert calls == [1]
-
-
 def test_polish_solves_by_qr_only_where_the_screen_stops(monkeypatch):
     """Every ``_restricted_solve`` of a polish solves the state on which the
     screen just stopped, the starting face included: a polish whose screen
