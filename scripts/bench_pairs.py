@@ -20,8 +20,9 @@ For each metric of ``BENCHMARK.json`` (``end_to_end`` with ``--trace 0``,
 ``per_layer`` with ``--trace 1``) it prints both sides' values after each
 pair, and at the end of a workload each side's median and
 inclusive quartiles and the pairs the change wins (ties count for neither),
-and records the same under the key ``workloads`` (``traced`` with
-``--trace 1``) of the ``--out`` JSON, keeping the file's other keys.
+then each run's failed and attempted operations on each side, and records
+the same under the key ``workloads`` (``traced`` with ``--trace 1``) of the
+``--out`` JSON, keeping the file's other keys.
 """
 
 import argparse
@@ -151,6 +152,14 @@ def pair_line(workload, seed, pair, metrics):
         for spec in metrics)
 
 
+def counts_line(attempted_failed):
+    """End-of-workload line: each run's failed/attempted operations, by side
+    (side -> [[attempted, failed], ...])."""
+    return "  failed/attempted: " + "; ".join(
+        f"{side} " + " ".join(f"{failed}/{attempted}" for attempted, failed in runs)
+        for side, runs in attempted_failed.items())
+
+
 def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace):
     seeds = [seed + i for i in range(pairs)]
     firsts = [SIDES[i % 2] for i in range(pairs)]
@@ -167,11 +176,13 @@ def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace)
               f"(q1 {p['q1']:.6g}, q3 {p['q3']:.6g})  change {c['median']:.6g} "
               f"(q1 {c['q1']:.6g}, q3 {c['q3']:.6g})  "
               f"won {row['pairs_won_by_change']}/{pairs}", flush=True)
+    attempted_failed = {side: [[r["attempted"], r["failed"]] for r in runs[side]]
+                        for side in SIDES}
+    print(counts_line(attempted_failed), flush=True)
     return {
         "seeds": seeds, "pairs": pairs, "first": firsts,
         "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
-        "attempted_failed": {side: [[r["attempted"], r["failed"]] for r in runs[side]]
-                             for side in SIDES},
+        "attempted_failed": attempted_failed,
         "metrics": table,
     }
 

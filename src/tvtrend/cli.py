@@ -119,20 +119,18 @@ def cmd_solve(args):
     if args.n_max is not None and not 1 <= args.n_max <= n + 1 - args.k:
         raise InputError(f"--n-max must be >= 1 and <= n + 1 - k = {n + 1 - args.k}"
                          f" (n = {n}, k = {args.k}), got {args.n_max}")
-    if args.lam is None and args.lambda_rule is not None:
+    if args.lam is not None:
+        lam = args.lam
+    elif args.lambda_rule is not None:
         if not 0 <= args.s0 <= n - args.k - 1:
             raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
                              f" got {args.s0}")
         _require_positive(("--lambda-scale", args.lambda_scale))
         if args.lambda_rule == "threshold":
             _require_positive(("--u", args.u))
-    if args.lam is not None:
-        lam = args.lam
-    elif args.lambda_rule == "equal_segment":
-        lam = theory.equal_segment_lambda(n, args.k, args.s0, scale=args.lambda_scale)
-    elif args.lambda_rule == "threshold":
         n_max = args.n_max if args.n_max is not None else (n + 1 - args.k) // (args.s0 + 1)
-        lam = args.lambda_scale * theory.lambda_threshold(n, args.k, n_max, args.u, s=args.s0)
+        lam = theory.tuning_lambda(args.lambda_rule, n, args.k, args.s0, n_max, args.u,
+                                   scale=args.lambda_scale)
     else:
         raise InputError("provide --lambda or --lambda-rule")
     cfg = FitConfig(lam=lam, k=args.k, algorithm=args.algorithm, tol_kkt=args.tol_kkt,
@@ -161,8 +159,8 @@ def cmd_bounds(args):
     thr = theory.lambda_threshold(n, k, n_max, args.u, s=s, c_k=args.c_k)
     lam = args.lam if args.lam is not None else thr
     gamma_sq = gamma_closed_form(S)
-    est = (math.sqrt(k * (s + 1) / n) + math.sqrt(2 * args.v / n)
-           + lam * math.sqrt(gamma_sq)) ** 2
+    for warning in theory.bound_preconditions(S, lam, thr):
+        print(f"warning: {warning}", file=sys.stderr)
     out = {
         "n": n, "k": k, "s": s, "n_max": n_max, "u": args.u, "v": args.v,
         "lambda0": lam0,
@@ -171,7 +169,7 @@ def cmd_bounds(args):
         "lambda": lam,
         "n_max_cap": theory.n_max_cap(lam, args.u, n, k, s=s, c_k=args.c_k),
         "gamma_sq_closed_form": gamma_sq,
-        "estimation_term": est,
+        "estimation_term": theory.estimation_term(n, k, s, args.v, lam * math.sqrt(gamma_sq)),
     }
     _dump_report(out, args.out, args.format)
     return EXIT_OK
@@ -188,14 +186,10 @@ def cmd_interpolant(args):
         vec = build_noisy(S, weights=weights)
     else:
         vec = build_noiseless(S)
-    rows = vec.row_indices
-    caps = vec.caps
-    slack = vec.slack
-    records = []
-    for i, j in enumerate(rows):
-        cap = caps[i] if np.isfinite(caps[i]) else 1.0
-        sl = slack[i] if np.isfinite(slack[i]) else 0.0
-        records.append((int(j), float(vec.q[i]), float(cap), float(sl)))
+    off = np.isfinite(vec.caps)     # the active rows print cap 1 and slack 0
+    records = list(zip(vec.row_indices.tolist(), vec.q.tolist(),
+                       np.where(off, vec.caps, 1.0).tolist(),
+                       np.where(off, vec.slack, 0.0).tolist()))
     if args.format == "json":
         _dump_json([{"index": j, "q": q, "weight_cap": c, "slack": s}
                     for j, q, c, s in records], args.out)

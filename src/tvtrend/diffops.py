@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -265,8 +265,14 @@ class ActiveSet:
     q_S: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "t", tuple(int(v) for v in self.t))
-        object.__setattr__(self, "q_S", tuple(int(v) for v in self.q_S))
+        # Entries are stored as int; a float or bool entry is refused, not
+        # truncated (numpy integers pass), as DiffOperator refuses n and k.
+        for name in ("t", "q_S"):
+            values = tuple(getattr(self, name))
+            bad = [v for v in values if type(v) is not int and not isinstance(v, np.integer)]
+            if bad:
+                raise ValueError(f"{name} entries must be integers, got {bad[0]!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         DiffOperator(self.n, self.k)
         if len(self.t) != len(self.q_S):
             raise ValueError("t and q_S must have equal length")
@@ -281,21 +287,29 @@ class ActiveSet:
     def s(self):
         return len(self.t)
 
-    @property
+    # Computed once per instance; equality and hashing use the fields alone.
+    @cached_property
     def t_full(self):
         """(t_0, t_1, ..., t_s, t_{s+1}) with sentinels k and n+1."""
         return (self.k,) + self.t + (self.n + 1,)
 
-    @property
+    @cached_property
+    def indices(self):
+        """0-based positions of the rows t_i in a vector on the rows [k+1, n]; read-only."""
+        out = np.array(self.t, dtype=int) - self.k - 1
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def seg_lengths(self):
         tf = self.t_full
         return tuple(tf[i] - tf[i - 1] for i in range(1, self.s + 2))
 
-    @property
+    @cached_property
     def n_max(self):
         return max(self.seg_lengths)
 
-    @property
+    @cached_property
     def sign_flip_segments(self):
         """Segment indices in [1, s+1]: sign changes plus both boundaries."""
         out = {1, self.s + 1}

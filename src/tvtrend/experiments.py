@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
+from .constants import minimum_segment_length
 from .diffops import (ActiveSet, block_column_sqnorms, dual_witness, falling_factorial_columns,
                       polynomial_basis)
 from .estimator import ALGORITHMS, FitConfig, fit
@@ -36,7 +37,6 @@ from .sparsity import gamma_closed_form
 SCHEMA_VERSION = 1
 CSV_HEADER = "trial_id,mse,bound_rhs,held,event_u,event_v,kkt_residual,seconds"
 
-LAMBDA_RULES = ("threshold", "equal_segment", "fixed")
 JUMP_LAYOUTS = ("equispaced", "random-min-gap")
 
 
@@ -101,8 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.algorithm == "dp_k1" and self.k != 1:
             raise ConfigError(f"algorithm dp_k1 requires k = 1, got k = {self.k}")
-        if self.lambda_rule not in LAMBDA_RULES:
-            raise ConfigError(f"lambda_rule must be one of {LAMBDA_RULES}")
+        if self.lambda_rule not in theory.LAMBDA_RULES:
+            raise ConfigError(f"lambda_rule must be one of {theory.LAMBDA_RULES}")
         if self.jump_layout not in JUMP_LAYOUTS:
             raise ConfigError(f"jump_layout must be one of {JUMP_LAYOUTS}")
         if self.lambda_rule == "fixed" and self.lambda_value is None:
@@ -152,7 +152,7 @@ def jump_locations(cfg):
     n, k, s0 = cfg.n, cfg.k, cfg.s0
     if s0 == 0:
         return ()
-    gap = k * (k + 2)
+    gap = minimum_segment_length(k)
     span = n + 1 - k
     if (s0 + 1) * gap > span:
         raise ConfigError(
@@ -184,11 +184,8 @@ def generate_signal(cfg):
 
 
 def resolve_lambda(cfg, S):
-    if cfg.lambda_rule == "fixed":
-        return cfg.lambda_value * cfg.lambda_scale
-    if cfg.lambda_rule == "equal_segment":
-        return theory.equal_segment_lambda(cfg.n, cfg.k, cfg.s0, scale=cfg.lambda_scale)
-    return cfg.lambda_scale * theory.lambda_threshold(cfg.n, cfg.k, S.n_max, cfg.u, s=S.s)
+    return theory.tuning_lambda(cfg.lambda_rule, cfg.n, cfg.k, S.s, S.n_max, cfg.u,
+                                scale=cfg.lambda_scale, value=cfg.lambda_value)
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,7 @@ class _Prepared:
     f0: np.ndarray
     S: ActiveSet
     lam: float
+    fit_cfg: FitConfig
     bound_rhs: float
     events: EventGeometry
     lam0: float
@@ -266,20 +264,26 @@ def prepare(cfg):
     rhs = theory.adaptive_bound_rhs(f0, f0, S, lam, cfg.u, cfg.v, gamma).total
     lam0 = theory.lambda0(cfg.u, cfg.n, cfg.n - cfg.k - S.s)
     sqrt_rbar_2v = math.sqrt(cfg.k * (S.s + 1)) + math.sqrt(2.0 * cfg.v)
-    return _Prepared(cfg=cfg, f0=f0, S=S, lam=lam, bound_rhs=rhs,
+    return _Prepared(cfg=cfg, f0=f0, S=S, lam=lam, fit_cfg=_fit_config(cfg, lam), bound_rhs=rhs,
                      events=events, lam0=lam0, sqrt_rbar_2v=sqrt_rbar_2v)
 
 
-def run_trial(prep, trial):
-    cfg = prep.cfg
-    rng = trial_rng(cfg.seed, trial)
-    eps = rng.standard_normal(cfg.n)
-    y = prep.f0 + eps
+def _fit_config(cfg, lam):
+    return FitConfig(lam=lam, k=cfg.k, tol_kkt=cfg.tol_kkt, algorithm=cfg.algorithm)
+
+
+def _noisy_fit(f0, fit_cfg, seed, trial):
+    """Noise of ``trial``, fit of f0 plus it, its mean squared error and fit seconds."""
+    eps = trial_rng(seed, trial).standard_normal(len(f0))
+    y = f0 + eps
     t0 = time.perf_counter()
-    res = fit(y, FitConfig(lam=prep.lam, k=cfg.k, tol_kkt=cfg.tol_kkt,
-                           algorithm=cfg.algorithm))
+    res = fit(y, fit_cfg)
     dt = time.perf_counter() - t0
-    mse = float(np.sum((res.f_hat - prep.f0) ** 2)) / cfg.n
+    return eps, res, float(np.sum((res.f_hat - f0) ** 2)) / len(f0), dt
+
+
+def run_trial(prep, trial):
+    eps, res, mse, dt = _noisy_fit(prep.f0, prep.fit_cfg, prep.cfg.seed, trial)
     corr, proj = event_statistics(prep.events, eps)
     return TrialRecord(trial_id=trial, mse=mse, bound_rhs=prep.bound_rhs,
                        inequality_held=mse <= prep.bound_rhs,
@@ -357,35 +361,24 @@ def run_monte_carlo(cfg, csv_path=None, json_path=None):
 def summarize(cfg, records):
     ok = [r for r in records if r.converged]
     n_ok = len(ok)
-    held = sum(r.inequality_held for r in ok)
-    eu = sum(r.event_u_held for r in ok)
-    ev = sum(r.event_v_held for r in ok)
-    mses = np.array([r.mse for r in ok]) if ok else np.zeros(0)
     quantiles = {}
     if n_ok:
-        qs = np.quantile(mses, [0.1, 0.25, 0.5, 0.75, 0.9])
+        qs = np.quantile([r.mse for r in ok], [0.1, 0.25, 0.5, 0.75, 0.9])
         quantiles = {q: float(v) for q, v in zip(("q10", "q25", "q50", "q75", "q90"), qs)}
-    target_joint = 1.0 - math.exp(-cfg.u) - math.exp(-cfg.v)
+
+    def rate(field, target):
+        count = sum(getattr(r, field) for r in ok)
+        return {"rate": count / n_ok if n_ok else None, "wilson": wilson_interval(count, n_ok),
+                "target": target}
+
     summary = {
         "config": cfg.to_dict(),
         "n_trials": len(records),
         "n_converged": n_ok,
         "n_nonconverged": len(records) - n_ok,
-        "coverage": {
-            "rate": held / n_ok if n_ok else None,
-            "wilson": wilson_interval(held, n_ok),
-            "target": target_joint,
-        },
-        "event_u": {
-            "rate": eu / n_ok if n_ok else None,
-            "wilson": wilson_interval(eu, n_ok),
-            "target": 1.0 - math.exp(-cfg.u),
-        },
-        "event_v": {
-            "rate": ev / n_ok if n_ok else None,
-            "wilson": wilson_interval(ev, n_ok),
-            "target": 1.0 - math.exp(-cfg.v),
-        },
+        "coverage": rate("inequality_held", 1.0 - math.exp(-cfg.u) - math.exp(-cfg.v)),
+        "event_u": rate("event_u_held", 1.0 - math.exp(-cfg.u)),
+        "event_v": rate("event_v_held", 1.0 - math.exp(-cfg.v)),
         "mse": quantiles,
         "bound_rhs": records[0].bound_rhs if records else None,
     }
@@ -427,14 +420,8 @@ def rate_sweep(cfg, n_values, trials=100):
     for n in n_values:
         sub = dataclasses.replace(cfg, n=n, replications=trials)    # refuses a non-integer n
         f0, S = generate_signal(sub)
-        lam = resolve_lambda(sub, S)
-        mses = np.empty(trials)
-        for t in range(trials):
-            rng = trial_rng(sub.seed, t)
-            y = f0 + rng.standard_normal(sub.n)
-            res = fit(y, FitConfig(lam=lam, k=sub.k, tol_kkt=sub.tol_kkt,
-                                   algorithm=sub.algorithm))
-            mses[t] = float(np.sum((res.f_hat - f0) ** 2)) / sub.n
+        fit_cfg = _fit_config(sub, resolve_lambda(sub, S))
+        mses = [_noisy_fit(f0, fit_cfg, sub.seed, t)[2] for t in range(trials)]
         medians[int(n)] = float(np.median(mses))
     xs = np.log(np.array(sorted(medians)))
     ys = np.log(np.array([medians[n] for n in sorted(medians)]))

@@ -40,6 +40,7 @@ import numpy as np
 
 from .constants import minimum_segment_length
 from .diffops import ActiveSet, build_delta
+from .theory import short_segments
 
 # |q_j| may exceed its cap 1 - w_j by this much before the build rejects it.
 FEASIBILITY_TOL = 1e-12
@@ -372,9 +373,8 @@ def _cached_profile(k, nseg, exponent):
 class InterpolatingVector:
     """A vector on the rows [k+1, n] interpolating the active-set signs.
 
-    ``caps`` holds the entrywise feasibility caps: +inf at active rows
-    (where q equals the sign exactly), 1 elsewhere, shrunk to 1 - w_j when
-    weights were supplied.  ``slack`` is caps - |q|.
+    ``caps`` holds the entrywise caps of ``feasibility_caps`` (+inf at the
+    active rows, where q equals the sign).  ``slack`` is caps - |q|.
     """
 
     S: ActiveSet
@@ -445,38 +445,41 @@ def _segment_values(S, i, exponent, mode):
 
 def _build(S, exponent_rule, mode, weights=None):
     k = S.k
-    m = S.n - k
-    q = np.zeros(m)
+    q = np.zeros(S.n - k)
     for i, n_i in enumerate(S.seg_lengths, start=1):
         if n_i > 1:     # a segment of length 1 has no interior row
             start = S.t_full[i - 1] - k
             q[start:start + n_i - 1] = _segment_values(S, i, exponent_rule, mode)[1:n_i]
-    active = np.array(S.t, dtype=int) - k - 1
-    q[active] = S.q_S
-    caps = np.ones(m)
-    caps[active] = np.inf
+    q[S.indices] = S.q_S
+    caps = feasibility_caps(S, weights)
     if weights is not None:
-        _require_weights_for(S, weights)
-        if weights.w.shape != (m,):
-            raise ValueError(f"weights must align with the {m} rows")
-        caps = np.where(np.isinf(caps), caps, caps - weights.w)
-        _require_feasible(q, caps, k, FEASIBILITY_TOL)
+        _require_feasible(q, caps, k)
     return InterpolatingVector(S=S, mode=mode, q=q, caps=caps)
 
 
-def _require_weights_for(S, weights):
-    """Raise ``ValueError`` unless ``weights`` is None or was built for S:
-    the weights of another active set of the same (n, k) have the right
-    shape but the wrong caps."""
-    if weights is not None and weights.S != S:
+def feasibility_caps(S, weights=None):
+    """Caps on the rows [k+1, n]: +inf at the active rows, 1 - w_j elsewhere (1
+    without ``weights``).  ``weights`` built for another active set raise
+    ``ValueError``: of the same (n, k), they have the right shape, wrong caps."""
+    m = S.n - S.k
+    if weights is None:
+        caps = np.ones(m)
+    elif weights.S != S:
         raise ValueError("weights were computed for another active set; "
                          "compute_weights(S, u, lam) builds them for S")
+    elif weights.w.shape != (m,):
+        raise ValueError(f"weights must align with the {m} rows")
+    else:
+        caps = 1.0 - weights.w
+    caps[S.indices] = np.inf
+    return caps
 
 
-def _require_feasible(q, caps, k, tol):
-    """Raise ``InfeasibleInterpolantError`` if |q_j| exceeds cap_j + tol
-    anywhere; ``violations`` lists (row, |q|, cap), least slack first."""
-    rows = np.nonzero(np.abs(q) > caps + tol)[0]
+def _require_feasible(q, caps, k):
+    """Raise ``InfeasibleInterpolantError`` if |q_j| exceeds cap_j +
+    ``FEASIBILITY_TOL`` anywhere; ``violations`` lists (row, |q|, cap),
+    least slack first."""
+    rows = np.nonzero(np.abs(q) > caps + FEASIBILITY_TOL)[0]
     if not len(rows):
         return
     viol = [(int(r + k + 1), float(abs(q[r])), float(caps[r])) for r in rows]
@@ -505,12 +508,10 @@ def build_noisy(S, weights=None):
     ``InfeasibleInterpolantError`` listing the worst rows; ``weights`` built
     for another active set raise ``ValueError``.
     """
-    min_len = minimum_segment_length(S.k)
-    for i in sorted(S.sign_flip_segments):
-        if S.seg_lengths[i - 1] < min_len and S.s > 0:
-            raise SegmentLengthError(
-                f"segment {i} has length {S.seg_lengths[i - 1]} < k(k+2) = {min_len}"
-            )
+    short = short_segments(S)
+    if short:
+        raise SegmentLengthError(f"segment {short[0]} has length {S.seg_lengths[short[0] - 1]}"
+                                 f" < k(k+2) = {minimum_segment_length(S.k)}")
     return _build(S, noisy_exponent(S.k), "noisy", weights=weights)
 
 

@@ -35,11 +35,8 @@ import numpy as np
 from ._lapack import dgels as _GELS
 from .constants import ck_sparsity
 from .diffops import ActiveSet, block_column_sqnorms, build_delta
-from .interpolants import _require_feasible, _require_weights_for, delta_k_energy
+from .interpolants import _require_feasible, delta_k_energy, feasibility_caps
 from .theory import lambda0
-
-# Slack allowed when the interpolant's feasibility is checked again here.
-FEASIBILITY_RECHECK_TOL = 1e-9
 
 
 class NegativeCapError(ValueError):
@@ -77,14 +74,13 @@ def compute_weights(S, u, lam):
 def effective_sparsity_via_interpolant(vec, weights=None):
     """Upper bound n ||D' q||_2^2 from a feasible interpolating vector.
 
-    Feasibility (|q_j| <= caps entrywise off the active rows, the caps
-    1 - w_j when ``weights`` is given) is re-checked; an infeasible vector
-    raises with the violating rows listed.  ``weights`` built for another
-    active set than ``vec.S`` raise ``ValueError``.
+    Feasibility (|q_j| <= caps entrywise off the active rows, up to
+    ``FEASIBILITY_TOL``, the caps 1 - w_j when ``weights`` is given) is
+    re-checked; an infeasible vector raises with the violating rows listed.
+    ``weights`` built for another active set than ``vec.S`` raise ``ValueError``.
     """
-    _require_weights_for(vec.S, weights)
-    caps = vec.caps if weights is None else np.where(np.isinf(vec.caps), np.inf, 1.0 - weights.w)
-    _require_feasible(vec.q, caps, vec.k, FEASIBILITY_RECHECK_TOL)
+    caps = vec.caps if weights is None else feasibility_caps(vec.S, weights)
+    _require_feasible(vec.q, caps, vec.k)
     return delta_k_energy(vec)
 
 
@@ -261,12 +257,10 @@ def effective_sparsity_direct(S, weights=None, seed=0):
     deterministic.
     """
     n, k = S.n, S.k
-    _require_weights_for(S, weights)
     op = build_delta(n, k)
-    active = [t - k - 1 for t in S.t]
     off = np.ones(op.m, dtype=bool)
-    off[active] = False
-    caps = np.ones(int(off.sum())) if weights is None else 1.0 - weights.w[off]
+    off[S.indices] = False
+    caps = feasibility_caps(S, weights)[off]
     neg = np.nonzero(caps < 0)[0]
     if len(neg):
         rows = np.nonzero(off)[0] + k + 1
@@ -282,7 +276,7 @@ def effective_sparsity_direct(S, weights=None, seed=0):
         # the string v at x = 0..m+1, row j at x = j - 1: pinned to 0 past
         # both ends and to q_S on S, boxed by the caps off S; D'v = v[:-1] - v[1:]
         hi = np.zeros(op.m + 2)
-        hi[[t - 1 for t in S.t]] = S.q_S
+        hi[1:-1][S.indices] = S.q_S
         c = hi[:-1] - hi[1:]
         lo = hi.copy()
         lo[1:-1][off] = -caps

@@ -14,6 +14,8 @@ import numpy as np
 from .constants import ck_certified, minimum_segment_length
 from .diffops import build_delta
 
+LAMBDA_RULES = ("threshold", "equal_segment", "fixed")
+
 
 def lambda0(u, n, m_minus_s):
     """Universal noise level sqrt((2 log(2(m-s)) + 2u) / n).
@@ -73,37 +75,45 @@ def _nnorm_sq(v, n):
     return float(v @ v) / n
 
 
+def estimation_term(n, k, s, v, lam_gamma=0.0):
+    """(sqrt(k(s+1)/n) + sqrt(2v/n) + lam_gamma)^2, the estimation term of the oracle
+    bounds: ``lam_gamma`` is lambda Gamma_S in the adaptive one, 0 in the other."""
+    return (math.sqrt(k * (s + 1) / n) + math.sqrt(2.0 * v / n) + lam_gamma) ** 2
+
+
+def short_segments(S):
+    """Sign-flip segments of S (1-based, ascending) shorter than k(k+2); none if s = 0."""
+    min_len = minimum_segment_length(S.k)
+    return [i for i in sorted(S.sign_flip_segments) if S.s and S.seg_lengths[i - 1] < min_len]
+
+
+def bound_preconditions(S, lam, threshold):
+    """Warnings for the preconditions of the adaptive bound that fail: lam below
+    the strengthened ``threshold``, and each of the ``short_segments`` of S."""
+    warnings = ([f"lambda={lam:.6g} below the strengthened threshold {threshold:.6g}"]
+                if lam < threshold * (1 - 1e-12) else [])
+    min_len = minimum_segment_length(S.k)
+    return warnings + [f"segment {i} shorter than k(k+2) = {min_len}" for i in short_segments(S)]
+
+
 def adaptive_bound_rhs(f, f0, S, lam, u, v, gamma_S):
     """Adaptive oracle bound: approximation error + 4 lambda l1(off-S
     differences) + (sqrt(k(s+1)/n) + sqrt(2v/n) + lambda Gamma_S)^2.
 
     Holds with probability at least 1 - e^{-u} - e^{-v} when lambda meets the
     strengthened threshold and the sign-flip segments are long enough;
-    violations of those preconditions are reported as warnings, the value is
-    still computed.
+    violations of those preconditions are reported as warnings
+    (``bound_preconditions``), the value is still computed.
     """
     f = np.asarray(f, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     n, k = S.n, S.k
-    op = build_delta(n, k)
-    d = op.apply(f)
-    off = np.ones(op.m, dtype=bool)
-    for ti in S.t:
-        off[ti - k - 1] = False
-    warnings = []
-    thr = lambda_threshold(n, k, S.n_max, u, s=S.s)
-    if lam < thr * (1 - 1e-12):
-        warnings.append(f"lambda={lam:.6g} below the strengthened threshold {thr:.6g}")
-    min_len = minimum_segment_length(k)
-    for i in sorted(S.sign_flip_segments):
-        if S.s > 0 and S.seg_lengths[i - 1] < min_len:
-            warnings.append(f"segment {i} shorter than k(k+2) = {min_len}")
-    est = (math.sqrt(k * (S.s + 1) / n) + math.sqrt(2.0 * v / n) + lam * gamma_S) ** 2
+    d_off = np.delete(build_delta(n, k).apply(f), S.indices)
     return BoundBreakdown(
         approximation_error=_nnorm_sq(f - f0, n),
-        penalty_term=4.0 * lam * float(np.sum(np.abs(d[off]))),
-        estimation_term=est,
-        warnings=tuple(warnings),
+        penalty_term=4.0 * lam * float(np.sum(np.abs(d_off))),
+        estimation_term=estimation_term(n, k, S.s, v, lam * gamma_S),
+        warnings=tuple(bound_preconditions(S, lam, lambda_threshold(n, k, S.n_max, u, s=S.s))),
     )
 
 
@@ -113,12 +123,10 @@ def nonadaptive_bound_rhs(f, f0, lam, u, v, k, s):
     f = np.asarray(f, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     n = len(f)
-    op = build_delta(n, k)
-    est = (math.sqrt(k * (s + 1) / n) + math.sqrt(2.0 * v / n)) ** 2
     return BoundBreakdown(
         approximation_error=_nnorm_sq(f - f0, n),
-        penalty_term=4.0 * lam * float(np.sum(np.abs(op.apply(f)))),
-        estimation_term=est,
+        penalty_term=4.0 * lam * float(np.sum(np.abs(build_delta(n, k).apply(f)))),
+        estimation_term=estimation_term(n, k, s, v),
     )
 
 
@@ -126,6 +134,19 @@ def equal_segment_lambda(n, k, s, scale=1.0):
     """Tuning rule n^{k-1} (1/(s+1))^{(2k-1)/2} sqrt(log n / n) for active
     sets with roughly equal segment lengths."""
     return scale * n ** (k - 1) * (1.0 / (s + 1)) ** ((2 * k - 1) / 2.0) * math.sqrt(math.log(n) / n)
+
+
+def tuning_lambda(rule, n, k, s, n_max, u, scale=1.0, value=None):
+    """The tuning parameter of ``rule`` in ``LAMBDA_RULES``: ``value * scale``,
+    ``equal_segment_lambda(n, k, s, scale)`` or ``scale`` times the
+    strengthened ``lambda_threshold(n, k, n_max, u, s)``."""
+    if rule == "fixed":
+        return value * scale
+    if rule == "equal_segment":
+        return equal_segment_lambda(n, k, s, scale=scale)
+    if rule == "threshold":
+        return scale * lambda_threshold(n, k, n_max, u, s=s)
+    raise ValueError(f"lambda rule must be one of {LAMBDA_RULES}, got {rule!r}")
 
 
 def adaptive_rate(n, s):
@@ -145,5 +166,4 @@ def minimax_tradeoff_bound(n, k, v=math.log(20.0)):
     s_star = max(1, round((n * math.log(n)) ** (1.0 / (2 * k + 1))))
     lam = equal_segment_lambda(n, k, s_star)
     penalty = 4.0 * lam / n ** (k - 1)
-    est = (math.sqrt(k * (s_star + 1) / n) + math.sqrt(2.0 * v / n)) ** 2
-    return penalty + est
+    return penalty + estimation_term(n, k, s_star, v)

@@ -69,3 +69,9 @@ def test_pair_line_shows_every_metric(bench_pairs):
     assert bench_pairs.pair_line("fit-n4096", 561, pair, metrics) == (
         "fit-n4096 seed 561: ops_per_s parent 150 change 152; "
         "setup_s parent 0.157 change 0.0612; peak_rss_mb parent 140.5 change 140.25")
+
+
+def test_counts_line_shows_each_run(bench_pairs):
+    attempted_failed = {"parent": [[24, 6], [24, 6]], "change": [[24, 6], [23, 5]]}
+    assert bench_pairs.counts_line(attempted_failed) == (
+        "  failed/attempted: parent 6/24 6/24; change 6/24 5/23")

@@ -169,6 +169,26 @@ class TestBounds:
         keys = [line.split(",")[0] for line in lines[1:]]
         assert keys == sorted(keys) and "lambda_threshold" in keys
 
+    @pytest.mark.parametrize("argv, warnings", [
+        (["--n", "10", "--k", "2", "--jumps", "5"],
+         ["segment 1 shorter than k(k+2) = 8", "segment 2 shorter than k(k+2) = 8"]),
+        (["--n", "200", "--k", "2", "--jumps", "50", "--lambda", "1e-300"],
+         ["lambda=1e-300 below the strengthened threshold 27.7896"]),
+        # the threshold honours --c-k: 13.89 at 1.0, 55.58 at 4.0
+        (["--n", "200", "--k", "2", "--jumps", "50", "--c-k", "1.0", "--lambda", "27.79"], []),
+        (["--n", "200", "--k", "2", "--jumps", "50", "--c-k", "4.0", "--lambda", "27.79"],
+         ["lambda=27.79 below the strengthened threshold 55.5792"]),
+        (["--n", "256", "--k", "2", "--jumps", "80,160", "--signs", "+,-"], []),
+    ])
+    def test_preconditions_warned_on_stderr(self, argv, warnings, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        assert cli.main(["bounds", *argv, "--out", str(path)]) == 0
+        io = capsys.readouterr()
+        assert io.out == ""
+        assert io.err.splitlines() == [f"warning: {w}" for w in warnings]
+        assert cli.main(["bounds", *argv]) == 0
+        assert capsys.readouterr().out == path.read_text()
+
     def test_signs_beginning_with_minus(self, capsys):
         args = ["bounds", "--n", "256", "--k", "2", "--jumps", "60,130,190"]
         assert cli.main(args + ["--signs=-,+,-"]) == 0

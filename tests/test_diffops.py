@@ -235,6 +235,24 @@ class TestActiveSet:
         with pytest.raises(ValueError):
             dop.ActiveSet(n=20, k=2, t=(5,), q_S=(2,))
 
+    def test_non_integer_entries_refused(self):
+        # t = (5.5,) was stored as (5,), and signs 1.7, -1.2 and True as +1, -1, +1
+        for t, q_S in (((5.5,), (1,)), ((5.0,), (1,)), ((np.float64(5),), (1,)), ((True,), (1,)),
+                       ((5,), (1.7,)), ((5,), (-1.2,)), ((5,), (True,)), ((5,), (np.bool_(True),)),
+                       ((5,), (1.0,))):
+            with pytest.raises(ValueError, match="entries must be integers"):
+                dop.ActiveSet(n=10, k=1, t=t, q_S=q_S)
+        S = dop.ActiveSet(n=10, k=1, t=np.array([3, 6]), q_S=(np.int32(1), np.int64(-1)))
+        assert S.t == (3, 6) and S.q_S == (1, -1)
+        assert all(type(v) is int for v in S.t + S.q_S)
+
+    def test_derived_values_leave_equality_and_hash_alone(self):
+        S, T = (dop.ActiveSet(n=30, k=2, t=(10, 20), q_S=(1, -1)) for _ in range(2))
+        assert (S.t_full, S.seg_lengths, S.n_max) == ((2, 10, 20, 31), (8, 10, 11), 11)
+        assert S.sign_flip_segments == frozenset({1, 2, 3})
+        assert S.indices.tolist() == [7, 17] and not S.indices.flags.writeable
+        assert S == T and hash(S) == hash(T) and len({S, T}) == 1
+
     def test_segment_too_short(self):
         S = dop.ActiveSet(n=40, k=3, t=(10, 12), q_S=(1, -1))
         with pytest.raises(dop.SegmentTooShortError, match="segment"):

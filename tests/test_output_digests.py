@@ -14,7 +14,12 @@ the inputs of the fit tests that no independent reference reaches
 (``conftest.pinned_inputs``), the SHA-256 of the fit's f_hat, dual,
 objective, kkt_residual and converged (``fit_digest``), computed in a
 fresh interpreter with one OpenBLAS thread; ``iters`` is left out, so a
-change of how a fit gets to its face does not move them.
+change of how a fit gets to its face does not move them.  ``cli_digests.json``
+holds the SHA-256 of the files that ``bounds`` (json and csv),
+``interpolant`` (noisy and noiseless, csv and json, k = 1..4) and ``solve``
+(``--report`` and ``--out``, under ``--lambda-rule threshold`` and
+``equal_segment``, with and without ``--n-max``) write for the arguments of
+``CLI_CASES``, run in one fresh interpreter with one OpenBLAS thread.
 
 The digests hold for the numpy / scipy build and machine recorded beside
 them; on any other build the last bits of a BLAS or LAPACK call may differ,
@@ -24,7 +29,7 @@ compare or re-record:
 - ``PYTHONPATH=src python tests/test_output_digests.py --check`` prints each
   entry that differs on this build (``fit n4096/15``, ``simulate
   k1_coverage.csv``) and exits 1 if any does; it writes nothing.
-- ``PYTHONPATH=src python tests/test_output_digests.py`` re-records all three
+- ``PYTHONPATH=src python tests/test_output_digests.py`` re-records all four
   files, after an intended output change.
 """
 
@@ -44,7 +49,7 @@ from tvtrend.verify import SUITES
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-DIGESTS = {name: HERE / f"{name}_digests.json" for name in ("simulate", "verify", "fit")}
+DIGESTS = {name: HERE / f"{name}_digests.json" for name in ("simulate", "verify", "fit", "cli")}
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
@@ -116,6 +121,65 @@ def fit_digests():
     return json.loads(_run([str(Path(__file__).resolve()), "--fits"]))
 
 
+def cli_digests():
+    """SHA-256 of the files that every ``CLI_CASES`` entry writes, from a
+    fresh interpreter."""
+    return json.loads(_run([str(Path(__file__).resolve()), "--cli"]))
+
+
+# name -> argv of ``tvtrend``; {out} is the output file, {signal} a fixed
+# input signal (``_cli_signal``).  ``solve`` also writes {out}.fhat.
+_BOUNDS = {
+    "two-flips": ["--n", "200", "--k", "2", "--jumps", "50,100,150", "--signs", "+,-,-"],
+    "k1-lambda": ["--n", "300", "--k", "1", "--jumps", "100,200", "--lambda", "0.05"],
+    "k3-ck": ["--n", "400", "--k", "3", "--jumps", "100,250", "--c-k", "2.5"],
+    "k4-empty": ["--n", "100", "--k", "4"],
+    "short-segments": ["--n", "10", "--k", "2", "--jumps", "5"],
+    "tiny-lambda": ["--n", "200", "--k", "2", "--jumps", "50", "--lambda", "1e-300"],
+}
+CLI_CASES = {f"bounds/{name}.{fmt}": ["bounds", *argv, "--format", fmt, "--out", "{out}"]
+             for name, argv in _BOUNDS.items() for fmt in ("json", "csv")}
+CLI_CASES.update({
+    f"interpolant/k{k}-{mode}.{fmt}": ["interpolant", "--n", "120", "--k", str(k),
+                                       "--jumps", "30,60,90", "--signs", "+,+,-",
+                                       "--mode", mode, "--format", fmt, "--out", "{out}"]
+    for k in (1, 2, 3, 4) for mode in ("noisy", "noiseless") for fmt in ("csv", "json")})
+CLI_CASES.update({
+    f"solve/k{k}-{rule}-{n_max or 'default'}": [
+        "solve", "--input", "{signal}", "--k", str(k), "--lambda-rule", rule, "--s0", "2",
+        "--lambda-scale", "0.05",
+        *(["--n-max", str(n_max)] if n_max else []), "--report", "{out}", "--out", "{out}.fhat"]
+    for k in (1, 2) for rule in ("threshold", "equal_segment") for n_max in (None, 60)})
+
+
+def _cli_signal(path):
+    """A fixed signal of length 200: three linear pieces and a deterministic
+    wiggle, written with 17 significant digits."""
+    i = np.arange(200)
+    y = np.where(i < 70, 0.01 * i, np.where(i < 140, 1.4 - 0.01 * i, 0.02 * (i - 140)))
+    y = y + 0.3 * np.sin(1.7 * i) + 0.2 * np.cos(0.37 * i * i)
+    Path(path).write_text("".join(f"{v:.17g}\n" for v in y))
+
+
+def _cli_digests_here():
+    import tempfile
+
+    from tvtrend import cli
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        signal = Path(tmp) / "signal.csv"
+        _cli_signal(signal)
+        for name, argv in CLI_CASES.items():
+            out = Path(tmp) / name.replace("/", "_")
+            cli.main([a.format(out=out, signal=signal) for a in argv])
+            for suffix in ("", ".fhat"):
+                path = Path(f"{out}{suffix}")
+                if path.exists():
+                    digests[name + suffix] = _sha256(path)
+    return digests
+
+
 def _fit_digests_here():
     from conftest import battery_inputs, left_out_inputs, n4096_inputs, pinned_inputs
     from tvtrend import estimator as est
@@ -164,12 +228,18 @@ def test_fits_match_recorded_digests():
     assert fit_digests() == want
 
 
+def test_cli_outputs_match_recorded_digests():
+    want = recorded("cli")
+    assert len(want) == len(CLI_CASES) + 8      # the 8 solve cases also write f_hat
+    assert cli_digests() == want
+
+
 def _check(tmp):
     """Print every recorded entry that differs on this build, or is missing
     from either side; return the number printed."""
     differing = 0
     for name, digests in (("simulate", simulate_digests(tmp)), ("verify", verify_digests(tmp)),
-                          ("fit", fit_digests())):
+                          ("fit", fit_digests()), ("cli", cli_digests())):
         data = json.loads(DIGESTS[name].read_text())
         if any(data[key] != value for key, value in this_build().items()):
             print(f"{name}: recorded on numpy {data['numpy']} / scipy {data['scipy']}"
@@ -188,12 +258,15 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--fits"]:
         print(json.dumps(_fit_digests_here()))
         sys.exit(0)
+    if sys.argv[1:] == ["--cli"]:
+        print(json.dumps(_cli_digests_here()))
+        sys.exit(0)
     if sys.argv[1:] not in ([], ["--check"]):
         sys.exit(f"usage: {sys.argv[0]} [--check]")
     with tempfile.TemporaryDirectory() as tmp:
         if sys.argv[1:] == ["--check"]:
             sys.exit(1 if _check(tmp) else 0)
         for name, digests in (("simulate", simulate_digests(tmp)), ("verify", verify_digests(tmp)),
-                              ("fit", fit_digests())):
+                              ("fit", fit_digests()), ("cli", cli_digests())):
             DIGESTS[name].write_text(json.dumps({**this_build(), "sha256": digests},
                                                 indent=2) + "\n")
