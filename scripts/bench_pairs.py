@@ -23,6 +23,13 @@ inclusive quartiles and the pairs the change wins (ties count for neither),
 then each run's failed and attempted operations on each side, and records
 the same under the key ``workloads`` (``traced`` with ``--trace 1``) of the
 ``--out`` JSON, keeping the file's other keys.
+
+An end-to-end metric also gets a no-regression verdict against its
+``bound`` in ``BENCHMARK.json`` (``verdict``): ``worse`` when the change's
+median is worse than the parent's by more than the bound, relative to the
+parent's median; else ``unresolved`` when the parent's IQR, relative to its
+median, exceeds the bound and not every change run beats every parent run;
+else ``within bound``.  Per-layer metrics have no bound and no verdict.
 """
 
 import argparse
@@ -116,16 +123,40 @@ def summary(values):
             "iqr": q3 - q1}
 
 
+def verdict(sign, bound, parent, change):
+    """The no-regression verdict of one end-to-end metric, from each side's
+    summary; ``sign`` is +1 when higher is better, -1 when lower is."""
+    p_med = parent["median"]
+    if sign * (change["median"] - p_med) < -bound * abs(p_med):
+        return "worse"
+    beats_all = (min(change["values"]) > max(parent["values"]) if sign > 0
+                 else max(change["values"]) < min(parent["values"]))
+    if parent["iqr"] > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(runs, metrics):
     out = {}
     for spec in metrics:
         name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         won = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
-        out[name] = {"unit": spec["unit"], "better": spec["better"],
-                     **{side: summary(vals[side]) for side in SIDES},
-                     "pairs_won_by_change": won}
+        row = out[name] = {"unit": spec["unit"], "better": spec["better"],
+                           **{side: summary(vals[side]) for side in SIDES},
+                           "pairs_won_by_change": won}
+        if "bound" in spec:
+            row["change_vs_parent"] = row["change"]["median"] / row["parent"]["median"] - 1.0
+            row["bound"] = spec["bound"]
+            row["verdict"] = verdict(sign, spec["bound"], row["parent"], row["change"])
     return out
+
+
+def verdict_line(name, row):
+    """End-of-workload line of one end-to-end metric: the change's median
+    relative to the parent's, the metric's bound and the verdict."""
+    return (f"  {name}: change median {row['change_vs_parent']:+.1%} of the parent's"
+            f" (better {row['better']}), bound {row['bound']:.0%}: {row['verdict']}")
 
 
 def machine():
@@ -179,6 +210,9 @@ def run_workload(roots, command, workload, metrics, seed, pairs, seconds, trace)
     attempted_failed = {side: [[r["attempted"], r["failed"]] for r in runs[side]]
                         for side in SIDES}
     print(counts_line(attempted_failed), flush=True)
+    for name, row in table.items():
+        if "verdict" in row:
+            print(verdict_line(name, row), flush=True)
     return {
         "seeds": seeds, "pairs": pairs, "first": firsts,
         "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),

@@ -48,16 +48,11 @@ def family(rng, k, count):
         # parity stress: force odd lengths half the time
         if i % 2:
             lengths = lengths + (1 - lengths % 2)
-        n = int(np.sum(lengths)) + k - 1
-        if n > 2500:
+        if int(np.sum(lengths)) + k - 1 > 2500:
             continue
-        t, pos = [], k
-        for j in range(s):
-            pos += int(lengths[j])
-            t.append(pos)
         signs = rng.choice([-1, 1], size=s)
         try:
-            sets.append(ActiveSet(n=n, k=k, t=tuple(t), q_S=tuple(int(v) for v in signs)))
+            sets.append(ActiveSet.from_lengths(k, lengths, signs))
         except ValueError:
             continue
     return sets

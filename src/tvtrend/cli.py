@@ -13,6 +13,7 @@ functions of the flags, input files and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,7 +21,8 @@ import sys
 import numpy as np
 
 from . import experiments, theory, verify
-from .diffops import ActiveSet
+from ._checks import real
+from .diffops import ActiveSet, InvalidOrderError, build_delta
 from .estimator import ALGORITHMS, FitConfig, fit
 from .interpolants import InfeasibleInterpolantError, build_noiseless, build_noisy
 from .sparsity import compute_weights, gamma_closed_form
@@ -102,40 +104,32 @@ def _parse_active_set(args, n, k):
     return ActiveSet(n=n, k=k, t=t, q_S=signs)
 
 
-def _require_positive(*flags):
-    """Refuse any (flag, value) pair whose value is not a finite number > 0;
-    a flag left unset (None) passes."""
-    for flag, value in flags:
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise InputError(f"{flag} must be a finite number > 0, got {value}")
-
-
 def cmd_solve(args):
     y = _read_signal_csv(args.input)
     n = len(y)
-    if n < args.k + 1:
+    request = FitConfig(lam=0.0, k=args.k, algorithm=args.algorithm, tol_kkt=args.tol_kkt,
+                        max_iter=args.max_iter)
+    try:
+        build_delta(n, args.k)
+    except InvalidOrderError:
         raise InputError(f"--k {args.k} needs n >= k + 1 = {args.k + 1} samples, got n = {n}")
     # The longest segment n samples can hold under k-th differences: n + 1 - k.
     if args.n_max is not None and not 1 <= args.n_max <= n + 1 - args.k:
         raise InputError(f"--n-max must be >= 1 and <= n + 1 - k = {n + 1 - args.k}"
                          f" (n = {n}, k = {args.k}), got {args.n_max}")
-    if args.lam is not None:
-        lam = args.lam
-    elif args.lambda_rule is not None:
-        if not 0 <= args.s0 <= n - args.k - 1:
-            raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}],"
-                             f" got {args.s0}")
-        _require_positive(("--lambda-scale", args.lambda_scale))
-        if args.lambda_rule == "threshold":
-            _require_positive(("--u", args.u))
-        n_max = args.n_max if args.n_max is not None else (n + 1 - args.k) // (args.s0 + 1)
-        lam = theory.tuning_lambda(args.lambda_rule, n, args.k, args.s0, n_max, args.u,
-                                   scale=args.lambda_scale)
-    else:
-        raise InputError("provide --lambda or --lambda-rule")
-    cfg = FitConfig(lam=lam, k=args.k, algorithm=args.algorithm, tol_kkt=args.tol_kkt,
-                    max_iter=args.max_iter)
-    res = fit(y, cfg)
+    if not 0 <= args.s0 <= n - args.k - 1:
+        raise InputError(f"--s0 must be in [0, n - k - 1] = [0, {n - args.k - 1}], got {args.s0}")
+    if (args.lam is None) == (args.lambda_rule is None):
+        raise InputError("give exactly one of --lambda and --lambda-rule")
+    # --lambda is the rule fixed, scaled by --lambda-scale as lambda_value is in simulate.
+    rule = "fixed" if args.lam is not None else args.lambda_rule
+    real("--lambda-scale", args.lambda_scale, InputError, "positive")
+    if rule == "threshold":
+        real("--u", args.u, InputError, "positive")
+    n_max = args.n_max if args.n_max is not None else (n + 1 - args.k) // (args.s0 + 1)
+    lam = theory.tuning_lambda(rule, n, args.k, args.s0, n_max, args.u,
+                               scale=args.lambda_scale, value=args.lam)
+    res = fit(y, dataclasses.replace(request, lam=lam))
     if args.out:
         _write_text("".join(f"{v:.17g}\n" for v in res.f_hat), args.out)
     report = {
@@ -148,8 +142,9 @@ def cmd_solve(args):
 
 
 def cmd_bounds(args):
-    _require_positive(("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u),
-                      ("--v", args.v))
+    for flag, value in (("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u),
+                        ("--v", args.v)):
+        real(flag, value, InputError, "positive", optional=True)
     n, k = args.n, args.k
     S = _parse_active_set(args, n, k)
     s = S.s
@@ -176,7 +171,8 @@ def cmd_bounds(args):
 
 
 def cmd_interpolant(args):
-    _require_positive(("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u))
+    for flag, value in (("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u)):
+        real(flag, value, InputError, "positive", optional=True)
     S = _parse_active_set(args, args.n, args.k)
     weights = None
     if args.mode == "noisy":

@@ -18,6 +18,8 @@ defaults, not exact quantities.
 
 import math
 
+from ._checks import integer
+
 # Large-segment limits of the threshold constants: 2 / a0_bar, where a0_bar
 # is the drop of the continuous profile over its first sub-interval.
 CK_ASYMPTOTIC = {
@@ -65,23 +67,15 @@ JOIN_CONST = {
 
 
 def ck_asymptotic(k):
-    _check(k)
-    return CK_ASYMPTOTIC[k]
+    return CK_ASYMPTOTIC[integer("k of the shipped constants", k, ValueError, 1, 4)]
 
 
 def ck_certified(k):
-    _check(k)
-    return CK_CERTIFIED[k]
+    return CK_CERTIFIED[integer("k of the shipped constants", k, ValueError, 1, 4)]
 
 
 def ck_sparsity(k):
-    _check(k)
-    return CK_SPARSITY[k]
-
-
-def _check(k):
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"constants are shipped for k in 1..4, got k={k}")
+    return CK_SPARSITY[integer("k of the shipped constants", k, ValueError, 1, 4)]
 
 
 def minimum_segment_length(k):

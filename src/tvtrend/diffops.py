@@ -24,12 +24,14 @@ ways that can go wrong.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._checks import integer, shape
 from ._lapack import dgeqrf, dorgqr
 
 DENSE_CAP_DEFAULT = 4096
@@ -68,21 +70,13 @@ class DiffOperator:
     k: int
 
     def __post_init__(self):
-        # A numpy integer is stored as int; a float or bool (not an int by
-        # type) is refused, not truncated.
-        for name, what in (("n", "signal length"), ("k", "difference order")):
-            value = getattr(self, name)
-            if type(value) is int:
-                continue
-            if not isinstance(value, np.integer):
-                raise InvalidOrderError(f"{what} {name}={value!r} must be an integer")
-            object.__setattr__(self, name, int(value))
-        if self.n < 2:
-            raise InvalidOrderError(f"signal length n={self.n} must be an integer >= 2")
-        if not 1 <= self.k <= self.n - 1:
-            raise InvalidOrderError(
-                f"difference order k={self.k} outside [1, {self.n - 1}] for n={self.n}"
-            )
+        # Two ints of a valid shape, as in every fit certificate's build_delta,
+        # skip the call.  A numpy integer is stored as int; a float or bool is
+        # refused, not truncated.
+        if type(self.n) is not int or type(self.k) is not int or not 1 <= self.k < self.n:
+            n, k = shape(self.n, self.k, InvalidOrderError)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "k", k)
 
     @property
     def m(self):
@@ -145,9 +139,7 @@ def falling_factorial_columns(n, k, rows):
     product prod_r (i - j + r) / r, and 0 above row j.  The product depends
     on i - j alone, so it is taken once, for i - j = 0..n-1, and each column
     is that ramp moved down to row j."""
-    rows = [int(j) for j in rows]
-    if rows and min(rows) < 1:
-        raise ValueError(f"rows must be 1-based, got {min(rows)}")
+    rows = [integer("1-based row", j, ValueError, 1) for j in rows]
     shift = np.arange(n)
     ramp = np.ones(n)
     for r in range(1, k):
@@ -265,23 +257,26 @@ class ActiveSet:
     q_S: tuple
 
     def __post_init__(self):
-        # Entries are stored as int; a float or bool entry is refused, not
-        # truncated (numpy integers pass), as DiffOperator refuses n and k.
-        for name in ("t", "q_S"):
-            values = tuple(getattr(self, name))
-            bad = [v for v in values if type(v) is not int and not isinstance(v, np.integer)]
-            if bad:
-                raise ValueError(f"{name} entries must be integers, got {bad[0]!r}")
-            object.__setattr__(self, name, tuple(int(v) for v in values))
-        DiffOperator(self.n, self.k)
+        # Entries are stored as int; a float or bool entry is refused, not truncated.
+        shape(self.n, self.k, InvalidOrderError)
+        for name, low, high in (("t", self.k + 1, self.n), ("q_S", None, None)):
+            object.__setattr__(self, name, tuple(integer(f"{name} entry", v, ValueError, low, high)
+                                                 for v in getattr(self, name)))
         if len(self.t) != len(self.q_S):
             raise ValueError("t and q_S must have equal length")
         if any(abs(q) != 1 for q in self.q_S):
             raise ValueError("signs must be +1 or -1")
         if list(self.t) != sorted(set(self.t)):
             raise ValueError("jump locations must be strictly increasing")
-        if self.t and (self.t[0] < self.k + 1 or self.t[-1] > self.n):
-            raise ValueError(f"jump locations must lie in [{self.k + 1}, {self.n}]")
+
+    @classmethod
+    def from_lengths(cls, k, lengths, q_S):
+        """The active set whose s + 1 segments have ``lengths``, the inverse of
+        ``seg_lengths``: t_i = k + lengths_1 + ... + lengths_i and
+        n = sum(lengths) + k - 1."""
+        lengths = [integer("segment length", v, ValueError) for v in lengths]
+        t = tuple(itertools.accumulate(lengths[:-1], initial=k))[1:]
+        return cls(n=sum(lengths) + k - 1, k=k, t=t, q_S=q_S)
 
     @property
     def s(self):

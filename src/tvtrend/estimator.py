@@ -40,13 +40,13 @@ constants (``_cached_face_constants``) instead of a second pass over n.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import integer, real, shape, signal
 from ._lapack import dgeqrf as _GEQRF, dgeqrf_lwork as _GEQRF_LWORK
 from ._lapack import dpbtrf as _PBTRF, dpbtrs as _PBTRS, dpotrf as _POTRF, dpotrs as _POTRS
 from ._lapack import dpttrf as _PTTRF, dpttrs as _PTTRS, dtrtrs as _TRTRS
@@ -79,21 +79,12 @@ class FitConfig:
     algorithm: str = "admm"
 
     def __post_init__(self):
-        for name in ("lam", "tol_kkt"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not math.isfinite(self.lam):
-            raise ValueError("lambda must be finite")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if not (math.isfinite(self.tol_kkt) and self.tol_kkt > 0):
-            raise ValueError("tol_kkt must be finite and positive")
-        for name in ("k", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        real("lambda", self.lam, ValueError, "nonnegative")
+        real("tol_kkt", self.tol_kkt, ValueError, "positive")
+        integer("k", self.k, ValueError, 1)
+        integer("max_iter", self.max_iter, ValueError, 1)
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.algorithm == "dp_k1" and self.k != 1:
             raise ValueError(f"algorithm dp_k1 requires k = 1, got k = {self.k}")
 
@@ -681,12 +672,8 @@ def tv1d_exact(y, lam):
     loop on numpy scalars (``tests/conftest.tv1d_reference``), so the output
     is bitwise the same.
     """
-    y = np.asarray(y, dtype=float)
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    y = signal(y)
+    lam = float(real("lambda", lam, ValueError, "nonnegative"))
     n = len(y)
     x = np.empty(n)
     if n == 0:
@@ -771,14 +758,9 @@ def _result(y, cfg, f_hat, dual, kkt, converged, iters):
 def fit(y, cfg):
     """Solve the penalized problem; the result is flagged converged only when
     the KKT certificate meets ``cfg.tol_kkt``."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be one-dimensional")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    y = signal(y)
     n, k, lam, tol = len(y), cfg.k, cfg.lam, cfg.tol_kkt
-    if n < k + 1:
-        raise ValueError(f"need n >= k + 1 = {k + 1}, got n = {n}")
+    shape(n, k, ValueError)
     if lam == 0.0:
         return _result(y, cfg, y.copy(), np.zeros(n - k), 0.0, True, iters=0)
     if cfg.algorithm == "dp_k1":

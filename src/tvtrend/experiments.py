@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -28,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
+from ._checks import flag, integer, real, shape
 from .constants import minimum_segment_length
 from .diffops import (ActiveSet, block_column_sqnorms, dual_witness, falling_factorial_columns,
                       polynomial_basis)
-from .estimator import ALGORITHMS, FitConfig, fit
+from .estimator import FitConfig, fit
 from .sparsity import gamma_closed_form
 
 SCHEMA_VERSION = 1
@@ -42,24 +42,6 @@ JUMP_LAYOUTS = ("equispaced", "random-min-gap")
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_int(name, value, low, high=None):
-    """Refuse ``value`` unless it is an integer (not a bool) in [low, high]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{name} must be {bounds}, got {value}")
-
-
-def _check_real(name, value, positive=True):
-    """Refuse ``value`` unless it is a finite real number (not a bool), and
-    positive when ``positive``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,31 +64,29 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        _check_int("schema_version", self.schema_version, 0)
+        integer("schema_version", self.schema_version, ConfigError, 0)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unknown schema_version {self.schema_version}")
-        _check_int("k", self.k, 1)
-        _check_int("n", self.n, self.k + 1)
-        _check_int("s0", self.s0, 0, self.n - self.k - 1)
-        _check_int("replications", self.replications, 1)
-        _check_int("seed", self.seed, 0, 2 ** 64 - 1)     # the Philox key is a uint64
-        for name in ("u", "v", "tol_kkt", "lambda_scale"):
-            _check_real(name, getattr(self, name))
-        if self.lambda_value is not None:
-            _check_real("lambda_value", self.lambda_value)
-        _check_real("jump_delta", self.jump_delta, positive=False)
-        if not isinstance(self.record_timing, bool):
-            raise ConfigError(f"record_timing must be true or false, got {self.record_timing!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.algorithm == "dp_k1" and self.k != 1:
-            raise ConfigError(f"algorithm dp_k1 requires k = 1, got k = {self.k}")
+        shape(self.n, self.k, ConfigError)
+        integer("s0", self.s0, ConfigError, 0, self.n - self.k - 1)
+        integer("replications", self.replications, ConfigError, 1)
+        integer("seed", self.seed, ConfigError, 0, 2 ** 64 - 1)     # the Philox key is a uint64
+        for name in ("u", "v", "lambda_scale"):
+            real(name, getattr(self, name), ConfigError, "positive")
+        real("lambda_value", self.lambda_value, ConfigError, "positive", optional=True)
+        real("jump_delta", self.jump_delta, ConfigError)
+        flag("record_timing", self.record_timing, ConfigError)
+        try:                        # the fit request: FitConfig's rule
+            FitConfig(lam=0.0, k=self.k, tol_kkt=self.tol_kkt, algorithm=self.algorithm)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.lambda_rule not in theory.LAMBDA_RULES:
             raise ConfigError(f"lambda_rule must be one of {theory.LAMBDA_RULES}")
         if self.jump_layout not in JUMP_LAYOUTS:
             raise ConfigError(f"jump_layout must be one of {JUMP_LAYOUTS}")
-        if self.lambda_rule == "fixed" and self.lambda_value is None:
-            raise ConfigError("fixed lambda_rule requires a positive lambda_value")
+        if (self.lambda_rule == "fixed") != (self.lambda_value is not None):
+            raise ConfigError("lambda_rule fixed requires a lambda_value, and no other rule"
+                              f" takes one; got {self.lambda_rule!r} and {self.lambda_value!r}")
 
     @classmethod
     def from_json(cls, path):

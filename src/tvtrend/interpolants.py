@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import integer
 from .constants import minimum_segment_length
 from .diffops import ActiveSet, build_delta
 from .theory import short_segments
@@ -269,10 +270,8 @@ def solve_matching_coefficients(k, d, exponent=None):
     ``k3_matching_closed_form``); coefficients converge to the continuous
     profile's as d grows.
     """
-    k = int(k)
-    d = int(d)
-    if d < k:
-        raise ValueError(f"sub-interval length d={d} must be at least k={k}")
+    k = integer("k", k, ValueError, 1)
+    d = integer("sub-interval length d", d, ValueError, k)
     if exponent is None:
         exponent = noisy_exponent(k)
     N = n_subintervals(k)

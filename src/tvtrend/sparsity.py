@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real
 from ._lapack import dgels as _GELS
 from .constants import ck_sparsity
 from .diffops import ActiveSet, block_column_sqnorms, build_delta
@@ -61,8 +62,7 @@ class Weights:
 
 def compute_weights(S, u, lam):
     """Weights w_j = ||psi_j^{-S}||_n lambda0(u) / lambda for the free rows."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and positive, got {lam}")
+    real("lambda", lam, ValueError, "positive")
     m = S.n - S.k
     rows, sqn = block_column_sqnorms(S)
     l0 = lambda0(u, S.n, S.n - S.k - S.s)

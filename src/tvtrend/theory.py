@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real
 from .constants import ck_certified, minimum_segment_length
 from .diffops import build_delta
 
@@ -23,8 +24,7 @@ def lambda0(u, n, m_minus_s):
     ``m_minus_s`` is the number of inactive rows; for the difference
     operator with s active rows it equals n - k - s.
     """
-    if not (math.isfinite(u) and u > 0):
-        raise ValueError(f"confidence parameter u must be finite and positive, got {u}")
+    real("u", u, ValueError, "positive")
     if m_minus_s < 1:
         raise ValueError("need at least one inactive row")
     return math.sqrt((2.0 * math.log(2.0 * m_minus_s) + 2.0 * u) / n)

@@ -37,18 +37,11 @@ def random_active_set(rng, k, n_lo=None, n_hi=400, max_s=3, min_len=None):
     min_len = min_len or minimum_segment_length(k)
     s = int(rng.integers(0, max_s + 1))
     lengths = min_len + rng.integers(0, 3 * min_len, size=s + 1)
-    need = int(np.sum(lengths))
-    n = max(n_lo or 0, need + k - 1 + int(rng.integers(0, min_len)))
+    need = int(np.sum(lengths)) + k - 1
+    n = max(n_lo or 0, need + int(rng.integers(0, min_len)))
     n = min(n, n_hi) if n_hi else n
-    if n < need + k - 1:
-        n = need + k - 1
-    t = []
-    pos = k
-    for i in range(s):
-        pos += int(lengths[i])
-        t.append(pos)
-    signs = rng.choice([-1, 1], size=s)
-    return ActiveSet(n=n, k=k, t=tuple(t), q_S=tuple(int(v) for v in signs))
+    lengths[-1] += max(n - need, 0)
+    return ActiveSet.from_lengths(k, lengths, rng.choice([-1, 1], size=s))
 
 
 def suite_norms():

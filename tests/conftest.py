@@ -759,13 +759,8 @@ def random_active_set(rng, k, max_s=3, max_mult=4, n_pad=0):
     min_len = minimum_segment_length(k)
     s = int(rng.integers(0, max_s + 1))
     lengths = min_len + rng.integers(0, (max_mult - 1) * min_len + 1, size=s + 1)
-    n = int(np.sum(lengths)) + k - 1 + int(rng.integers(0, n_pad + 1))
-    t, pos = [], k
-    for i in range(s):
-        pos += int(lengths[i])
-        t.append(pos)
-    signs = tuple(int(v) for v in rng.choice([-1, 1], size=s))
-    return ActiveSet(n=n, k=k, t=tuple(t), q_S=signs)
+    lengths[-1] += int(rng.integers(0, n_pad + 1))
+    return ActiveSet.from_lengths(k, lengths, rng.choice([-1, 1], size=s))
 
 
 def sample_sandwich_instance(rng):
@@ -776,14 +771,7 @@ def sample_sandwich_instance(rng):
     s = int(rng.integers(0, min(3, s_cap) + 1))
     budget = 64 - (k - 1) - (s + 1) * ml
     extra = rng.multinomial(int(rng.integers(0, budget + 1)), np.ones(s + 1) / (s + 1))
-    lengths = ml + extra
-    t, pos = [], k
-    for i in range(s):
-        pos += int(lengths[i])
-        t.append(pos)
-    n = int(np.sum(lengths)) + k - 1
-    signs = tuple(int(v) for v in rng.choice([-1, 1], size=s))
-    return ActiveSet(n=n, k=k, t=tuple(t), q_S=signs)
+    return ActiveSet.from_lengths(k, ml + extra, rng.choice([-1, 1], size=s))
 
 
 @pytest.fixture

@@ -180,14 +180,8 @@ def test_interpolant_feasibility_and_monotonicity():
         for i in range(500):
             s = int(rng.integers(0, 5))
             lengths = ml + rng.integers(0, 5 * ml, size=s + 1)
-            n = int(np.sum(lengths)) + k - 1
-            t, pos = [], k
-            for j in range(s):
-                pos += int(lengths[j])
-                t.append(pos)
-            S = dop.ActiveSet(n=n, k=k, t=tuple(t),
-                              q_S=tuple(int(v) for v in rng.choice([-1, 1], size=s)))
-            lam = theory.lambda_threshold(n, k, S.n_max, U, s=s)
+            S = dop.ActiveSet.from_lengths(k, lengths, rng.choice([-1, 1], size=s))
+            lam = theory.lambda_threshold(S.n, k, S.n_max, U, s=s)
             w = sp.compute_weights(S, U, lam)
             try:
                 vec = itp.build_noisy(S, weights=w)

@@ -75,3 +75,38 @@ def test_counts_line_shows_each_run(bench_pairs):
     attempted_failed = {"parent": [[24, 6], [24, 6]], "change": [[24, 6], [23, 5]]}
     assert bench_pairs.counts_line(attempted_failed) == (
         "  failed/attempted: parent 6/24 6/24; change 6/24 5/23")
+
+
+def _runs(parent, change):
+    return {"parent": [{"metrics": {"ops_per_s": {"value": v}}} for v in parent],
+            "change": [{"metrics": {"ops_per_s": {"value": v}}} for v in change]}
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # medians 100 -> 70: 30% worse than the parent, beyond the 25% bound
+    ([98, 100, 102, 100], [70, 69, 71, 70], "worse"),
+    # parent's IQR 30% of its median, wider than the bound, runs interleave
+    ([40, 100, 160, 100], [95, 105, 99, 101], "unresolved"),
+    # the same wide parent, but every change run beats every parent run
+    ([40, 100, 160, 100], [170, 180, 175, 178], "within bound"),
+    # 10% worse with a tight parent: inside the bound
+    ([98, 100, 102, 100], [90, 91, 89, 90], "within bound"),
+])
+def test_end_to_end_metric_gets_a_verdict(bench_pairs, parent, change, expected):
+    spec = {"name": "ops_per_s", "unit": "op/s", "better": "higher", "bound": 0.25}
+    row = bench_pairs.compare(_runs(parent, change), [spec])["ops_per_s"]
+    assert row["verdict"] == expected and row["bound"] == 0.25
+    assert row["change_vs_parent"] == pytest.approx(
+        row["change"]["median"] / row["parent"]["median"] - 1.0)
+    assert bench_pairs.verdict_line("ops_per_s", row).endswith(f"bound 25%: {expected}")
+
+
+def test_lower_is_better_and_per_layer_metrics(bench_pairs):
+    spec = {"name": "ops_per_s", "unit": "s", "better": "lower", "bound": 0.25}
+    row = bench_pairs.compare(_runs([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3]), [spec])
+    assert row["ops_per_s"]["verdict"] == "worse"
+    assert bench_pairs.verdict_line("ops_per_s", row["ops_per_s"]) == (
+        "  ops_per_s: change median +30.0% of the parent's (better lower), bound 25%: worse")
+    layer = {"name": "ops_per_s", "unit": "s/op", "better": "lower"}
+    row = bench_pairs.compare(_runs([1.0, 1.0], [1.3, 1.3]), [layer])["ops_per_s"]
+    assert "verdict" not in row and "bound" not in row

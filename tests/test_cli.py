@@ -217,7 +217,7 @@ class TestBounds:
                 "--out", str(out)]
         assert cli.main(args) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"{flag} must be a finite number > 0" in captured.err
+        assert captured.out == "" and f"{flag} must be finite and positive" in captured.err
         assert not out.exists()
 
 
@@ -280,7 +280,7 @@ class TestInterpolant:
                 f"{flag}={value}"]
         assert cli.main(args) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"{flag} must be a finite number > 0" in captured.err
+        assert captured.out == "" and f"{flag} must be finite and positive" in captured.err
 
     def test_noiseless_mode(self, tmp_path):
         out = tmp_path / "q.csv"
@@ -348,6 +348,7 @@ class TestSimulate:
     @pytest.mark.parametrize("field,value", [
         ("u", "x"), ("u", -1.0), ("u", True), ("v", -1.0), ("v", math.inf), ("tol_kkt", 0.0),
         ("tol_kkt", math.nan), ("lambda_scale", -1.0), ("lambda_value", 0.0),
+        ("lambda_value", 0.3),
         ("lambda_value", "x"), ("jump_delta", "x"), ("jump_delta", -math.inf),
         ("algorithm", "bogus"), ("algorithm", None), ("schema_version", True),
         ("schema_version", 1.0), ("record_timing", 3), ("record_timing", "false")])
@@ -461,7 +462,8 @@ class TestLambdaRules:
 
     @pytest.mark.parametrize("rule, flag, value", [
         ("threshold", "--lambda-scale", "0"), ("threshold", "--lambda-scale", "-1"),
-        ("equal_segment", "--lambda-scale", "nan"), ("threshold", "--u", "nan")])
+        ("equal_segment", "--lambda-scale", "nan"), ("threshold", "--u", "nan"),
+        ("equal_segment", "--lambda-scale", "inf"), ("threshold", "--u", "inf")])
     def test_rule_inputs_must_be_finite_and_positive(self, tmp_path, signal, capsys, rule,
                                                      flag, value):
         # As in simulate's config: a scale of 0 would return y at lambda = 0.
@@ -469,7 +471,31 @@ class TestLambdaRules:
         rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda-rule", rule,
                        f"{flag}={value}", "--report", str(tmp_path / "r.json")])
         assert rc == 2
-        assert f"{flag} must be a finite number > 0, got" in capsys.readouterr().err
+        assert f"{flag} must be finite and positive, got" in capsys.readouterr().err
+
+    def test_lambda_is_scaled_by_lambda_scale(self, tmp_path, signal):
+        # --lambda is the fixed rule: --lambda-scale 5 was ignored and 0.01 reported.
+        path, _ = signal
+        rep = tmp_path / "r.json"
+        args = ["solve", "--input", str(path), "--k", "1", "--lambda", "0.01", "--report", str(rep)]
+        assert cli.main(args + ["--lambda-scale", "5"]) == 0
+        assert json.loads(rep.read_text())["lambda"] == 0.01 * 5
+        assert cli.main(args) == 0
+        assert json.loads(rep.read_text())["lambda"] == 0.01
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--lambda-rule", "threshold"], "give exactly one of --lambda and --lambda-rule"),
+        (["--s0", "999"], "--s0 must be in [0, n - k - 1] = [0, 88], got 999"),
+        (["--lambda-scale", "0"], "--lambda-scale must be finite and positive, got 0.0")])
+    def test_lambda_with_an_unusable_rule_input_is_usage_error(self, tmp_path, signal, capsys,
+                                                               extra, message):
+        # Each of these passed unchecked beside --lambda, which was used as given.
+        path, _ = signal
+        rc = cli.main(["solve", "--input", str(path), "--k", "1", "--lambda", "0.01", *extra,
+                       "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_equal_segment_ignores_u(self, tmp_path, signal):
         # --u enters only the threshold rule, so equal_segment does not check it.

@@ -240,7 +240,7 @@ class TestActiveSet:
         for t, q_S in (((5.5,), (1,)), ((5.0,), (1,)), ((np.float64(5),), (1,)), ((True,), (1,)),
                        ((5,), (1.7,)), ((5,), (-1.2,)), ((5,), (True,)), ((5,), (np.bool_(True),)),
                        ((5,), (1.0,))):
-            with pytest.raises(ValueError, match="entries must be integers"):
+            with pytest.raises(ValueError, match="entry must be an integer"):
                 dop.ActiveSet(n=10, k=1, t=t, q_S=q_S)
         S = dop.ActiveSet(n=10, k=1, t=np.array([3, 6]), q_S=(np.int32(1), np.int64(-1)))
         assert S.t == (3, 6) and S.q_S == (1, -1)

@@ -89,9 +89,9 @@ class TestFitBasics:
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 est.FitConfig(lam=1.0, k=1, max_iter=bad)
         for bad in (True, False):
-            with pytest.raises(ValueError, match="lam must be a number"):
+            with pytest.raises(ValueError, match="lambda must be a real number"):
                 est.FitConfig(lam=bad, k=1)
-            with pytest.raises(ValueError, match="tol_kkt must be a number"):
+            with pytest.raises(ValueError, match="tol_kkt must be a real number"):
                 est.FitConfig(lam=1.0, k=1, tol_kkt=bad)
         with pytest.raises(ValueError, match=r"\bk must be an integer"):
             est.FitConfig(lam=1.0, k=True)

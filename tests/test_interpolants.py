@@ -290,15 +290,6 @@ class TestNoisy:
             assert v.q[30 + j - k - 1] == pytest.approx(expected, abs=1e-12)
 
 
-def _segments_set(k, lengths, pad, signs):
-    """Active set with the given segment lengths, the last one padded."""
-    t, pos = [], k
-    for length in lengths[:-1]:
-        pos += int(length)
-        t.append(pos)
-    return ActiveSet(n=int(sum(lengths)) + k - 1 + pad, k=k, t=tuple(t), q_S=tuple(signs))
-
-
 class TestProfileCache:
     def test_one_matching_solve_per_profile_shape(self, monkeypatch):
         # the 40 sets of the acceptance pool (seed 111) ask for 73 profiles
@@ -369,8 +360,8 @@ class TestConstructionBits:
             for parity in (0, 1):
                 for _ in range(4):
                     lengths = min_len + parity + 2 * rng.integers(0, 2 * min_len, size=s + 1)
-                    S = _segments_set(k, lengths, int(rng.integers(0, 3)),
-                                      rng.choice([-1, 1], size=s))
+                    lengths[-1] += rng.integers(0, 3)
+                    S = ActiveSet.from_lengths(k, lengths, rng.choice([-1, 1], size=s))
                     lam = lambda_threshold(S.n, k, S.n_max, U, s=S.s)
                     for w in (None, compute_weights(S, U, lam)):
                         got = itp.build_noisy(S, weights=w)
@@ -385,8 +376,8 @@ class TestConstructionBits:
         for s in range(4):
             for _ in range(12):
                 lengths = 1 + rng.integers(0, 2 * min_len, size=s + 1)
-                S = _segments_set(k, lengths, int(rng.integers(0, 3)),
-                                  rng.choice([-1, 1], size=s))
+                lengths[-1] += rng.integers(0, 3)
+                S = ActiveSet.from_lengths(k, lengths, rng.choice([-1, 1], size=s))
                 got = itp.build_noiseless(S)
                 q, caps = build_reference(S, float(k), "noiseless")
                 assert np.array_equal(got.q, q) and np.array_equal(got.caps, caps), S
