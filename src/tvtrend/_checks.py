@@ -26,14 +26,19 @@ def integer(name, value, error, low=None, high=None):
 
 
 def real(name, value, error, sign=None, optional=False):
-    """``value``, unless it is not a finite real number or breaks ``sign``:
-    "positive", "nonnegative" or None (either).  None passes when ``optional``."""
+    """``value``, unless it is not a finite real number (an integer beyond
+    the float range is not) or breaks ``sign``: "positive", "nonnegative" or
+    None (either).  None passes when ``optional``."""
     if value is None and optional:
         return value
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise error(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or (sign == "positive" and value <= 0) or (
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got a number beyond the float range") from None
+    if not finite or (sign == "positive" and value <= 0) or (
             sign == "nonnegative" and value < 0):
         raise error(f"{name} must be finite" + (f" and {sign}" if sign else "") + f", got {value}")
     return value

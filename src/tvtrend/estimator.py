@@ -33,8 +33,9 @@ and one refinement step) and solves exactly, by QR, only the faces where
 the screen stops; a polish whose screen stops only at its last face solves
 one QR face, and every face it returns is such an exact face.  A screened
 face forms its dual only where the decision needs it: not where it drops a
-sign-inconsistent row.  Its dual's error is bounded in O(|A|) from per-(n, k)
-constants (``_cached_face_constants``) instead of a second pass over n.
+sign-inconsistent row; then by k suffix sums of the residual its solve took.
+Its dual's error is bounded in O(|A|) from per-(n, k) constants
+(``_cached_face_constants``) instead of a second pass over n.
 """
 
 from __future__ import annotations
@@ -142,8 +143,14 @@ def lambda_max(y, k):
     """Smallest lambda at which the fit collapses to the polynomial fit,
     max_j |(Delta^+' (y - poly fit))_j| / n."""
     y = np.asarray(y, dtype=float)
-    resid = y - polynomial_fit(y, k)
-    return float(np.max(np.abs(dual_witness(resid, k)))) / len(y)
+    return float(np.max(np.abs(_polynomial_witness(y, k)))) / len(y)
+
+
+def _polynomial_witness(y, k):
+    """``dual_witness`` of the residual off the polynomial fit: its largest
+    |entry| is n lambda_max, and over n lambda it is the dual of the empty
+    face."""
+    return dual_witness(y - polynomial_fit(y, k), k)
 
 
 def _certificate(y, f_hat, lam, k, tol_kkt):
@@ -218,20 +225,21 @@ def _restricted_solve(y, k, lam, active, signs):
 
 def _place_columns(out, ramp, rows):
     """Write the falling-factorial columns of the 1-based ``rows`` into the
-    columns of ``out``: each is ``ramp`` (phi_1) moved down to its row, the
-    bits of ``falling_factorial_columns``."""
-    n = len(ramp)
+    columns of ``out``: each is phi_1 moved down to its row, the n entries
+    of ``ramp`` (n zeros, then phi_1) from n - row + 1 on; the bits of
+    ``falling_factorial_columns``."""
+    n = len(out)
     for c, r in enumerate(rows):
-        out[:r - 1, c] = 0.0
-        out[r - 1:, c] = ramp[:n - r + 1]
+        out[:, c] = ramp[n - r + 1:2 * n - r + 1]
 
 
 class _FaceConstants(NamedTuple):
     P: np.ndarray           # the orthonormal polynomial block
-    ramp: np.ndarray        # phi_1; phi_j is phi_1 moved down j - 1 rows
+    ramp: np.ndarray        # n zeros, then phi_1 (``_place_columns``)
     phi_norms: np.ndarray   # ||phi_j|| is phi_norms[n - j]
     gram_P: np.ndarray      # P'P
-    gain_P: np.ndarray      # c_l, the largest |u| that dual_witness makes of P_l
+    P_phi: np.ndarray       # P'phi_j is P_phi[j - k - 1], dual_witness of P
+    gain_P: tuple           # c_l, the largest |u| that dual_witness makes of P_l
     gain_psi: float         # c_psi, the largest column norm of Delta(k)^+
 
 
@@ -244,11 +252,12 @@ def _cached_face_constants(n, k):
     X step = P step_P + v is at most sum_l c_l |step_l| + c_psi ||v||."""
     P = _cached_polynomial_basis(n, k)
     ramp = falling_factorial_columns(n, k, [1])[:, 0]
+    P_phi = dual_witness(P, k)
     const = _FaceConstants(
-        P=P, ramp=ramp, phi_norms=np.sqrt(np.cumsum(ramp ** 2)), gram_P=P.T @ P,
-        gain_P=np.max(np.abs(dual_witness(P, k)), axis=0),
+        P=P, ramp=np.concatenate([np.zeros(n), ramp]), phi_norms=np.sqrt(np.cumsum(ramp ** 2)),
+        gram_P=P.T @ P, P_phi=P_phi, gain_P=tuple(np.max(np.abs(P_phi), axis=0).tolist()),
         gain_psi=math.sqrt(float(np.max(_cached_pinv_sqnorms(n, k)))))
-    for array in const[:-1]:
+    for array in const[:-2]:
         array.setflags(write=False)
     return const
 
@@ -272,17 +281,20 @@ class _FaceColumns:
     """The columns X = [P, psi_A] of ``_restricted_solve`` for the rows of the
     faces one polish passes through, and their Gram entries.
 
-    A row's unit-scaled, anti-projected falling-factorial column, its Gram
-    entries against P, the other cached columns and y, and its cancellation
-    test are computed once, when the row joins; when it leaves, the last
-    column takes its place.  The buffers grow by doubling, so memory stays
-    O(n |A|), and a face costs O(n |A|): the normal equations by Cholesky,
-    one refinement step on the true residual, and no QR.  The per-(n, k)
-    constants come from ``_cached_face_constants``."""
+    A row's unit-scaled, anti-projected falling-factorial column (P'phi_r
+    read from a per-(n, k) table), its Gram entries against P, the other
+    cached columns and y, and its cancellation test are computed once, when
+    the row joins; when it leaves, the last column takes its place.  The
+    buffers grow by doubling, so memory stays O(n |A|).  A face costs two
+    products with X (the residual of the normal-equations solution and its
+    correlation with X, for one refinement step), O(|A|^2) small work and no
+    QR; its dual, when formed, k suffix sums more.  The per-(n, k) constants
+    come from ``_cached_face_constants``; ``witness``, when given, is
+    ``_polynomial_witness(y, k)``, the empty face's dual times n lambda."""
 
-    def __init__(self, y, k, lam):
+    def __init__(self, y, k, lam, witness=None):
         const = self.const = _cached_face_constants(len(y), k)
-        self.y, self.k, self.lam = y, k, lam
+        self.y, self.k, self.nlam, self.witness = y, k, len(y) * lam, witness
         self.round_err = math.sqrt(len(y)) * _EPS * float(np.linalg.norm(y))
         self.rows = []                  # the row of column k + i is rows[i]
         self.slot = {}                  # row -> its column
@@ -296,26 +308,29 @@ class _FaceColumns:
         return (np.empty((len(self.y), cap), order="F"), np.empty((cap, cap)),
                 np.empty(cap), np.empty(cap))
 
-    def _move_to(self, active):
-        """Cache the columns of ``active``, no others; their positions."""
-        k, y = self.k, self.y
-        rows = active.tolist()
-        wanted = set(rows)
+    def _move_to(self, rows):
+        """Cache the columns of the list ``rows``, no others; their positions."""
+        k, y, slot, cached = self.k, self.y, self.slot, self.rows
         X, gram = self.X, self.gram
-        for r in [r for r in self.rows if r not in wanted]:
-            c, last = self.slot.pop(r), k + len(self.rows) - 1
-            self.cancelled.discard(r)
-            moved = self.rows.pop()
-            if c != last:
-                X[:, c] = X[:, last]
-                gram[c, :last + 1] = gram[last, :last + 1]
-                gram[:last + 1, c] = gram[:last + 1, last]
-                self.Xy[c], self.scales[c] = self.Xy[last], self.scales[last]
-                self.rows[c - k] = moved
-                self.slot[moved] = c
-        new = [r for r in rows if r not in self.slot]
+        pos = [slot.get(r) for r in rows]
+        if len(slot) == len(rows) and None not in pos:
+            return pos
+        if len(slot) > len(rows) - pos.count(None):
+            wanted = set(rows)
+            for r in [r for r in cached if r not in wanted]:
+                c, last = slot.pop(r), k + len(cached) - 1
+                self.cancelled.discard(r)
+                moved = cached.pop()
+                if c != last:
+                    X[:, c] = X[:, last]
+                    gram[c, :last + 1] = gram[last, :last + 1]
+                    gram[:last + 1, c] = gram[:last + 1, last]
+                    self.Xy[c], self.scales[c] = self.Xy[last], self.scales[last]
+                    cached[c - k] = moved
+                    slot[moved] = c
+        new = [r for r in rows if r not in slot]
         if new:
-            m = k + len(self.rows)
+            m = k + len(cached)
             end = m + len(new)
             if end > len(self.Xy):
                 grown = self._buffers(max(2 * len(self.Xy), end))
@@ -324,65 +339,71 @@ class _FaceColumns:
                 grown[2][:m], grown[3][:m] = self.Xy[:m], self.scales[:m]
                 self.X, self.gram, self.Xy, self.scales = grown
                 X, gram = self.X, self.gram
+            const, n, P = self.const, len(y), X[:, :k]
+            for c, r in enumerate(new, m):
+                # psi_r = phi_r - P (P'phi_r), unit-scaled
+                column = X[:, c]
+                np.matmul(P, const.P_phi[r - k - 1], out=column)
+                np.subtract(const.ramp[n - r + 1:2 * n - r + 1], column, out=column)
+                scale = self.scales[c] = math.sqrt(column @ column)
+                column /= scale
+                if const.phi_norms[n - r] > _MAX_CANCELLATION * scale:
+                    self.cancelled.add(r)
+                slot[r] = c
             block = X[:, m:end]
-            _place_columns(block, self.const.ramp, new)
-            P = X[:, :k]
-            block -= P @ (P.T @ block)
-            scales = np.linalg.norm(block, axis=0)
-            block /= scales
             cross = X[:, :end].T @ block
             gram[:end, m:end] = cross
             gram[m:end, :end] = cross.T
             self.Xy[m:end] = block.T @ y
-            self.scales[m:end] = scales
-            lost = self.const.phi_norms[len(y) - np.array(new)] > _MAX_CANCELLATION * scales
-            self.cancelled.update(r for r, bad in zip(new, lost) if bad)
-            self.slot.update((r, m + c) for c, r in enumerate(new))
-            self.rows += new
-        return [self.slot[r] for r in rows]
+            cached += new
+        return [slot[r] for r in rows]
 
     def solve(self, active, signs):
-        """Screened face: (b, b_err, dual), the differences at the active
-        rows with an error estimate for each, and ``dual()``, which returns
-        (f, u, u_err): the fit, its dual and a bound on the dual's error.
-        The dual costs a pass over X and k suffix sums over n, so it is
-        formed only when called, before the next ``solve``: a face decided
-        on b never forms it.  None when a column is too cancelled or the
-        Gram matrix does not factor."""
-        pos = self._move_to(active)
+        """Screened face: (b, b_err, dual), lists of the differences at the
+        active rows after the refinement step and of an error estimate for
+        each, and ``dual()``, which returns (u, u_err): the dual of the
+        residual the step was taken on, and a bound on its error, which the
+        step's image in u dominates.  The dual costs k suffix sums over n
+        (none for the empty face given the witness) and no product with X,
+        so it is formed only when called, before the next ``solve``: a face
+        decided on b never forms it, and no face forms its fit.  None when
+        a column is too cancelled or the Gram matrix does not factor."""
+        pos = self._move_to(active.tolist())
         if self.cancelled:
             return None
-        y, k, lam = self.y, self.k, self.lam
-        n, m = len(y), k + len(self.rows)
-        X, scales = self.X[:, :m], self.scales[pos]
-        target = np.zeros(m)
-        target[pos] = n * lam * signs / scales
+        y, k, nlam = self.y, self.k, self.nlam
+        m = k + len(self.rows)
+        X, scales = self.X[:, :m], self.scales.tolist()
+        target = [0.0] * m
+        for c, sign in zip(pos, signs.tolist()):
+            target[c] = nlam * sign / scales[c]
+        target = np.array(target)
         chol, info = _POTRF(self.gram[:m, :m], lower=0)
         if info:
             return None
         theta = _POTRS(chol, self.Xy[:m] - target)[0]
         r = y - X @ theta
         step = _POTRS(chol, X.T @ r - target)[0]
-        theta += step
         # Rounding leaves a defect of about sqrt(n) eps |y| in X'(y - X theta);
         # it moves theta by up to that over the smallest eigenvalue of the
         # Gram matrix, about the square of the smallest Cholesky pivot.
-        b_err = np.abs(step[pos]) + self.round_err / float(chol.diagonal().min()) ** 2
+        floor = self.round_err / min(chol.diagonal().tolist()) ** 2
+        theta, steps = theta.tolist(), step.tolist()
 
         def dual():
-            r_face = r - X @ step
-            u = dual_witness(r_face / (n * lam), k)
             # A bound on the step's image in u (``_cached_face_constants``),
             # plus n ulps for the rounding of the suffix sums.
             # ||psi_A step_A||^2 is read off the cached Gram entries, each
             # rounded by up to n ulps.
-            gain_P, gain_psi = self.const.gain_P, self.const.gain_psi
-            s = step[k:]
-            sq = float(s @ (self.gram[k:m, k:m] @ s)) + n * _EPS * float(np.sum(np.abs(s))) ** 2
-            image = float(gain_P @ np.abs(step[:k])) + gain_psi * math.sqrt(max(sq, 0.0))
-            return y - r_face, u, image / (n * lam) + n * _EPS
+            n, s = len(y), step[k:]
+            sq = s @ self.gram[k:m, k:m] @ s + n * _EPS * sum(map(abs, steps[k:])) ** 2
+            image = sum(g * abs(t) for g, t in zip(self.const.gain_P, steps)) + (
+                self.const.gain_psi * math.sqrt(max(sq, 0.0)))
+            u = dual_witness(r / nlam, k) if pos or self.witness is None else self.witness / nlam
+            return u, image / nlam + n * _EPS
 
-        return theta[pos] / scales, b_err / scales, dual
+        return ([(theta[c] + steps[c]) / scales[c] for c in pos],
+                [(abs(steps[c]) + floor) / scales[c] for c in pos], dual)
 
 
 def _runs(over):
@@ -400,9 +421,9 @@ def _add_worst_rows(active, signs, runs, u, k):
 def _add_rows(active, signs, worst, u, k):
     """Insert the active rows of the dual rows ``worst``, with the signs of
     their u."""
-    grown = np.concatenate([active, worst + k + 1])
-    order = np.argsort(grown)
-    return grown[order], np.concatenate([signs, np.sign(u[worst])])[order]
+    grown = sorted(zip(active.tolist() + [j + k + 1 for j in worst.tolist()],
+                       signs.tolist() + [math.copysign(1.0, x) for x in u[worst].tolist()]))
+    return np.array([j for j, _ in grown]), np.array([s for _, s in grown])
 
 
 def _screen(face, active, signs, k, tol_kkt):
@@ -410,43 +431,45 @@ def _screen(face, active, signs, k, tol_kkt):
     None where the polish must solve the face exactly: where the face may be
     its last (sign-consistent with no dual clearly beyond the box off the
     support), or where a decision lies within the screen's error of its
-    threshold.  The signs of b are decided first; the face's dual is formed
-    only when they are all kept."""
+    threshold.  The signs of b are decided first, in Python on |A| entries;
+    the face's dual is formed only when they are all kept, and then read in
+    a fixed number of passes: over u for the off-support rows past the box,
+    and over those rows for their runs and peaks."""
     if face is None:
         return None
     b, b_err, dual = face
-    if (np.abs(b) <= _SCREEN_MARGIN * b_err).any():
+    if any(abs(x) <= _SCREEN_MARGIN * e for x, e in zip(b, b_err)):
         return None
-    keep = b * signs > 0
-    if not keep.all():
+    keep = [i for i, (x, t) in enumerate(zip(b, signs.tolist())) if x * t > 0]
+    if len(keep) < len(b):
         return active[keep], signs[keep]
-    _, u, u_err = dual()
+    u, u_err = dual()
     err = _SCREEN_MARGIN * u_err
-    mag = np.abs(u)
     # The off-support rows that may be violators on the exact face, in one
     # pass over u.  Stop where none is clearly past 1 + tol_kkt (the exact
     # face may certify) or one is within the error of 1 + 1e-12 (it may or
     # may not be a violator); otherwise they are exactly the exact face's
     # violators.
-    rows = np.flatnonzero(mag > 1.0 + 1e-12 - err)
-    on = active - k - 1
-    rows = rows[np.searchsorted(on, rows, side="right") == np.searchsorted(on, rows)]
-    near = mag[rows]
-    if not (near > 1.0 + tol_kkt + err).any() or (near <= 1.0 + 1e-12 + err).any():
+    mag = abs(u)
+    for j in active.tolist():
+        mag[j - k - 1] = -np.inf
+    rows = (mag > 1.0 + 1e-12 - err).nonzero()[0]
+    if not len(rows):
         return None
     # Each run of consecutive rows, its largest |u| and the rows within the
     # error of it: a runner-up there could be the worst.
-    opens = np.ones(len(rows), dtype=bool)
-    np.greater(rows[1:] - rows[:-1], 1, out=opens[1:])
-    starts = np.flatnonzero(opens)
-    peak = np.maximum.reduceat(near, starts)
-    top = near >= peak[np.cumsum(opens) - 1] - err
-    if np.count_nonzero(top) > len(starts):
+    near = mag[rows]
+    cuts = [0, *((rows[1:] - rows[:-1] > 1).nonzero()[0] + 1).tolist(), len(rows)]
+    peak = np.maximum.reduceat(near, cuts[:-1])
+    if peak.max() <= 1.0 + tol_kkt + err or near.min() <= 1.0 + 1e-12 + err:
+        return None
+    top = near >= (peak - err).repeat([end - start for start, end in zip(cuts, cuts[1:])])
+    if np.count_nonzero(top) > len(peak):
         return None
     return _add_rows(active, signs, rows[top], u, k)
 
 
-def _polish(y, k, lam, active, signs, tol_kkt):
+def _polish(y, k, lam, active, signs, tol_kkt, witness=None):
     """Active-set refinement: drop sign-inconsistent rows, else add the worst
     row of each run of consecutive rows whose dual exceeds the box.
 
@@ -469,13 +492,14 @@ def _polish(y, k, lam, active, signs, tol_kkt):
     QR face, every face the polish returns is ``_restricted_solve`` and
     ``_certificate`` of its (active, signs), and wherever the error
     estimates hold, the polish visits the states it would visit solving
-    every face exactly."""
+    every face exactly.  At n = 4096 a screened face takes about 0.1 ms, a
+    QR face and its certificate 0.36 ms (``scripts/bench_layers.py``)."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
         return None
     seen = set()
-    columns = _FaceColumns(y, k, lam)
+    columns = _FaceColumns(y, k, lam, witness)
     for _ in range(POLISH_ROUNDS):
         state = (active.tobytes(), signs.tobytes())
         if state in seen:
@@ -766,7 +790,8 @@ def fit(y, cfg):
     if cfg.algorithm == "dp_k1":
         f_hat = tv1d_exact(y, n * lam)
         return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=n)
-    if lam >= lambda_max(y, k):
+    witness = _polynomial_witness(y, k)
+    if lam >= float(np.max(np.abs(witness))) / n:
         # The minimizer is the polynomial fit, so a candidate that fails its
         # certificate fails on float64 rounding alone and is returned as it is.
         f_hat = _restricted_solve(y, k, lam, [], [])[0]
@@ -783,7 +808,7 @@ def fit(y, cfg):
         if state in tried:
             continue
         tried.add(state)
-        hit = _polish(y, k, lam, supp + k + 1, signs, tol)
+        hit = _polish(y, k, lam, supp + k + 1, signs, tol, witness)
         if hit is not None:
             return _result(y, cfg, *hit, iters=it)
     # Every polish gave up: ADMM's final iterate, with its own certificate.

@@ -351,21 +351,22 @@ def screen_violators_reference(u, u_err, active, signs, k, tol_kkt):
     return est._add_worst_rows(active, signs, runs, u, k)
 
 
-def screened_step_image(columns, active, signs):
-    """X step for the face ``columns.solve(active, signs)`` just solved: its
-    normal equations and refinement step, with the LAPACK calls of
+def screened_solution(columns, active, signs):
+    """(X theta, X step) for the face ``columns.solve(active, signs)`` just
+    solved: its fit after the refinement step and the step's image, from
+    its normal equations and refinement step, with the LAPACK calls of
     ``_FaceColumns.solve`` on the same cached entries, so the same bits."""
-    y, k, lam = columns.y, columns.k, columns.lam
-    n, m = len(y), k + len(columns.rows)
+    y, k, nlam = columns.y, columns.k, columns.nlam
+    m = k + len(columns.rows)
     pos = [columns.slot[int(j)] for j in active]
     X = columns.X[:, :m]
     target = np.zeros(m)
-    target[pos] = n * lam * np.asarray(signs) / columns.scales[pos]
+    target[pos] = nlam * np.asarray(signs) / columns.scales[pos]
     chol, info = est._POTRF(columns.gram[:m, :m], lower=0)
     assert info == 0
     theta = est._POTRS(chol, columns.Xy[:m] - target)[0]
     step = est._POTRS(chol, X.T @ (y - X @ theta) - target)[0]
-    return X @ step
+    return X @ (theta + step), X @ step
 
 
 def ff_columns_reference(n, k, rows):

@@ -3,12 +3,14 @@ that entry point's own exception type: a bool where a number is due, a
 non-finite real, a non-integer where an integer is due, and a non-finite
 signal."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tvtrend import constants
+from tvtrend import cli, constants
 from tvtrend import diffops as dop
 from tvtrend import estimator as est
 from tvtrend import experiments as exp
@@ -18,8 +20,15 @@ from tvtrend import theory
 
 U = math.log(20.0)
 BAD = {"integer": (True, np.True_, math.nan, math.inf, 2.5),
-       "real": (True, np.True_, math.nan, math.inf),
+       "real": (True, np.True_, math.nan, math.inf, 10 ** 400, -10 ** 400),
        "signal": (math.nan, math.inf)}
+
+
+def _label(value):
+    """A value's repr, or its order of magnitude for an integer no float holds."""
+    if type(value) is int and abs(value) > 2 ** 1024:
+        return ("-" if value < 0 else "") + f"10**{len(str(abs(value))) - 1}"
+    return repr(value)
 
 
 def _experiment(**fields):
@@ -65,7 +74,7 @@ ENTRIES = {
 
 
 @pytest.mark.parametrize("entry, value", [
-    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    pytest.param(entry, value, id=f"{entry}-{_label(value)}")
     for entry, (rule, _, _) in ENTRIES.items() for value in BAD[rule]])
 def test_entry_point_refuses_with_its_own_exception(entry, value):
     _, error, call = ENTRIES[entry]
@@ -86,3 +95,16 @@ def test_good_inputs_pass_every_rule():
     assert cfg.lam == 0.5 and type(cfg.lam) is np.float64
     assert theory.lambda0(np.float64(U), 10, 5) == theory.lambda0(U, 10, 5)
     _experiment(jump_delta=-4, u=3, lambda_rule="fixed", lambda_value=2)
+
+
+def test_config_integer_beyond_float_range_is_an_input_error(tmp_path, capsys):
+    # "u": 1 followed by 400 zeros is a JSON integer that no float holds:
+    # refused as a bad config (exit 2), with no traceback.
+    cfg = exp.ExperimentConfig.from_json(Path(__file__).resolve().parents[1] / "configs"
+                                         / "k1_coverage.json")
+    path = tmp_path / "huge_u.json"
+    text = json.dumps({**cfg.to_dict(), "u": 0}).replace('"u": 0', '"u": 1' + "0" * 400)
+    path.write_text(text)
+    assert json.loads(text)["u"] == 10 ** 400
+    assert cli.main(["simulate", "--config", str(path), "--dry-run"]) == 2
+    assert "beyond the float range" in capsys.readouterr().err

@@ -194,8 +194,10 @@ def test_admm_loop_allocates_only_what_it_yields():
 def test_screened_face_forms_its_dual_at_most_once(monkeypatch):
     """A screened face decides its signs before it forms its dual: a face
     that drops a row calls ``dual_witness`` not at all, any other face at
-    most once (its error bound takes no second pass over n)."""
-    calls, faces = [0], []
+    most once (its error bound takes no second pass over n), and the empty
+    face, where each of these polishes starts, not at all: its dual is the
+    witness that ``fit`` computed for lambda_max."""
+    calls, faces, empty = [0], [], []
     witness, solve, screen = est.dual_witness, est._FaceColumns.solve, est._screen
 
     def counting(h, k):
@@ -209,6 +211,7 @@ def test_screened_face_forms_its_dual_at_most_once(monkeypatch):
     def screening(face, active, signs, k, tol_kkt):
         out = screen(face, active, signs, k, tol_kkt)
         faces.append((calls[0], out is not None and len(out[0]) < len(active)))
+        empty.append(len(active) == 0)
         return out
 
     monkeypatch.setattr(est, "dual_witness", counting)
@@ -226,6 +229,31 @@ def test_screened_face_forms_its_dual_at_most_once(monkeypatch):
     drops = [c for c, dropped in faces if dropped]
     assert drops and not any(drops)
     assert max(c for c, _ in faces) == 1
+    assert sum(empty) == 4 and not any(c for (c, _), e in zip(faces, empty) if e)
+
+
+def test_screened_dual_reads_no_cached_column(monkeypatch):
+    """A screened face's dual is formed from the residual its solve already
+    took, by k suffix sums alone: it reads none of the cached n x |A|
+    columns and forms no fit.  The empty face's dual takes no suffix sums."""
+    from conftest import recipe_input
+
+    y, cfg = recipe_input(2, n=1024, frac=0.3)
+    n, k, lam = len(y), cfg.k, cfg.lam
+    witness = est._polynomial_witness(y, k)
+    columns = est._FaceColumns(y, k, lam, witness)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("suffix sums taken for the empty face")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(est, "dual_witness", refuse)
+        u, _ = columns.solve(np.array([], dtype=int), np.array([]))[2]()
+    assert np.array_equal(u, witness / (n * lam))
+    dual = columns.solve(np.array([300, 301, 700]), np.array([1.0, 1.0, -1.0]))[2]
+    u, u_err = dual()
+    columns.X[:] = math.nan
+    assert all(np.array_equal(a, b) for a, b in zip(dual(), (u, u_err)))
 
 
 def test_closed_form_fit_builds_no_admm(monkeypatch):
