@@ -286,23 +286,23 @@ class _FaceColumns:
     cached columns and y, and its cancellation test are computed once, when
     the row joins; when it leaves, the last column takes its place.  The
     buffers grow by doubling, so memory stays O(n |A|).  A face costs two
-    products with X (the residual of the normal-equations solution and its
-    correlation with X, for one refinement step), O(|A|^2) small work and no
-    QR; its dual, when formed, k suffix sums more.  The per-(n, k) constants
-    come from ``_cached_face_constants``; ``witness``, when given, is
-    ``_polynomial_witness(y, k)``, the empty face's dual times n lambda."""
+    products with X (a residual and its correlation with X, for one
+    refinement step), O(|A|^2) small work and no QR; its dual, k suffix sums
+    more.  The per-(n, k) constants come from ``_cached_face_constants``;
+    ``witness`` is ``_polynomial_witness(y, k)``, or None."""
 
     def __init__(self, y, k, lam, witness=None):
         const = self.const = _cached_face_constants(len(y), k)
         self.y, self.k, self.nlam, self.witness = y, k, len(y) * lam, witness
-        self.round_err = math.sqrt(len(y)) * _EPS * float(np.linalg.norm(y))
+        self.h = y / self.nlam
+        self.round_err = math.sqrt(len(y)) * _EPS * float(np.linalg.norm(self.h))
         self.rows = []                  # the row of column k + i is rows[i]
         self.slot = {}                  # row -> its column
         self.cancelled = set()          # the cached rows whose column is too cancelled
         self.X, self.gram, self.Xy, self.scales = self._buffers(2 * k + 16)
         self.X[:, :k] = const.P
         self.gram[:k, :k] = const.gram_P
-        self.Xy[:k] = const.P.T @ y
+        self.Xy[:k] = const.P.T @ self.h
 
     def _buffers(self, cap):
         return (np.empty((len(self.y), cap), order="F"), np.empty((cap, cap)),
@@ -346,7 +346,7 @@ class _FaceColumns:
                 np.matmul(P, const.P_phi[r - k - 1], out=column)
                 np.subtract(const.ramp[n - r + 1:2 * n - r + 1], column, out=column)
                 scale = self.scales[c] = math.sqrt(column @ column)
-                column /= scale
+                column *= 1.0 / scale
                 if const.phi_norms[n - r] > _MAX_CANCELLATION * scale:
                     self.cancelled.add(r)
                 slot[r] = c
@@ -354,7 +354,7 @@ class _FaceColumns:
             cross = X[:, :end].T @ block
             gram[:end, m:end] = cross
             gram[m:end, :end] = cross.T
-            self.Xy[m:end] = block.T @ y
+            self.Xy[m:end] = block.T @ self.h
             cached += new
         return [slot[r] for r in rows]
 
@@ -363,7 +363,8 @@ class _FaceColumns:
         active rows after the refinement step and of an error estimate for
         each, and ``dual()``, which returns (u, u_err): the dual of the
         residual the step was taken on, and a bound on its error, which the
-        step's image in u dominates.  The dual costs k suffix sums over n
+        step's image in u dominates.  The face is solved for y / (n lambda),
+        so that residual is the dual's input as it stands.  The dual costs k suffix sums over n
         (none for the empty face given the witness) and no product with X,
         so it is formed only when called, before the next ``solve``: a face
         decided on b never forms it, and no face forms its fit.  None when
@@ -376,13 +377,13 @@ class _FaceColumns:
         X, scales = self.X[:, :m], self.scales.tolist()
         target = [0.0] * m
         for c, sign in zip(pos, signs.tolist()):
-            target[c] = nlam * sign / scales[c]
+            target[c] = sign / scales[c]
         target = np.array(target)
         chol, info = _POTRF(self.gram[:m, :m], lower=0)
         if info:
             return None
         theta = _POTRS(chol, self.Xy[:m] - target)[0]
-        r = y - X @ theta
+        r = self.h - X @ theta
         step = _POTRS(chol, X.T @ r - target)[0]
         # Rounding leaves a defect of about sqrt(n) eps |y| in X'(y - X theta);
         # it moves theta by up to that over the smallest eigenvalue of the
@@ -391,19 +392,18 @@ class _FaceColumns:
         theta, steps = theta.tolist(), step.tolist()
 
         def dual():
-            # A bound on the step's image in u (``_cached_face_constants``),
-            # plus n ulps for the rounding of the suffix sums.
-            # ||psi_A step_A||^2 is read off the cached Gram entries, each
-            # rounded by up to n ulps.
+            # A bound on the step's image in u (``_cached_face_constants``), with
+            # ||psi_A step_A||^2 read off the cached Gram entries (each rounded
+            # by up to n ulps), plus n ulps for the rounding of the suffix sums.
             n, s = len(y), step[k:]
             sq = s @ self.gram[k:m, k:m] @ s + n * _EPS * sum(map(abs, steps[k:])) ** 2
             image = sum(g * abs(t) for g, t in zip(self.const.gain_P, steps)) + (
                 self.const.gain_psi * math.sqrt(max(sq, 0.0)))
-            u = dual_witness(r / nlam, k) if pos or self.witness is None else self.witness / nlam
-            return u, image / nlam + n * _EPS
+            u = dual_witness(r, k) if pos or self.witness is None else self.witness / nlam
+            return u, image + n * _EPS
 
-        return ([(theta[c] + steps[c]) / scales[c] for c in pos],
-                [(abs(steps[c]) + floor) / scales[c] for c in pos], dual)
+        return ([nlam * (theta[c] + steps[c]) / scales[c] for c in pos],
+                [nlam * (abs(steps[c]) + floor) / scales[c] for c in pos], dual)
 
 
 def _runs(over):

@@ -354,19 +354,19 @@ def screen_violators_reference(u, u_err, active, signs, k, tol_kkt):
 def screened_solution(columns, active, signs):
     """(X theta, X step) for the face ``columns.solve(active, signs)`` just
     solved: its fit after the refinement step and the step's image, from
-    its normal equations and refinement step, with the LAPACK calls of
-    ``_FaceColumns.solve`` on the same cached entries, so the same bits."""
-    y, k, nlam = columns.y, columns.k, columns.nlam
+    its normal equations and refinement step for y / (n lambda), with the
+    LAPACK calls of ``_FaceColumns.solve`` on the same cached entries."""
+    k, nlam = columns.k, columns.nlam
     m = k + len(columns.rows)
     pos = [columns.slot[int(j)] for j in active]
     X = columns.X[:, :m]
     target = np.zeros(m)
-    target[pos] = nlam * np.asarray(signs) / columns.scales[pos]
+    target[pos] = np.asarray(signs) / columns.scales[pos]
     chol, info = est._POTRF(columns.gram[:m, :m], lower=0)
     assert info == 0
     theta = est._POTRS(chol, columns.Xy[:m] - target)[0]
-    step = est._POTRS(chol, X.T @ (y - X @ theta) - target)[0]
-    return X @ (theta + step), X @ step
+    step = est._POTRS(chol, X.T @ (columns.h - X @ theta) - target)[0]
+    return nlam * (X @ (theta + step)), nlam * (X @ step)
 
 
 def ff_columns_reference(n, k, rows):
