@@ -48,8 +48,8 @@ LAYERS = ("fit", "polish", "screened_face", "restricted_solve", "certificate")
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", help="checkout of the parent commit, or a git revision of --change's "
-                   "repository")
+    p.add_argument("--parent",
+                   help="checkout of the parent commit, or a git revision of --change's repository")
     p.add_argument("--change", help="checkout of the change")
     p.add_argument("--processes", type=int, default=5, help="processes per side")
     p.add_argument("--repeats", type=int, default=7, help="warm repeats of each call")
@@ -194,8 +194,9 @@ def layer_line(layer, row):
             f"{w['change']['median'] * 1e6:.1f} us (q1 {w['change']['q1'] * 1e6:.1f}, "
             f"q3 {w['change']['q3'] * 1e6:.1f}): {row['change_vs_parent']:+.1%}, won "
             f"{row['processes_won_by_change']}/{len(w['parent']['values'])}; cold first call "
-            f"parent {c['parent']['median'] * 1e3:.2f} ms, change {c['change']['median'] * 1e3:.2f} ms"
-            f"; calls {row['calls']['parent']}/{row['calls']['change']}")
+            f"parent {c['parent']['median'] * 1e3:.2f} ms, "
+            f"change {c['change']['median'] * 1e3:.2f} ms; "
+            f"calls {row['calls']['parent']}/{row['calls']['change']}")
 
 
 def main(argv=None):

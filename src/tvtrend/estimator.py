@@ -289,11 +289,12 @@ class _FaceColumns:
     products with X (a residual and its correlation with X, for one
     refinement step), O(|A|^2) small work and no QR; its dual, k suffix sums
     more.  The per-(n, k) constants come from ``_cached_face_constants``;
-    ``witness`` is ``_polynomial_witness(y, k)``, or None."""
+    ``witness`` is ``_polynomial_witness(y, k)``, taken here when not given."""
 
     def __init__(self, y, k, lam, witness=None):
         const = self.const = _cached_face_constants(len(y), k)
-        self.y, self.k, self.nlam, self.witness = y, k, len(y) * lam, witness
+        self.y, self.k, self.nlam = y, k, len(y) * lam
+        self.witness = _polynomial_witness(y, k) if witness is None else witness
         self.h = y / self.nlam
         self.round_err = math.sqrt(len(y)) * _EPS * float(np.linalg.norm(self.h))
         self.rows = []                  # the row of column k + i is rows[i]
@@ -308,29 +309,26 @@ class _FaceColumns:
         return (np.empty((len(self.y), cap), order="F"), np.empty((cap, cap)),
                 np.empty(cap), np.empty(cap))
 
-    def _move_to(self, rows):
-        """Cache the columns of the list ``rows``, no others; their positions."""
-        k, y, slot, cached = self.k, self.y, self.slot, self.rows
+    def _move_to(self, active):
+        """Cache the columns of ``active``, no others; their positions."""
+        k, y = self.k, self.y
+        rows = active.tolist()
+        wanted = set(rows)
         X, gram = self.X, self.gram
-        pos = [slot.get(r) for r in rows]
-        if len(slot) == len(rows) and None not in pos:
-            return pos
-        if len(slot) > len(rows) - pos.count(None):
-            wanted = set(rows)
-            for r in [r for r in cached if r not in wanted]:
-                c, last = slot.pop(r), k + len(cached) - 1
-                self.cancelled.discard(r)
-                moved = cached.pop()
-                if c != last:
-                    X[:, c] = X[:, last]
-                    gram[c, :last + 1] = gram[last, :last + 1]
-                    gram[:last + 1, c] = gram[:last + 1, last]
-                    self.Xy[c], self.scales[c] = self.Xy[last], self.scales[last]
-                    cached[c - k] = moved
-                    slot[moved] = c
-        new = [r for r in rows if r not in slot]
+        for r in [r for r in self.rows if r not in wanted]:
+            c, last = self.slot.pop(r), k + len(self.rows) - 1
+            self.cancelled.discard(r)
+            moved = self.rows.pop()
+            if c != last:
+                X[:, c] = X[:, last]
+                gram[c, :last + 1] = gram[last, :last + 1]
+                gram[:last + 1, c] = gram[:last + 1, last]
+                self.Xy[c], self.scales[c] = self.Xy[last], self.scales[last]
+                self.rows[c - k] = moved
+                self.slot[moved] = c
+        new = [r for r in rows if r not in self.slot]
         if new:
-            m = k + len(cached)
+            m = k + len(self.rows)
             end = m + len(new)
             if end > len(self.Xy):
                 grown = self._buffers(max(2 * len(self.Xy), end))
@@ -349,14 +347,14 @@ class _FaceColumns:
                 column *= 1.0 / scale
                 if const.phi_norms[n - r] > _MAX_CANCELLATION * scale:
                     self.cancelled.add(r)
-                slot[r] = c
+                self.slot[r] = c
             block = X[:, m:end]
             cross = X[:, :end].T @ block
             gram[:end, m:end] = cross
             gram[m:end, :end] = cross.T
             self.Xy[m:end] = block.T @ self.h
-            cached += new
-        return [slot[r] for r in rows]
+            self.rows += new
+        return [self.slot[r] for r in rows]
 
     def solve(self, active, signs):
         """Screened face: (b, b_err, dual), lists of the differences at the
@@ -364,12 +362,12 @@ class _FaceColumns:
         each, and ``dual()``, which returns (u, u_err): the dual of the
         residual the step was taken on, and a bound on its error, which the
         step's image in u dominates.  The face is solved for y / (n lambda),
-        so that residual is the dual's input as it stands.  The dual costs k suffix sums over n
-        (none for the empty face given the witness) and no product with X,
-        so it is formed only when called, before the next ``solve``: a face
-        decided on b never forms it, and no face forms its fit.  None when
-        a column is too cancelled or the Gram matrix does not factor."""
-        pos = self._move_to(active.tolist())
+        so that residual is the dual's input as it stands: the dual costs k
+        suffix sums over n (none for the empty face: the witness) and no
+        product with X, formed only when called, before the next
+        ``solve``.  No face forms its fit.  None when a column is too
+        cancelled or the Gram matrix does not factor."""
+        pos = self._move_to(active)
         if self.cancelled:
             return None
         y, k, nlam = self.y, self.k, self.nlam
@@ -385,7 +383,7 @@ class _FaceColumns:
         theta = _POTRS(chol, self.Xy[:m] - target)[0]
         r = self.h - X @ theta
         step = _POTRS(chol, X.T @ r - target)[0]
-        # Rounding leaves a defect of about sqrt(n) eps |y| in X'(y - X theta);
+        # Rounding leaves a defect of about sqrt(n) eps |h| in X'(h - X theta);
         # it moves theta by up to that over the smallest eigenvalue of the
         # Gram matrix, about the square of the smallest Cholesky pivot.
         floor = self.round_err / min(chol.diagonal().tolist()) ** 2
@@ -399,7 +397,7 @@ class _FaceColumns:
             sq = s @ self.gram[k:m, k:m] @ s + n * _EPS * sum(map(abs, steps[k:])) ** 2
             image = sum(g * abs(t) for g, t in zip(self.const.gain_P, steps)) + (
                 self.const.gain_psi * math.sqrt(max(sq, 0.0)))
-            u = dual_witness(r, k) if pos or self.witness is None else self.witness / nlam
+            u = dual_witness(r, k) if pos else self.witness / nlam
             return u, image + n * _EPS
 
         return ([nlam * (theta[c] + steps[c]) / scales[c] for c in pos],
@@ -492,8 +490,8 @@ def _polish(y, k, lam, active, signs, tol_kkt, witness=None):
     QR face, every face the polish returns is ``_restricted_solve`` and
     ``_certificate`` of its (active, signs), and wherever the error
     estimates hold, the polish visits the states it would visit solving
-    every face exactly.  At n = 4096 a screened face takes about 0.1 ms, a
-    QR face and its certificate 0.36 ms (``scripts/bench_layers.py``)."""
+    every face exactly.  At n = 4096 a screened face takes about 0.09 ms, a
+    QR face and its certificate 0.34 ms (``scripts/bench_layers.py``)."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
     if len(active) > _POLISH_MAX_ACTIVE:
