@@ -139,7 +139,7 @@ def measure(root, repeats):
         out = []
         for args, screened in zip(calls["polish"], faces):
             y, k, lam, _, _, tol = args[:6]
-            columns = est._FaceColumns(y, k, lam, *args[6:])
+            columns = est._FaceColumns(y, k, lam, args[6])
             for active, signs in screened:
                 t0 = time.perf_counter()
                 est._screen(columns.solve(active, signs), active, signs, k, tol)

@@ -3,14 +3,15 @@
 
 Fits the shipped sweep config at each n, prints the per-n median errors and
 the fitted log-log slope (expected near -1 with logarithmic corrections).
-A grid with fewer than two distinct n is an error (exit code 2).
+A grid with fewer than two distinct n, or an --out that cannot be written, is
+an error (exit code 2).
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
+from tvtrend._output import OutputError, json_text, write_text
 from tvtrend.experiments import ConfigError, ExperimentConfig, rate_sweep
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -34,9 +35,11 @@ def main():
         print(f"n={n}: median error {medians[n]:.6f}")
     print(f"log-log slope: {slope:.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"medians": medians, "slope": slope}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            write_text(json_text({"medians": medians, "slope": slope}), args.out)
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -22,6 +22,8 @@ import numpy as np
 
 from . import experiments, theory, verify
 from ._checks import real
+from ._output import OutputError, csv_text, json_text, write_text
+from .constants import UV_DEFAULT
 from .diffops import ActiveSet, InvalidOrderError, build_delta
 from .estimator import ALGORITHMS, FitConfig, fit
 from .interpolants import InfeasibleInterpolantError, build_noiseless, build_noisy
@@ -59,37 +61,14 @@ def _read_signal_csv(path):
     return np.array(values)
 
 
-def _write_text(text, path=None):
-    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _dump_json(obj, path=None):
-    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
-
-
-def _dump_report(obj, path=None, fmt="json"):
-    if fmt == "json":
-        _dump_json(obj, path)
-        return
-    lines = ["key,value"]
-    for key in sorted(obj):
-        value = obj[key]
-        if isinstance(value, float):
-            lines.append(f"{key},{value:.17g}")
-        else:
-            lines.append(f"{key},{value}")
-    _write_text("\n".join(lines) + "\n", path)
-
-
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
-def _parse_active_set(args, n, k):
+def _parse_active_set(args, *checked):
+    """The active set of --n, --k, --jumps and --signs, after --lambda, --c-k,
+    --u and the ``checked`` (flag, value) pairs pass as finite and positive."""
+    for flag, value in (("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u), *checked):
+        real(flag, value, InputError, "positive", optional=True)
     t = tuple(int(v) for v in args.jumps.split(",")) if args.jumps else ()
     if args.signs:
         tokens = [s.strip() for s in args.signs.split(",")]
@@ -101,7 +80,14 @@ def _parse_active_set(args, n, k):
         signs = tuple((-1) ** i for i in range(len(t)))
     if len(signs) != len(t):
         raise InputError("--signs must match --jumps in length")
-    return ActiveSet(n=n, k=k, t=t, q_S=signs)
+    return ActiveSet(n=args.n, k=args.k, t=t, q_S=signs)
+
+
+def _strengthened_lambda(args, S):
+    """The strengthened threshold of S under --u and --c-k, and --lambda or,
+    when it is not given, that threshold."""
+    thr = theory.lambda_threshold(S.n, S.k, S.n_max, args.u, s=S.s, c_k=args.c_k)
+    return thr, (args.lam if args.lam is not None else thr)
 
 
 def cmd_solve(args):
@@ -131,28 +117,22 @@ def cmd_solve(args):
                                scale=args.lambda_scale, value=args.lam)
     res = fit(y, dataclasses.replace(request, lam=lam))
     if args.out:
-        _write_text("".join(f"{v:.17g}\n" for v in res.f_hat), args.out)
+        write_text(csv_text((v,) for v in res.f_hat.tolist()), args.out)
     report = {
         "n": n, "k": args.k, "lambda": lam, "algorithm": args.algorithm,
         "objective": res.objective, "kkt_residual": res.kkt_residual,
         "iters": res.iters, "converged": res.converged,
     }
-    _dump_json(report, args.report)
+    write_text(json_text(report), args.report)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 
 def cmd_bounds(args):
-    for flag, value in (("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u),
-                        ("--v", args.v)):
-        real(flag, value, InputError, "positive", optional=True)
-    n, k = args.n, args.k
-    S = _parse_active_set(args, n, k)
-    s = S.s
-    n_max = S.n_max
+    S = _parse_active_set(args, ("--v", args.v))
+    n, k, s, n_max = S.n, S.k, S.s, S.n_max
     lam0 = theory.lambda0(args.u, n, n - k - s)
     thr_plain = theory.lambda_threshold(n, k, n_max, args.u, s=s, strengthened=False)
-    thr = theory.lambda_threshold(n, k, n_max, args.u, s=s, c_k=args.c_k)
-    lam = args.lam if args.lam is not None else thr
+    thr, lam = _strengthened_lambda(args, S)
     gamma_sq = gamma_closed_form(S)
     for warning in theory.bound_preconditions(S, lam, thr):
         print(f"warning: {warning}", file=sys.stderr)
@@ -166,40 +146,31 @@ def cmd_bounds(args):
         "gamma_sq_closed_form": gamma_sq,
         "estimation_term": theory.estimation_term(n, k, s, args.v, lam * math.sqrt(gamma_sq)),
     }
-    _dump_report(out, args.out, args.format)
+    text = json_text(out) if args.format == "json" else csv_text(sorted(out.items()), "key,value")
+    write_text(text, args.out)
     return EXIT_OK
 
 
 def cmd_interpolant(args):
-    for flag, value in (("--lambda", args.lam), ("--c-k", args.c_k), ("--u", args.u)):
-        real(flag, value, InputError, "positive", optional=True)
-    S = _parse_active_set(args, args.n, args.k)
-    weights = None
+    S = _parse_active_set(args)
     if args.mode == "noisy":
-        lam = args.lam if args.lam is not None else theory.lambda_threshold(
-            args.n, args.k, S.n_max, args.u, s=S.s, c_k=args.c_k)
-        weights = compute_weights(S, args.u, lam)
-        vec = build_noisy(S, weights=weights)
+        vec = build_noisy(S, weights=compute_weights(S, args.u, _strengthened_lambda(args, S)[1]))
     else:
         vec = build_noiseless(S)
     off = np.isfinite(vec.caps)     # the active rows print cap 1 and slack 0
     records = list(zip(vec.row_indices.tolist(), vec.q.tolist(),
                        np.where(off, vec.caps, 1.0).tolist(),
                        np.where(off, vec.slack, 0.0).tolist()))
-    if args.format == "json":
-        _dump_json([{"index": j, "q": q, "weight_cap": c, "slack": s}
-                    for j, q, c, s in records], args.out)
-        return EXIT_OK
-    lines = ["index,q,weight_cap,slack"]
-    for j, q, c, s in records:
-        lines.append(f"{j},{q:.17g},{c:.17g},{s:.17g}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    columns = ("index", "q", "weight_cap", "slack")
+    text = (json_text([dict(zip(columns, r)) for r in records]) if args.format == "json"
+            else csv_text(records, ",".join(columns)))
+    write_text(text, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args):
     report = verify.run_suite(args.suite)
-    _dump_json(report, args.out)
+    write_text(json_text(report), args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
 
@@ -208,20 +179,32 @@ def cmd_simulate(args):
         cfg = experiments.ExperimentConfig.from_json(args.config)
     except (OSError, json.JSONDecodeError, experiments.ConfigError) as exc:
         raise InputError(f"bad config: {exc}")
-    try:
-        experiments.n_threads()
-    except experiments.ConfigError as exc:
-        raise InputError(str(exc))
+    experiments.n_threads()     # refuses a bad TVTREND_THREADS before any trial runs
     if args.dry_run:
-        _dump_json({"config": cfg.to_dict(), "valid": True})
+        write_text(json_text({"config": cfg.to_dict(), "valid": True}))
         return EXIT_OK
-    records, summary = experiments.run_monte_carlo(cfg, csv_path=args.out_csv,
-                                                   json_path=args.out_json)
-    if args.out_json is None:
-        _dump_json(summary)
+    _, summary = experiments.run_monte_carlo(cfg, csv_path=args.out_csv)
+    write_text(json_text(summary), args.out_json)
     if summary["n_nonconverged"]:
         return EXIT_NUMERIC
     return EXIT_OK
+
+
+def _active_set_options(fmt):
+    """The options that ``bounds`` and ``interpolant`` share, with --format
+    defaulting to ``fmt``.  A parent parser per subcommand: argparse shares
+    a parent's option objects, so set_defaults on one would reach both."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--jumps", default="", help="comma-separated active rows")
+    p.add_argument("--signs", default="", help="comma-separated signs (+/-)")
+    p.add_argument("--u", type=float, default=UV_DEFAULT)
+    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--c-k", type=float, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default=fmt)
+    p.add_argument("--out", default=None)
+    return p
 
 
 def build_parser():
@@ -233,14 +216,16 @@ def build_parser():
     sp.add_argument("--input", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--lambda-rule", choices=("threshold", "equal_segment"), default=None)
-    sp.add_argument("--lambda-scale", type=float, default=1.0)
+    sp.add_argument("--lambda-rule", default=None,
+                    choices=tuple(r for r in theory.LAMBDA_RULES if r != "fixed"))
+    sp.add_argument("--lambda-scale", type=float,
+                    default=experiments.ExperimentConfig.lambda_scale)
     sp.add_argument("--s0", type=int, default=0)
     sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--u", type=float, default=math.log(20.0))
-    sp.add_argument("--algorithm", choices=ALGORITHMS, default="admm")
-    sp.add_argument("--tol-kkt", type=float, default=1e-8)
-    sp.add_argument("--max-iter", type=int, default=50_000)
+    sp.add_argument("--u", type=float, default=UV_DEFAULT)
+    sp.add_argument("--algorithm", choices=ALGORITHMS, default=FitConfig.algorithm)
+    sp.add_argument("--tol-kkt", type=float, default=FitConfig.tol_kkt)
+    sp.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     sp.add_argument("--out", default=None, help="fitted signal CSV")
     sp.add_argument("--report", default=None,
                     help="fit report JSON (default: stdout).  Below lambda_max, admm polishes"
@@ -249,30 +234,14 @@ def build_parser():
                          " every polish gives up; iters is as in tvtrend.estimator.FitResult")
     sp.set_defaults(func=cmd_solve)
 
-    bp = sub.add_parser("bounds", help="tuning rules and closed-form bound values")
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--k", type=int, required=True)
-    bp.add_argument("--jumps", default="", help="comma-separated active rows")
-    bp.add_argument("--signs", default="", help="comma-separated signs (+/-)")
-    bp.add_argument("--u", type=float, default=math.log(20.0))
-    bp.add_argument("--v", type=float, default=math.log(20.0))
-    bp.add_argument("--lambda", dest="lam", type=float, default=None)
-    bp.add_argument("--c-k", type=float, default=None)
-    bp.add_argument("--format", choices=("json", "csv"), default="json")
-    bp.add_argument("--out", default=None)
+    bp = sub.add_parser("bounds", parents=[_active_set_options("json")],
+                        help="tuning rules and closed-form bound values")
+    bp.add_argument("--v", type=float, default=UV_DEFAULT)
     bp.set_defaults(func=cmd_bounds)
 
-    ip = sub.add_parser("interpolant", help="emit an interpolating vector as CSV")
-    ip.add_argument("--n", type=int, required=True)
-    ip.add_argument("--k", type=int, required=True)
-    ip.add_argument("--jumps", default="", help="comma-separated active rows")
-    ip.add_argument("--signs", default="")
+    ip = sub.add_parser("interpolant", parents=[_active_set_options("csv")],
+                        help="emit an interpolating vector as CSV")
     ip.add_argument("--mode", choices=("noisy", "noiseless"), default="noisy")
-    ip.add_argument("--u", type=float, default=math.log(20.0))
-    ip.add_argument("--lambda", dest="lam", type=float, default=None)
-    ip.add_argument("--c-k", type=float, default=None)
-    ip.add_argument("--format", choices=("csv", "json"), default="csv")
-    ip.add_argument("--out", default=None)
     ip.set_defaults(func=cmd_interpolant)
 
     vp = sub.add_parser("verify", help="run a verification suite")
@@ -305,13 +274,11 @@ def main(argv=None):
     args = parser.parse_args(_attach_sign_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InfeasibleInterpolantError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, RuntimeError) as exc:
+    except (InputError, OutputError, ValueError, RuntimeError) as exc:
+        # LinAlgError is a ValueError, caught above as a numerical failure.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,6 +20,10 @@ import math
 
 from ._checks import integer
 
+# The default of both confidence parameters u and v of the bounds: events U
+# and V each fail with probability at most e^{-u} = e^{-v} = 5%.
+UV_DEFAULT = math.log(20.0)
+
 # Large-segment limits of the threshold constants: 2 / a0_bar, where a0_bar
 # is the drop of the continuous profile over its first sub-interval.
 CK_ASYMPTOTIC = {

@@ -98,10 +98,10 @@ class DiffOperator:
         z = np.concatenate([pad, q, pad], axis=0)
         return (-1) ** self.k * np.diff(z, self.k, axis=0)
 
-    def to_dense(self, cap=DENSE_CAP_DEFAULT):
-        if self.n > cap:
+    def to_dense(self):
+        if self.n > DENSE_CAP_DEFAULT:
             raise DenseCapExceededError(
-                f"n={self.n} exceeds the dense cap {cap}; "
+                f"n={self.n} exceeds the dense cap {DENSE_CAP_DEFAULT}; "
                 "use the banded methods or the column-length bounds instead"
             )
         return np.diff(np.eye(self.n), self.k, axis=0)

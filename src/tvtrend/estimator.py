@@ -143,7 +143,7 @@ def lambda_max(y, k):
     """Smallest lambda at which the fit collapses to the polynomial fit,
     max_j |(Delta^+' (y - poly fit))_j| / n."""
     y = np.asarray(y, dtype=float)
-    return float(np.max(np.abs(_polynomial_witness(y, k)))) / len(y)
+    return _lambda_max_of(_polynomial_witness(y, k), len(y))
 
 
 def _polynomial_witness(y, k):
@@ -151,6 +151,11 @@ def _polynomial_witness(y, k):
     |entry| is n lambda_max, and over n lambda it is the dual of the empty
     face."""
     return dual_witness(y - polynomial_fit(y, k), k)
+
+
+def _lambda_max_of(witness, n):
+    """lambda_max of a signal of length n from its ``_polynomial_witness``."""
+    return float(np.max(np.abs(witness))) / n
 
 
 def _certificate(y, f_hat, lam, k, tol_kkt):
@@ -193,7 +198,8 @@ def _restricted_solve(y, k, lam, active, signs):
     # Phi is projected as its own C-ordered block, and X keeps C order for
     # the refinement products: the operand layouts of the earlier bits.
     Phi = np.empty((n, a))
-    _place_columns(Phi, const.ramp, active)
+    for c, r in enumerate(active):
+        Phi[:, c] = _ramp_column(const.ramp, n, r)
     Phi -= P @ (P.T @ Phi)
     scales = np.linalg.norm(Phi, axis=0)
     X = np.empty((n, k + a))
@@ -223,19 +229,16 @@ def _restricted_solve(y, k, lam, active, signs):
     return X @ theta, theta[k:] / scales
 
 
-def _place_columns(out, ramp, rows):
-    """Write the falling-factorial columns of the 1-based ``rows`` into the
-    columns of ``out``: each is phi_1 moved down to its row, the n entries
-    of ``ramp`` (n zeros, then phi_1) from n - row + 1 on; the bits of
-    ``falling_factorial_columns``."""
-    n = len(out)
-    for c, r in enumerate(rows):
-        out[:, c] = ramp[n - r + 1:2 * n - r + 1]
+def _ramp_column(ramp, n, r):
+    """The falling-factorial column phi_r of the 1-based row r, as a view of
+    ``ramp`` (n zeros, then phi_1): phi_1 moved down to row r, the n entries
+    from n - r + 1 on; the bits of ``falling_factorial_columns``."""
+    return ramp[n - r + 1:2 * n - r + 1]
 
 
 class _FaceConstants(NamedTuple):
     P: np.ndarray           # the orthonormal polynomial block
-    ramp: np.ndarray        # n zeros, then phi_1 (``_place_columns``)
+    ramp: np.ndarray        # n zeros, then phi_1 (``_ramp_column``)
     phi_norms: np.ndarray   # ||phi_j|| is phi_norms[n - j]
     gram_P: np.ndarray      # P'P
     P_phi: np.ndarray       # P'phi_j is P_phi[j - k - 1], dual_witness of P
@@ -264,6 +267,10 @@ def _cached_face_constants(n, k):
 
 _POLISH_MAX_ACTIVE = 1500
 
+# An off-support dual entry with |u| above _BOX_EDGE violates the box |u| <= 1:
+# the polish adds such rows, and returns a sign-consistent face with none.
+_BOX_EDGE = 1.0 + 1e-12
+
 # A screened decision is taken only where its quantity clears the threshold by
 # _SCREEN_MARGIN times the screen's error estimate: the change one refinement
 # step made, plus what rounding could move.  Otherwise the face is solved
@@ -289,12 +296,11 @@ class _FaceColumns:
     products with X (a residual and its correlation with X, for one
     refinement step), O(|A|^2) small work and no QR; its dual, k suffix sums
     more.  The per-(n, k) constants come from ``_cached_face_constants``;
-    ``witness`` is ``_polynomial_witness(y, k)``, taken here when not given."""
+    ``witness`` is ``_polynomial_witness(y, k)``, as ``fit`` takes it."""
 
-    def __init__(self, y, k, lam, witness=None):
+    def __init__(self, y, k, lam, witness):
         const = self.const = _cached_face_constants(len(y), k)
-        self.y, self.k, self.nlam = y, k, len(y) * lam
-        self.witness = _polynomial_witness(y, k) if witness is None else witness
+        self.y, self.k, self.nlam, self.witness = y, k, len(y) * lam, witness
         self.h = y / self.nlam
         self.round_err = math.sqrt(len(y)) * _EPS * float(np.linalg.norm(self.h))
         self.rows = []                  # the row of column k + i is rows[i]
@@ -342,7 +348,7 @@ class _FaceColumns:
                 # psi_r = phi_r - P (P'phi_r), unit-scaled
                 column = X[:, c]
                 np.matmul(P, const.P_phi[r - k - 1], out=column)
-                np.subtract(const.ramp[n - r + 1:2 * n - r + 1], column, out=column)
+                np.subtract(_ramp_column(const.ramp, n, r), column, out=column)
                 scale = self.scales[c] = math.sqrt(column @ column)
                 column *= 1.0 / scale
                 if const.phi_norms[n - r] > _MAX_CANCELLATION * scale:
@@ -445,13 +451,13 @@ def _screen(face, active, signs, k, tol_kkt):
     err = _SCREEN_MARGIN * u_err
     # The off-support rows that may be violators on the exact face, in one
     # pass over u.  Stop where none is clearly past 1 + tol_kkt (the exact
-    # face may certify) or one is within the error of 1 + 1e-12 (it may or
+    # face may certify) or one is within the error of _BOX_EDGE (it may or
     # may not be a violator); otherwise they are exactly the exact face's
     # violators.
     mag = abs(u)
     for j in active.tolist():
         mag[j - k - 1] = -np.inf
-    rows = (mag > 1.0 + 1e-12 - err).nonzero()[0]
+    rows = (mag > _BOX_EDGE - err).nonzero()[0]
     if not len(rows):
         return None
     # Each run of consecutive rows, its largest |u| and the rows within the
@@ -459,7 +465,7 @@ def _screen(face, active, signs, k, tol_kkt):
     near = mag[rows]
     cuts = [0, *((rows[1:] - rows[:-1] > 1).nonzero()[0] + 1).tolist(), len(rows)]
     peak = np.maximum.reduceat(near, cuts[:-1])
-    if peak.max() <= 1.0 + tol_kkt + err or near.min() <= 1.0 + 1e-12 + err:
+    if peak.max() <= 1.0 + tol_kkt + err or near.min() <= _BOX_EDGE + err:
         return None
     top = near >= (peak - err).repeat([end - start for start, end in zip(cuts, cuts[1:])])
     if np.count_nonzero(top) > len(peak):
@@ -467,17 +473,18 @@ def _screen(face, active, signs, k, tol_kkt):
     return _add_rows(active, signs, rows[top], u, k)
 
 
-def _polish(y, k, lam, active, signs, tol_kkt, witness=None):
+def _polish(y, k, lam, active, signs, tol_kkt, witness):
     """Active-set refinement: drop sign-inconsistent rows, else add the worst
     row of each run of consecutive rows whose dual exceeds the box.
 
     Returns the fit and ``_certificate`` of a face, (f_hat, u, kkt,
     converged): at the first certified face, and at the first
-    sign-consistent face with no off-support |u| > 1 + 1e-12 even when its
+    sign-consistent face with no off-support |u| > ``_BOX_EDGE`` even when its
     certificate fails: that face satisfies KKT in exact arithmetic, so only
     float64 rounding can fail it.  A round is a pure function of its (active,
     signs) state, so a state seen before starts a cycle that could only run
-    out the rounds: it returns None at once.
+    out the rounds: it returns None at once.  ``witness`` is
+    ``_polynomial_witness(y, k)``, which ``fit`` takes for lambda_max.
 
     Every face, the starting one included, is first screened: solved from
     columns cached for this polish (``_FaceColumns``), with each decision
@@ -515,7 +522,7 @@ def _polish(y, k, lam, active, signs, tol_kkt, witness=None):
         u, kkt, converged = _certificate(y, f_hat, lam, k, tol_kkt)
         if converged:
             return f_hat, u, kkt, converged
-        over = np.abs(u) > 1.0 + 1e-12
+        over = np.abs(u) > _BOX_EDGE
         over[active - k - 1] = False
         if not np.any(over):
             return f_hat, u, kkt, converged
@@ -789,7 +796,7 @@ def fit(y, cfg):
         f_hat = tv1d_exact(y, n * lam)
         return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=n)
     witness = _polynomial_witness(y, k)
-    if lam >= float(np.max(np.abs(witness))) / n:
+    if lam >= _lambda_max_of(witness, n):
         # The minimizer is the polynomial fit, so a candidate that fails its
         # certificate fails on float64 rounding alone and is returned as it is.
         f_hat = _restricted_solve(y, k, lam, [], [])[0]

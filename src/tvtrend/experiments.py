@@ -28,7 +28,8 @@ import numpy as np
 
 from . import theory
 from ._checks import flag, integer, real, shape
-from .constants import minimum_segment_length
+from ._output import csv_text, json_text, write_text
+from .constants import UV_DEFAULT, minimum_segment_length
 from .diffops import (ActiveSet, block_column_sqnorms, dual_witness, falling_factorial_columns,
                       polynomial_basis)
 from .estimator import FitConfig, fit
@@ -51,15 +52,15 @@ class ExperimentConfig:
     s0: int
     replications: int
     seed: int
-    u: float = math.log(20.0)
-    v: float = math.log(20.0)
+    u: float = UV_DEFAULT
+    v: float = UV_DEFAULT
     jump_layout: str = "equispaced"
     jump_delta: float = 10.0
     lambda_rule: str = "threshold"
     lambda_value: float | None = None
     lambda_scale: float = 1.0
-    algorithm: str = "admm"
-    tol_kkt: float = 1e-8
+    algorithm: str = FitConfig.algorithm
+    tol_kkt: float = FitConfig.tol_kkt
     record_timing: bool = False
     schema_version: int = SCHEMA_VERSION
 
@@ -77,7 +78,7 @@ class ExperimentConfig:
         real("jump_delta", self.jump_delta, ConfigError)
         flag("record_timing", self.record_timing, ConfigError)
         try:                        # the fit request: FitConfig's rule
-            FitConfig(lam=0.0, k=self.k, tol_kkt=self.tol_kkt, algorithm=self.algorithm)
+            _fit_config(self, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.lambda_rule not in theory.LAMBDA_RULES:
@@ -312,10 +313,11 @@ def wilson_margin(total, p0, z=1.96):
 
 
 def run_monte_carlo(cfg, csv_path=None, json_path=None):
-    """Run all trials; returns (records, summary).  Optionally writes the
-    per-trial CSV and the summary JSON (both byte-deterministic for a given
-    config and seed; per-trial seconds are recorded only when
-    ``record_timing`` is set)."""
+    """Run all trials; returns (records, summary).  Writes the per-trial CSV
+    of the converged trials and the summary JSON to the paths given (both
+    byte-deterministic for a given config and seed; per-trial seconds are
+    recorded only when ``record_timing`` is set); a path that cannot be
+    written raises ``OutputError``."""
     workers = n_threads()
     prep = prepare(cfg)
     trials = range(cfg.replications)
@@ -330,11 +332,13 @@ def run_monte_carlo(cfg, csv_path=None, json_path=None):
         records = [run_trial(prep, t) for t in trials]
     records.sort(key=lambda r: r.trial_id)
     summary = summarize(cfg, records)
-    if csv_path is not None:
-        write_records_csv(records, csv_path, record_timing=cfg.record_timing)
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            fh.write(summary_json(summary))
+    if csv_path:
+        rows = ((r.trial_id, r.mse, r.bound_rhs, int(r.inequality_held), int(r.event_u_held),
+                 int(r.event_v_held), r.kkt_residual, r.runtime if cfg.record_timing else 0.0)
+                for r in records if r.converged)
+        write_text(csv_text(rows, CSV_HEADER), csv_path)
+    if json_path:
+        write_text(json_text(summary), json_path)
     return records, summary
 
 
@@ -365,24 +369,6 @@ def summarize(cfg, records):
     if cfg.record_timing:
         summary["seconds_total"] = float(sum(r.runtime for r in records))
     return summary
-
-
-def write_records_csv(records, path, record_timing=False):
-    lines = [CSV_HEADER]
-    for r in records:
-        if not r.converged:
-            continue
-        secs = r.runtime if record_timing else 0.0
-        lines.append(
-            f"{r.trial_id},{r.mse:.17g},{r.bound_rhs:.17g},{int(r.inequality_held)},"
-            f"{int(r.event_u_held)},{int(r.event_v_held)},{r.kkt_residual:.17g},{secs:.17g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def summary_json(summary):
-    return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
 def rate_sweep(cfg, n_values, trials=100):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import real
-from .constants import ck_certified, minimum_segment_length
+from .constants import UV_DEFAULT, ck_certified, minimum_segment_length
 from .diffops import build_delta
 
 LAMBDA_RULES = ("threshold", "equal_segment", "fixed")
@@ -155,7 +155,7 @@ def adaptive_rate(n, s):
     return (s + 1) / n * math.log(n / (s + 1)) * math.log(n)
 
 
-def minimax_tradeoff_bound(n, k, v=math.log(20.0)):
+def minimax_tradeoff_bound(n, k, v=UV_DEFAULT):
     """Value of the non-adaptive bound optimized over the sparsity level.
 
     Balancing lambda / n^{k-1} against s/n with the equal-segment rule gives

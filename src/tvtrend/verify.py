@@ -12,13 +12,11 @@ import math
 import numpy as np
 
 from . import interpolants as itp
-from .constants import minimum_segment_length
+from .constants import UV_DEFAULT, minimum_segment_length
 from .diffops import ActiveSet, build_delta, column_norm_bound, column_norm_exact
 from .sparsity import (compute_weights, effective_sparsity_direct,
                        effective_sparsity_via_interpolant, gamma_closed_form)
 from .theory import lambda_threshold
-
-SUITES = ("norms", "interpolants", "sparsity", "lemma35", "lemma36")
 
 
 def _check(name, passed, detail=None):
@@ -76,8 +74,8 @@ def suite_interpolants(instances=40, seed=20250809):
         bad = []
         for i in range(instances):
             S = random_active_set(rng, k)
-            lam = lambda_threshold(S.n, k, S.n_max, math.log(20.0), s=S.s)
-            w = compute_weights(S, math.log(20.0), lam)
+            lam = lambda_threshold(S.n, k, S.n_max, UV_DEFAULT, s=S.s)
+            w = compute_weights(S, UV_DEFAULT, lam)
             try:
                 vec = itp.build_noisy(S, weights=w)
             except itp.InfeasibleInterpolantError as exc:
@@ -105,8 +103,8 @@ def suite_sparsity(instances=12, seed=20250810):
     for i in range(instances):
         k = int(rng.integers(1, 4))
         S = random_active_set(rng, k, n_hi=None, max_s=2)
-        lam = lambda_threshold(S.n, S.k, S.n_max, math.log(20.0), s=S.s)
-        w = compute_weights(S, math.log(20.0), lam)
+        lam = lambda_threshold(S.n, S.k, S.n_max, UV_DEFAULT, s=S.s)
+        w = compute_weights(S, UV_DEFAULT, lam)
         vec = itp.build_noisy(S, weights=w)
         energy = effective_sparsity_via_interpolant(vec, weights=w)
         direct = effective_sparsity_direct(S, weights=w)
@@ -173,14 +171,12 @@ def suite_lemma36():
     return _report("lemma36", checks)
 
 
+_SUITE_RUNS = {"norms": suite_norms, "interpolants": suite_interpolants,
+               "sparsity": suite_sparsity, "lemma35": suite_lemma35, "lemma36": suite_lemma36}
+SUITES = tuple(_SUITE_RUNS)
+
+
 def run_suite(name, **kwargs):
-    fn = {
-        "norms": suite_norms,
-        "interpolants": suite_interpolants,
-        "sparsity": suite_sparsity,
-        "lemma35": suite_lemma35,
-        "lemma36": suite_lemma36,
-    }.get(name)
-    if fn is None:
+    if name not in _SUITE_RUNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return fn(**kwargs)
+    return _SUITE_RUNS[name](**kwargs)

@@ -535,3 +535,40 @@ class TestLambdaRules:
     def test_missing_lambda_usage_error(self, tmp_path, signal):
         path, _ = signal
         assert cli.main(["solve", "--input", str(path), "--k", "1"]) == 2
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory is an input error: exit 2 with
+    one ``error: cannot write`` line, whichever subcommand writes it."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, signal):
+        missing = tmp_path / "missing" / "out"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(n=96, k=1, s0=2, replications=2, seed=11)))
+        path, _ = signal
+        return {
+            "solve --out": ["solve", "--input", str(path), "--k", "1", "--lambda", "0.05",
+                            "--out", str(missing), "--report", str(tmp_path / "r.json")],
+            "solve --report": ["solve", "--input", str(path), "--k", "1", "--lambda", "0.05",
+                               "--report", str(missing)],
+            "bounds --out": ["bounds", "--n", "100", "--k", "1", "--jumps", "50",
+                             "--out", str(missing)],
+            "interpolant --out": ["interpolant", "--n", "100", "--k", "1", "--jumps", "50",
+                                  "--out", str(missing)],
+            "verify --out": ["verify", "--suite", "lemma36", "--out", str(missing)],
+            "simulate --out-csv": ["simulate", "--config", str(config),
+                                   "--out-csv", str(missing)],
+            "simulate --out-json": ["simulate", "--config", str(config),
+                                    "--out-json", str(missing)],
+        }, missing
+
+    @pytest.mark.parametrize("case", ["solve --out", "solve --report", "bounds --out",
+                                      "interpolant --out", "verify --out",
+                                      "simulate --out-csv", "simulate --out-json"])
+    def test_exits_2_with_an_error_line(self, argv, case, capsys):
+        cases, missing = argv
+        assert cli.main(cases[case]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: cannot write {missing}: [Errno 2] No such file"
+                                    f" or directory: '{missing}'"]

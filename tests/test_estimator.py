@@ -277,7 +277,7 @@ def giving_up_polish(monkeypatch):
     """Make every polish give up; the list of the states it was called on."""
     calls = []
 
-    def giving_up(y, k, lam, active, signs, tol_kkt, witness=None):
+    def giving_up(y, k, lam, active, signs, tol_kkt, witness):
         calls.append(PolishLog.state(active, signs))
 
     monkeypatch.setattr(est, "_polish", giving_up)
@@ -496,7 +496,7 @@ def polish_without_screen(y, k, lam, active, signs, tol_kkt):
     returns None, so every face is solved exactly by ``_restricted_solve``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(est._FaceColumns, "solve", lambda columns, active, signs: None)
-        return est._polish(y, k, lam, active, signs, tol_kkt)
+        return est._polish(y, k, lam, active, signs, tol_kkt, est._polynomial_witness(y, k))
 
 
 class TestPolishCycles:
@@ -527,7 +527,7 @@ class TestPolishCycles:
         lam = float(rng.uniform(0.01, 0.2)) * est.lambda_max(y, k)
         assert (n, k) == (256, 3)
         log = PolishLog(monkeypatch)
-        assert est._polish(y, k, lam, [], [], 1e-8) is None
+        assert est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k)) is None
         rounds, qr_faces = log.rounds(), log.qr_faces()
         log.clear()
         assert polish_without_screen(y, k, lam, [], [], 1e-8) is None
@@ -649,7 +649,7 @@ class TestScreenedPolish:
         for n in (300, 1024):
             y = noisy_piecewise(rng, n, k, 3)
             lam = 0.2 * est.lambda_max(y, k)
-            columns = est._FaceColumns(y, k, lam)
+            columns = est._FaceColumns(y, k, lam, est._polynomial_witness(y, k))
             for size in (0, 3, 1, 12, 40, 6):
                 rows = rng.choice(np.arange(k + 1, n), size, replace=False)
                 rows = np.unique(np.concatenate([rows, rows[:size // 3] + 1]))
@@ -755,7 +755,7 @@ class TestScreenedPolish:
         lam = float(rng.uniform(0.05, 0.3)) * est.lambda_max(y, k)
         ref = polish_without_screen(y, k, lam, [], [], 1e-8)
         log = PolishLog(monkeypatch)
-        assert est._polish(y, k, lam, [], [], 1e-8) is not None
+        assert est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k)) is not None
         honest = log.qr_faces()
         log.clear()
         solve = est._FaceColumns.solve
@@ -780,7 +780,7 @@ class TestScreenedPolish:
             return b, b_err, lambda: (u, u_err)
 
         monkeypatch.setattr(est._FaceColumns, "solve", lying)
-        got = est._polish(y, k, lam, [], [], 1e-8)
+        got = est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k))
         assert len(lies) == 1 and log.qr_faces() == honest + 1
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -790,7 +790,7 @@ class TestScreenedPolish:
         # the last, which is the one QR face of the polish.
         y, cfg = recipe_input(2, n=1024, frac=0.6)
         log = PolishLog(monkeypatch)
-        got = est._polish(y, 2, cfg.lam, [], [], cfg.tol_kkt)
+        got = est._polish(y, 2, cfg.lam, [], [], cfg.tol_kkt, est._polynomial_witness(y, 2))
         assert [kind for kind, _ in log.faces] == ["screen", "screen", "qr"]
         assert len(log.rounds()) == 2 and log.qr_faces() == 1
         ref = polish_without_screen(y, 2, cfg.lam, [], [], cfg.tol_kkt)

@@ -1,6 +1,8 @@
 """Package-wide structure: resolvable annotations, dense-free runtime paths,
-one face solver in the sparsity oracle and one exit from the fit driver."""
+one face solver in the sparsity oracle, one exit from the fit driver, and
+one definition of each output format and default."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -8,17 +10,20 @@ import inspect
 import math
 import pkgutil
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import tvtrend
+from tvtrend import cli, verify
 from tvtrend import diffops as dop
 from tvtrend import estimator as est
 from tvtrend import experiments as exp
 from tvtrend import interpolants as itp
 from tvtrend import sparsity as sp
+from tvtrend.constants import UV_DEFAULT
 from tvtrend.theory import lambda_threshold
 
 
@@ -45,7 +50,7 @@ class TestNoDenseOnRuntimePaths:
 
     @pytest.fixture(autouse=True)
     def forbid_dense(self, monkeypatch):
-        def refuse(self, cap=dop.DENSE_CAP_DEFAULT):
+        def refuse(self):
             raise AssertionError("dense operator built on a runtime path")
 
         monkeypatch.setattr(dop.DiffOperator, "to_dense", refuse)
@@ -300,8 +305,140 @@ def test_polish_solves_by_qr_only_where_the_screen_stops(monkeypatch):
         y, cfg = recipe_input(k, n=n, frac=frac)
         log.clear()
         stops.clear()
-        assert est._polish(y, k, cfg.lam, [], [], cfg.tol_kkt) is not None
+        assert est._polish(y, k, cfg.lam, [], [], cfg.tol_kkt,
+                           est._polynomial_witness(y, k)) is not None
         qr = [state for kind, state in log.faces if kind == "qr"]
         assert qr == stops and log.faces[0][0] == "screen"
         single += len(qr) == 1
     assert single >= 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "tvtrend").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_output_formats_have_one_home():
+    """The 17-digit float rendering of every CSV and the JSON text layout
+    are spelled out in ``tvtrend._output`` alone, across the package and
+    ``scripts/``: every other writer calls ``csv_text`` or ``json_text``."""
+    found = []
+    for path in SOURCES:
+        if path.name == "_output.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and ".17g" in node.value):
+                found.append(f"{path.name}:{node.lineno}: .17g")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")):
+                keywords = {kw.arg: getattr(kw.value, "value", None) for kw in node.keywords}
+                if keywords.get("sort_keys") is True and keywords.get("indent") == 2:
+                    found.append(f"{path.name}:{node.lineno}: json.{node.func.attr}")
+    assert found == []
+
+
+def _is_reference(node):
+    return isinstance(node, (ast.Name, ast.Attribute))
+
+
+# The defaults with a definition of their own: the FitConfig fields, the
+# ExperimentConfig field lambda_scale, and u = v = UV_DEFAULT.
+DEFINED_DEFAULTS = ("tol_kkt", "max_iter", "algorithm", "lambda_scale", "u", "v")
+
+
+def test_defaults_have_one_definition():
+    """The parser and ExperimentConfig refer to the defaults defined elsewhere
+    instead of spelling them out: u = v = log 20 is ``UV_DEFAULT``, the fit
+    settings are FitConfig's, --lambda-scale is ExperimentConfig's, the
+    --lambda-rule choices come from ``theory.LAMBDA_RULES`` and the suite
+    names from the suite table of ``verify``."""
+    spelled = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (path.name != "constants.py" and isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log"
+                    and any(getattr(a, "value", None) == 20 for a in node.args)):
+                spelled.append(f"{path.name}:{node.lineno}: log(20)")
+    cli_tree = _tree(ROOT / "src" / "tvtrend" / "cli.py")
+    for node in ast.walk(cli_tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        flag = node.args[0].value
+        dest = getattr(keywords.get("dest"), "value", flag.lstrip("-").replace("-", "_"))
+        if dest in DEFINED_DEFAULTS and not _is_reference(keywords["default"]):
+            spelled.append(f"cli.py:{node.lineno}: {flag} default")
+        if flag in ("--lambda-rule", "--suite") and isinstance(keywords["choices"], ast.Tuple):
+            spelled.append(f"cli.py:{node.lineno}: {flag} choices")
+    exp_tree = _tree(ROOT / "src" / "tvtrend" / "experiments.py")
+    config = next(node for node in ast.walk(exp_tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    for stmt in config.body:
+        if (isinstance(stmt, ast.AnnAssign) and stmt.target.id in DEFINED_DEFAULTS
+                and stmt.target.id != "lambda_scale" and not _is_reference(stmt.value)):
+            spelled.append(f"experiments.py:{stmt.lineno}: ExperimentConfig.{stmt.target.id}")
+    verify_tree = _tree(ROOT / "src" / "tvtrend" / "verify.py")
+    for node in ast.walk(verify_tree):
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SUITES"
+                                                 for t in node.targets)
+                and isinstance(node.value, ast.Tuple)):
+            spelled.append(f"verify.py:{node.lineno}: SUITES")
+    assert spelled == []
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# The options of each subcommand and the fields of the two configs: a
+# refactoring of the parser or of the configs adds or removes none.
+CLI_OPTIONS = {
+    "solve": {"--input", "--k", "--lambda", "--lambda-rule", "--lambda-scale", "--s0",
+              "--n-max", "--u", "--algorithm", "--tol-kkt", "--max-iter", "--out", "--report"},
+    "bounds": {"--n", "--k", "--jumps", "--signs", "--u", "--v", "--lambda", "--c-k",
+               "--format", "--out"},
+    "interpolant": {"--n", "--k", "--jumps", "--signs", "--mode", "--u", "--lambda", "--c-k",
+                    "--format", "--out"},
+    "verify": {"--suite", "--out"},
+    "simulate": {"--config", "--out-csv", "--out-json", "--dry-run"},
+}
+
+
+def test_cli_options_and_config_fields_are_counted():
+    options = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, sub in _subcommands().items()}
+    assert options == CLI_OPTIONS
+    assert {name: len(flags) for name, flags in options.items()} == {
+        "solve": 13, "bounds": 10, "interpolant": 10, "verify": 2, "simulate": 4}
+    assert len(dataclasses.fields(est.FitConfig)) == 5
+    assert len(dataclasses.fields(exp.ExperimentConfig)) == 16
+
+
+def test_parser_defaults_are_the_definitions():
+    """The defaults the parser hands on are the defined ones, and the option
+    set shared by ``bounds`` and ``interpolant`` keeps each its --format."""
+    subs = _subcommands()
+    solve = subs["solve"].parse_args(["--input", "y.csv", "--k", "1"])
+    fit_defaults = est.FitConfig(lam=0.0, k=1)
+    assert (solve.tol_kkt, solve.max_iter, solve.algorithm) == (
+        fit_defaults.tol_kkt, fit_defaults.max_iter, fit_defaults.algorithm)
+    assert solve.lambda_scale == exp.ExperimentConfig(n=64, k=1, s0=0, replications=1,
+                                                      seed=0).lambda_scale
+    assert solve.u == UV_DEFAULT == math.log(20.0)
+    bounds = subs["bounds"].parse_args(["--n", "10", "--k", "1"])
+    interpolant = subs["interpolant"].parse_args(["--n", "10", "--k", "1"])
+    assert bounds.u == bounds.v == interpolant.u == UV_DEFAULT
+    assert (bounds.format, interpolant.format) == ("json", "csv")
+    assert exp.ExperimentConfig.u == exp.ExperimentConfig.v == UV_DEFAULT
+    assert exp.ExperimentConfig.tol_kkt == est.FitConfig.tol_kkt
+    assert exp.ExperimentConfig.algorithm == est.FitConfig.algorithm
+    assert subs["verify"]._option_string_actions["--suite"].choices == verify.SUITES
+    assert subs["solve"]._option_string_actions["--lambda-rule"].choices == (
+        "threshold", "equal_segment")
