@@ -11,7 +11,8 @@ through ``estimator.fit`` while it records the calls of the layers below,
 then times each recorded call again, warm, ``--repeats`` times:
 
 - ``fit``: ``estimator.fit`` of each input;
-- ``polish``: each ``_polish`` call of those fits;
+- ``polish``: each ``_polish`` call of those fits, replayed with a copy of
+  the fit's state set as it was at the call (the polish adds to it);
 - ``screened_face``: each face a polish screens, ``_FaceColumns.solve`` and
   ``_screen`` together, replayed in order on fresh cached columns for each
   polish (the columns are set up outside the timed spans);
@@ -76,6 +77,13 @@ def _timed(call):
     return time.perf_counter() - t0
 
 
+def _fresh(args):
+    """``args`` with a copy of each set: ``_polish`` adds the states it moves
+    to to the fit's state set, so a replay with the set itself would give up
+    at its first move."""
+    return tuple(set(a) if isinstance(a, set) else a for a in args)
+
+
 def measure(root, repeats):
     """The layers of the fit-n4096 batch in this process, from ``root``:
     {layer: {"calls", "cold_s", "warm_s"}}."""
@@ -105,7 +113,7 @@ def measure(root, repeats):
 
     def recording(name, layer):
         def call(*args):
-            calls[layer].append(args)
+            calls[layer].append(_fresh(args))
             if layer == "polish":
                 faces.append([])
             t0 = time.perf_counter()
@@ -147,7 +155,7 @@ def measure(root, repeats):
         return out
 
     runs = {"fit": [lambda f=f: fit(*f) for f in fits],
-            "polish": [lambda a=a: est._polish(*a) for a in calls["polish"]],
+            "polish": [lambda a=a: est._polish(*_fresh(a)) for a in calls["polish"]],
             "restricted_solve": [lambda a=a: est._restricted_solve(*a)
                                  for a in calls["restricted_solve"]],
             "certificate": [lambda a=a: est._certificate(*a) for a in calls["certificate"]]}

@@ -3,8 +3,8 @@
 
 Fits the shipped sweep config at each n, prints the per-n median errors and
 the fitted log-log slope (expected near -1 with logarithmic corrections).
-A grid with fewer than two distinct n, or an --out that cannot be written, is
-an error (exit code 2).
+A missing or bad --config, a grid with fewer than two distinct n, or an --out
+that cannot be written, is an error (exit code 2).
 """
 
 import argparse
@@ -25,7 +25,11 @@ def main():
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
-    cfg = ExperimentConfig.from_json(args.config)
+    try:
+        cfg = ExperimentConfig.from_json(args.config)
+    except ConfigError as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 2
     try:
         medians, slope = rate_sweep(cfg, args.n_grid, trials=args.trials)
     except ConfigError as exc:

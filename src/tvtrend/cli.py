@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
@@ -177,14 +176,15 @@ def cmd_verify(args):
 def cmd_simulate(args):
     try:
         cfg = experiments.ExperimentConfig.from_json(args.config)
-    except (OSError, json.JSONDecodeError, experiments.ConfigError) as exc:
+    except experiments.ConfigError as exc:
         raise InputError(f"bad config: {exc}")
     experiments.n_threads()     # refuses a bad TVTREND_THREADS before any trial runs
     if args.dry_run:
         write_text(json_text({"config": cfg.to_dict(), "valid": True}))
         return EXIT_OK
-    _, summary = experiments.run_monte_carlo(cfg, csv_path=args.out_csv)
-    write_text(json_text(summary), args.out_json)
+    _, summary = experiments.run_monte_carlo(cfg, csv_path=args.out_csv, json_path=args.out_json)
+    if not args.out_json:
+        write_text(json_text(summary))
     if summary["n_nonconverged"]:
         return EXIT_NUMERIC
     return EXIT_OK

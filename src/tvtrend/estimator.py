@@ -22,19 +22,19 @@ of ``_candidates``, in order:
    250th iteration, and the first iteration of each run in which z does not
    move.
 
-Each new (support, signs) is polished once, by an active-set refinement, and
-the first face a polish returns is the fit: it satisfies KKT in exact
-arithmetic and is flagged converged when its certificate meets the
-tolerance.  ADMM only proposes supports; no raw iterate ends a fit before
-``max_iter``.  When every polish gives up, the fit is ADMM's final iterate,
-with its own certificate.  The refinement screens every face it passes
-through, its starting face included, on cached columns (normal equations
-and one refinement step) and solves exactly, by QR, only the faces where
-the screen stops; a polish whose screen stops only at its last face solves
-one QR face, and every face it returns is such an exact face.  A screened
-face forms its dual only where the decision needs it: not where it drops a
-sign-inconsistent row; then by k suffix sums of the residual its solve took.
-Its dual's error is bounded in O(|A|) from per-(n, k) constants
+Each candidate is polished by an active-set refinement, and the first face a
+polish returns is the fit: it satisfies KKT in exact arithmetic and is flagged
+converged when its certificate meets the tolerance.  ADMM only proposes
+supports; no raw iterate ends a fit before ``max_iter``.  A polish gives up at
+a (support, signs) state its fit has seen before; when every polish gives up,
+the fit is ADMM's final iterate, with its own certificate.  The refinement
+screens every face it passes through, its starting face included, on cached
+columns (normal equations and one refinement step) and solves exactly, by QR,
+only the faces where the screen stops; a polish whose screen stops only at its
+last face solves one QR face, and every face it returns is such an exact face.
+A screened face forms its dual only where the decision needs it: not where it
+drops a sign-inconsistent row; then by k suffix sums of the residual its solve
+took.  Its dual's error is bounded in O(|A|) from per-(n, k) constants
 (``_cached_face_constants``) instead of a second pass over n.
 """
 
@@ -57,11 +57,9 @@ from .diffops import (_cached_pinv_sqnorms, _cached_polynomial_basis, build_delt
 ALGORITHMS = ("admm", "dp_k1")
 
 # ADMM starts from penalty RHO_INIT (then balanced against the residuals) and
-# over-relaxes each update by OVER_RELAXATION; the polish gives up after
-# POLISH_ROUNDS restricted solves.
+# over-relaxes each update by OVER_RELAXATION.
 RHO_INIT = 1.0
 OVER_RELAXATION = 1.8
-POLISH_ROUNDS = 60
 
 # The LAPACK routines are called directly (``_lapack``): the scipy wrappers
 # solveh_banded / solve_triangular and numpy's qr validate their inputs and
@@ -100,11 +98,11 @@ class FitResult:
     lambda_max, and n for ``dp_k1``.  Otherwise it is the ADMM iteration of
     the candidate whose polished face is the fit: 1 for the closed-form
     candidate (ADMM is not run), else the trigger iteration.  It is
-    ``max_iter`` when every polish gave up and the fit is ADMM's final
-    iterate.  An uncertified fit may therefore stop before ``max_iter`` only
-    at 0, 1 or a trigger iteration: the polynomial fit or polished face it
-    returns satisfies KKT in exact arithmetic, and only float64 rounding
-    keeps the residual above ``tol_kkt``.
+    ``max_iter`` when every polish gave up, at a state seen before, and the
+    fit is ADMM's final iterate.  An uncertified fit may therefore stop
+    before ``max_iter`` only at 0, 1 or a trigger iteration: the polynomial
+    fit or polished face it returns satisfies KKT in exact arithmetic, and
+    only float64 rounding keeps the residual above ``tol_kkt``.
 
     A settled trigger fires where float64 residuals cross a threshold, so it
     depends on the last bits of the iterates: ``iters`` (printed by ``solve
@@ -264,8 +262,6 @@ def _cached_face_constants(n, k):
         array.setflags(write=False)
     return const
 
-
-_POLISH_MAX_ACTIVE = 1500
 
 # An off-support dual entry with |u| above _BOX_EDGE violates the box |u| <= 1:
 # the polish adds such rows, and returns a sign-consistent face with none.
@@ -473,7 +469,7 @@ def _screen(face, active, signs, k, tol_kkt):
     return _add_rows(active, signs, rows[top], u, k)
 
 
-def _polish(y, k, lam, active, signs, tol_kkt, witness):
+def _polish(y, k, lam, active, signs, tol_kkt, witness, seen):
     """Active-set refinement: drop sign-inconsistent rows, else add the worst
     row of each run of consecutive rows whose dual exceeds the box.
 
@@ -481,10 +477,11 @@ def _polish(y, k, lam, active, signs, tol_kkt, witness):
     converged): at the first certified face, and at the first
     sign-consistent face with no off-support |u| > ``_BOX_EDGE`` even when its
     certificate fails: that face satisfies KKT in exact arithmetic, so only
-    float64 rounding can fail it.  A round is a pure function of its (active,
-    signs) state, so a state seen before starts a cycle that could only run
-    out the rounds: it returns None at once.  ``witness`` is
-    ``_polynomial_witness(y, k)``, which ``fit`` takes for lambda_max.
+    float64 rounding can fail it.  ``seen`` holds the (active, signs) states,
+    as bytes, that the fit's polishes have passed through.  A round is a pure
+    function of its state, so the polish returns None at a state moved to in
+    ``seen``, and adds any other: the set grows every round, so the polish
+    ends.  ``witness`` is ``_polynomial_witness(y, k)``.
 
     Every face, the starting one included, is first screened: solved from
     columns cached for this polish (``_FaceColumns``), with each decision
@@ -501,33 +498,26 @@ def _polish(y, k, lam, active, signs, tol_kkt, witness):
     QR face and its certificate 0.34 ms (``scripts/bench_layers.py``)."""
     active = np.sort(np.asarray(active, dtype=int))
     signs = np.asarray(signs, dtype=float)
-    if len(active) > _POLISH_MAX_ACTIVE:
-        return None
-    seen = set()
     columns = _FaceColumns(y, k, lam, witness)
-    for _ in range(POLISH_ROUNDS):
+    while True:
+        moved = _screen(columns.solve(active, signs), active, signs, k, tol_kkt)
+        if moved is None:
+            f_hat, b = _restricted_solve(y, k, lam, active, signs)
+            keep = b * signs > 0
+            if np.all(keep):
+                u, kkt, converged = _certificate(y, f_hat, lam, k, tol_kkt)
+                over = np.abs(u) > _BOX_EDGE
+                over[active - k - 1] = False
+                if converged or not np.any(over):
+                    return f_hat, u, kkt, converged
+                moved = _add_worst_rows(active, signs, _runs(over), u, k)
+            else:
+                moved = active[keep], signs[keep]
+        active, signs = moved
         state = (active.tobytes(), signs.tobytes())
         if state in seen:
             return None
         seen.add(state)
-        screened = _screen(columns.solve(active, signs), active, signs, k, tol_kkt)
-        if screened is not None:
-            active, signs = screened
-            continue
-        f_hat, b = _restricted_solve(y, k, lam, active, signs)
-        keep = b * signs > 0
-        if not np.all(keep):
-            active, signs = active[keep], signs[keep]
-            continue
-        u, kkt, converged = _certificate(y, f_hat, lam, k, tol_kkt)
-        if converged:
-            return f_hat, u, kkt, converged
-        over = np.abs(u) > _BOX_EDGE
-        over[active - k - 1] = False
-        if not np.any(over):
-            return f_hat, u, kkt, converged
-        active, signs = _add_worst_rows(active, signs, _runs(over), u, k)
-    return None
 
 
 @lru_cache(maxsize=32)
@@ -786,7 +776,10 @@ def _result(y, cfg, f_hat, dual, kkt, converged, iters):
 
 def fit(y, cfg):
     """Solve the penalized problem; the result is flagged converged only when
-    the KKT certificate meets ``cfg.tol_kkt``."""
+    the KKT certificate meets ``cfg.tol_kkt``.  Its polishes share one set
+    of the states they have passed through (``_polish``): a polish is a pure
+    function of its state and every earlier one gave up, so a candidate at a
+    state in the set is skipped."""
     y = signal(y)
     n, k, lam, tol = len(y), cfg.k, cfg.lam, cfg.tol_kkt
     shape(n, k, ValueError)
@@ -801,19 +794,17 @@ def fit(y, cfg):
         # certificate fails on float64 rounding alone and is returned as it is.
         f_hat = _restricted_solve(y, k, lam, [], [])[0]
         return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=0)
-    tried = set()                   # the (support, signs) polished so far
+    seen = set()                    # the states the polishes have passed through
     for it, f, z in _candidates(y, cfg):
         if z is None:
             break
-        supp = np.nonzero(z)[0]
-        signs = np.sign(z[supp])
-        # _polish is a pure function of its arguments and every earlier call
-        # returned None, so a state polished before is skipped.
-        state = (supp.tobytes(), signs.tobytes())
-        if state in tried:
+        active = np.nonzero(z)[0] + k + 1
+        signs = np.sign(z[active - k - 1])
+        state = (active.tobytes(), signs.tobytes())
+        if state in seen:
             continue
-        tried.add(state)
-        hit = _polish(y, k, lam, supp + k + 1, signs, tol, witness)
+        seen.add(state)
+        hit = _polish(y, k, lam, active, signs, tol, witness, seen)
         if hit is not None:
             return _result(y, cfg, *hit, iters=it)
     # Every polish gave up: ADMM's final iterate, with its own certificate.

@@ -91,8 +91,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:    # JSONDecodeError is a ValueError
+            raise ConfigError(str(exc)) from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: a config is a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(raw) - known
         if extra:
@@ -317,7 +322,10 @@ def run_monte_carlo(cfg, csv_path=None, json_path=None):
     of the converged trials and the summary JSON to the paths given (both
     byte-deterministic for a given config and seed; per-trial seconds are
     recorded only when ``record_timing`` is set); a path that cannot be
-    written raises ``OutputError``."""
+    written raises ``OutputError``, a missing directory before any trial."""
+    for path in (csv_path, json_path):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            write_text("", path)        # open fails there, and creates no file
     workers = n_threads()
     prep = prepare(cfg)
     trials = range(cfg.replications)

@@ -572,3 +572,19 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: cannot write {missing}: [Errno 2] No such file"
                                     f" or directory: '{missing}'"]
+
+    @pytest.mark.parametrize("case", ["simulate --out-csv", "simulate --out-json"])
+    def test_simulate_refuses_before_the_first_trial(self, argv, case, tmp_path, monkeypatch):
+        # The missing directory is refused before any trial runs, and the
+        # other output, which could be written, is not created.
+        from tvtrend import experiments
+
+        cases, missing = argv
+        trials = []
+        run_trial = experiments.run_trial
+        monkeypatch.setattr(experiments, "run_trial",
+                            lambda *args: trials.append(args) or run_trial(*args))
+        other = tmp_path / "other"
+        flag = "--out-json" if case == "simulate --out-csv" else "--out-csv"
+        assert cli.main(cases[case] + [flag, str(other)]) == 2
+        assert trials == [] and not other.exists() and not missing.parent.exists()

@@ -277,7 +277,7 @@ def giving_up_polish(monkeypatch):
     """Make every polish give up; the list of the states it was called on."""
     calls = []
 
-    def giving_up(y, k, lam, active, signs, tol_kkt, witness):
+    def giving_up(y, k, lam, active, signs, tol_kkt, witness, seen):
         calls.append(PolishLog.state(active, signs))
 
     monkeypatch.setattr(est, "_polish", giving_up)
@@ -496,7 +496,8 @@ def polish_without_screen(y, k, lam, active, signs, tol_kkt):
     returns None, so every face is solved exactly by ``_restricted_solve``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(est._FaceColumns, "solve", lambda columns, active, signs: None)
-        return est._polish(y, k, lam, active, signs, tol_kkt, est._polynomial_witness(y, k))
+        return est._polish(y, k, lam, active, signs, tol_kkt, est._polynomial_witness(y, k),
+                           set())
 
 
 class TestPolishCycles:
@@ -516,24 +517,54 @@ class TestPolishCycles:
         assert res.converged and rounds < 25
         assert_fit_pinned(res, y, cfg)
 
-    def test_repeated_state_gives_up_at_once(self, monkeypatch):
-        # k = 3, n = 256: from the empty support the polish revisits a state
-        # after 19 rounds and gives up there, at the same state as the polish
-        # that solves every face exactly; without the check it would run all
-        # POLISH_ROUNDS.
+    @staticmethod
+    def cycling_input():
+        """k = 3, n = 256: from the empty support the polish revisits a state
+        after 19 rounds."""
         rng = np.random.default_rng(189)
         n, k = int(rng.choice([256, 512])), int(rng.integers(2, 5))
         y = jump_signal(rng, n, k, int(rng.integers(1, 6)))
         lam = float(rng.uniform(0.01, 0.2)) * est.lambda_max(y, k)
         assert (n, k) == (256, 3)
+        return y, k, lam
+
+    def test_repeated_state_gives_up_at_once(self, monkeypatch):
+        # The polish gives up at the first state it returns to, after 19
+        # rounds, at the same state as the polish that solves every face
+        # exactly.
+        y, k, lam = self.cycling_input()
         log = PolishLog(monkeypatch)
-        assert est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k)) is None
+        assert est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k), set()) is None
         rounds, qr_faces = log.rounds(), log.qr_faces()
         log.clear()
         assert polish_without_screen(y, k, lam, [], [], 1e-8) is None
         assert rounds == log.rounds()
-        assert len(rounds) == 19 < est.POLISH_ROUNDS
+        assert len(rounds) == 19
         assert qr_faces < len(rounds)
+
+    def test_state_seen_by_an_earlier_polish_gives_up(self, monkeypatch):
+        # The fit's one state set holds every state its polishes moved to (a
+        # start state is added by the caller): the 18 after the first of the
+        # 19 rounds.  A second polish from the same start gives up at the
+        # first state it moves to, after one round, and adds nothing.
+        y, k, lam = self.cycling_input()
+        witness, seen = est._polynomial_witness(y, k), set()
+        assert est._polish(y, k, lam, [], [], 1e-8, witness, seen) is None
+        assert len(seen) == 18
+        log = PolishLog(monkeypatch)
+        assert est._polish(y, k, lam, [], [], 1e-8, witness, seen) is None
+        assert len(log.rounds()) == 1 and len(seen) == 18
+
+    def test_large_support_is_polished(self):
+        # Pure noise at 1e-4 lambda_max: ADMM's iteration-250 trigger has more
+        # than 1500 rows, and its polish lands on the taut string's face.  No
+        # cap on the support makes the polish give up, leaving the fit to
+        # ADMM's final iterate at max_iter.
+        y = np.random.default_rng(7).standard_normal(1600)
+        cfg = est.FitConfig(lam=1e-4 * est.lambda_max(y, 1), k=1)
+        res = est.fit(y, cfg)
+        assert res.converged and res.iters < cfg.max_iter
+        assert np.max(np.abs(res.f_hat - est.tv1d_exact(y, len(y) * cfg.lam))) <= 1e-12
 
 
 FIT_FIELDS = ("f_hat", "dual", "kkt_residual", "objective", "converged", "iters")
@@ -755,7 +786,8 @@ class TestScreenedPolish:
         lam = float(rng.uniform(0.05, 0.3)) * est.lambda_max(y, k)
         ref = polish_without_screen(y, k, lam, [], [], 1e-8)
         log = PolishLog(monkeypatch)
-        assert est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k)) is not None
+        witness = est._polynomial_witness(y, k)
+        assert est._polish(y, k, lam, [], [], 1e-8, witness, set()) is not None
         honest = log.qr_faces()
         log.clear()
         solve = est._FaceColumns.solve
@@ -780,7 +812,7 @@ class TestScreenedPolish:
             return b, b_err, lambda: (u, u_err)
 
         monkeypatch.setattr(est._FaceColumns, "solve", lying)
-        got = est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k))
+        got = est._polish(y, k, lam, [], [], 1e-8, est._polynomial_witness(y, k), set())
         assert len(lies) == 1 and log.qr_faces() == honest + 1
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -790,7 +822,8 @@ class TestScreenedPolish:
         # the last, which is the one QR face of the polish.
         y, cfg = recipe_input(2, n=1024, frac=0.6)
         log = PolishLog(monkeypatch)
-        got = est._polish(y, 2, cfg.lam, [], [], cfg.tol_kkt, est._polynomial_witness(y, 2))
+        got = est._polish(y, 2, cfg.lam, [], [], cfg.tol_kkt,
+                         est._polynomial_witness(y, 2), set())
         assert [kind for kind, _ in log.faces] == ["screen", "screen", "qr"]
         assert len(log.rounds()) == 2 and log.qr_faces() == 1
         ref = polish_without_screen(y, 2, cfg.lam, [], [], cfg.tol_kkt)

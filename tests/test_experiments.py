@@ -305,15 +305,29 @@ def test_rate_sweep_refuses_a_non_integer_n():
         exp.rate_sweep(c, [256.7, 512], trials=2)
 
 
-def test_rate_sweep_script_reports_a_single_n():
+def run_rate_sweep_script(*args):
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "")
                                                   .split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, str(root / "scripts" / "run_rate_sweep.py"),
-                          "--n-grid", "256", "--trials", "2"], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, str(root / "scripts" / "run_rate_sweep.py"), *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_rate_sweep_script_reports_a_single_n():
+    out = run_rate_sweep_script("--n-grid", "256", "--trials", "2")
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and "two distinct n" in out.stderr
+
+
+@pytest.mark.parametrize("text", [None, "{", '{"n": 256, "bogus": 1}'])
+def test_rate_sweep_script_refuses_a_bad_config(text, tmp_path):
+    # A missing, malformed or unknown-field config: one error line, exit 2.
+    path = tmp_path / "sweep.json"
+    if text is not None:
+        path.write_text(text)
+    out = run_rate_sweep_script("--config", str(path), "--trials", "2")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: bad config: ") and len(out.stderr.splitlines()) == 1
 
 
 def test_rate_sweep_second_order_smoke():

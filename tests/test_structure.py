@@ -306,7 +306,7 @@ def test_polish_solves_by_qr_only_where_the_screen_stops(monkeypatch):
         log.clear()
         stops.clear()
         assert est._polish(y, k, cfg.lam, [], [], cfg.tol_kkt,
-                           est._polynomial_witness(y, k)) is not None
+                           est._polynomial_witness(y, k), set()) is not None
         qr = [state for kind, state in log.faces if kind == "qr"]
         assert qr == stops and log.faces[0][0] == "screen"
         single += len(qr) == 1
