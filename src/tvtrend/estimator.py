@@ -798,8 +798,8 @@ def fit(y, cfg):
     for it, f, z in _candidates(y, cfg):
         if z is None:
             break
-        active = np.nonzero(z)[0] + k + 1
-        signs = np.sign(z[active - k - 1])
+        supp = np.nonzero(z)[0]
+        active, signs = supp + k + 1, np.sign(z[supp])
         state = (active.tobytes(), signs.tobytes())
         if state in seen:
             continue
