@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time the layers of a certified fit on two checkouts, in alternated processes.
+"""Time the layers of a certified fit and of a trial's set-up on two checkouts,
+in alternated processes.
 
     python3 scripts/bench_layers.py --parent HEAD~1 --change . \\
         --processes 5 --out BENCH.json
 
-The inputs are the 24 fits of the benchmark's fit-n4096 workload
+The fit inputs are the 24 fits of the benchmark's fit-n4096 workload
 (``perfbench/workloads.py``: ``fit_input`` and ``fit_draws``, imported, not
 changed).  Each process imports one checkout's ``src/``, runs the batch once
 through ``estimator.fit`` while it records the calls of the layers below,
@@ -19,9 +20,20 @@ then times each recorded call again, warm, ``--repeats`` times:
 - ``restricted_solve`` and ``certificate``: each ``_restricted_solve`` and
   ``_certificate`` call of those fits.
 
+After the batch it times the Monte-Carlo side, on inputs of its own:
+
+- ``prepare_mc_n256`` and ``prepare_mc_n4096``: ``experiments.prepare`` of
+  each config of the mc-n256 and mc-n4096 workloads (``workloads.make``);
+- ``fit_k1_coverage`` and ``fit_k2_coverage``: ``estimator.fit`` of the
+  first ``COVERAGE_TRIALS`` trials of ``configs/k1_coverage.json`` and
+  ``configs/k2_coverage.json``, each the config's signal plus the noise of
+  ``experiments.trial_rng``, at the config's lambda.
+
 A layer's warm figure is the mean over its calls of each call's median time
 (for ``screened_face``, the mean per face); its cold figure is its first
-call in the process, during the recording pass.
+call in the process: during the recording pass for the fit-n4096 layers,
+before any warm call for the others (each ``prepare`` layer before the
+coverage fits build their inputs, so its shapes are new to the caches).
 
 Each checkout's ``src/`` and ``perfbench/`` are copied or extracted as
 ``bench_pairs.py`` does.  Process i runs the parent first when i is even and
@@ -44,7 +56,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pairs  # noqa: E402
 
 SIDES = bench_pairs.SIDES
-LAYERS = ("fit", "polish", "screened_face", "restricted_solve", "certificate")
+LAYERS = ("fit", "polish", "screened_face", "restricted_solve", "certificate",
+          "prepare_mc_n256", "prepare_mc_n4096", "fit_k1_coverage", "fit_k2_coverage")
+COVERAGE_TRIALS = 200
 
 
 def parse_args(argv):
@@ -84,12 +98,25 @@ def _fresh(args):
     return tuple(set(a) if isinstance(a, set) else a for a in args)
 
 
+def workload_configs(workloads, name, root):
+    """The configs a Monte-Carlo workload runs (their seeds drawn from seed
+    0), without the reference recomputation its checks build."""
+    reference = workloads.checks.TrialReference
+    workloads.checks.TrialReference = lambda *args: None
+    try:
+        return workloads.make(name, 0, root).configs
+    finally:
+        workloads.checks.TrialReference = reference
+
+
 def measure(root, repeats):
-    """The layers of the fit-n4096 batch in this process, from ``root``:
-    {layer: {"calls", "cold_s", "warm_s"}}."""
+    """The layers of the fit-n4096 batch and of the Monte-Carlo set-up and
+    fits in this process, from ``root``: {layer: {"calls", "cold_s",
+    "warm_s"}}."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import numpy as np
     from tvtrend import estimator as est
+    from tvtrend import experiments as exp
     import workloads
 
     fits = []
@@ -142,6 +169,20 @@ def measure(root, repeats):
     for name, func in originals.items():
         setattr(est._FaceColumns if name == "solve" else est, name, func)
 
+    prepares = {f"prepare_{name.replace('-', '_')}": workload_configs(workloads, name, root)
+                for name in ("mc-n256", "mc-n4096")}
+    for layer, configs in prepares.items():
+        cold[layer] = _timed(lambda: exp.prepare(configs[0]))
+    coverage = {}
+    for name in ("k1_coverage", "k2_coverage"):
+        cfg = workloads.shipped_config(root, f"{name}.json")
+        prep = exp.prepare(cfg)
+        coverage[f"fit_{name}"] = [
+            (prep.f0 + exp.trial_rng(cfg.seed, trial).standard_normal(cfg.n), prep.fit_cfg)
+            for trial in range(COVERAGE_TRIALS)]
+    for layer, inputs in coverage.items():
+        cold[layer] = _timed(lambda: fit(*inputs[0]))
+
     def face_pass():
         """The time of each screened face in one replay of them all."""
         out = []
@@ -158,7 +199,10 @@ def measure(root, repeats):
             "polish": [lambda a=a: est._polish(*_fresh(a)) for a in calls["polish"]],
             "restricted_solve": [lambda a=a: est._restricted_solve(*a)
                                  for a in calls["restricted_solve"]],
-            "certificate": [lambda a=a: est._certificate(*a) for a in calls["certificate"]]}
+            "certificate": [lambda a=a: est._certificate(*a) for a in calls["certificate"]],
+            **{layer: [lambda c=c: exp.prepare(c) for c in configs]
+               for layer, configs in prepares.items()},
+            **{layer: [lambda f=f: fit(*f) for f in inputs] for layer, inputs in coverage.items()}}
     warm = {layer: [statistics.median(_timed(run) for _ in range(repeats)) for run in todo]
             for layer, todo in runs.items()}
     warm["screened_face"] = [statistics.median(times)

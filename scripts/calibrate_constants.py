@@ -68,7 +68,7 @@ def required_ck(S):
         pos = j - k - 1
         head = 1.0 - abs(vec.q[pos])
         if head <= 0:
-            return math.inf
+            return math.inf, vec
         c_req = max(c_req, math.sqrt(q2 / S.n) / (head * base))
     return c_req, vec
 

@@ -11,7 +11,7 @@ The ``*_ASYMPTOTIC`` values are the large-segment limits implied by the
 continuous profiles (2 / the drop of the profile over its first
 sub-interval).  The ``*_CERTIFIED`` values were obtained by maximizing the
 realized constraint ratios over randomized active sets at finite segment
-lengths (n_i down to the minimum k(k+2), n up to 2000) and adding a small
+lengths (n_i down to the minimum k(k+2), n up to 2500) and adding a small
 safety margin; see scripts/calibrate_constants.py.  They are empirical
 defaults, not exact quantities.
 """
@@ -34,9 +34,11 @@ CK_ASYMPTOTIC = {
 }
 
 # Finite-length certified threshold constants (calibrated; see module doc).
-# Family maxima of the realized requirement were 1.996 / 1.994 / 1.675 /
-# 1.266 for k = 1..4 over ~1400 adversarial and random active sets per
-# order; for k <= 2 the two-piece profiles make 2.0 an exact upper bound.
+# Family maxima of the realized requirement are 1.9944 / 1.9915 / 1.6736 /
+# 1.2136 for k = 1..4 over 341-400 adversarial and random active sets per
+# order (``python scripts/calibrate_constants.py`` at its defaults, seed
+# 20250809 and count 400, as for the maxima below); for k <= 2 the
+# two-piece profiles make 2.0 an exact upper bound.
 # The certified values for k >= 3 sit far below the asymptotic ones because
 # the weights use exact dictionary column lengths rather than the
 # worst-case length bound.
@@ -49,7 +51,9 @@ CK_CERTIFIED = {
 
 # Closed-form effective-sparsity constants: smallest C_k for which the
 # closed-form bound dominates the constructed interpolant energies over the
-# calibration family (maxima 1.99 / 44.8 / 2003 / 523856), plus margin.
+# calibration family (maxima 1.9438 / 43.34 / 1839.9 / 572314), plus margin.
+# At k = 4 the margin is 1.3%, below the script's rule of family maximum
+# plus 5% (600930).
 # The rapid growth in k reflects the squared size of the boundary-layer
 # profile coefficients and their junction residuals.
 CK_SPARSITY = {
@@ -61,7 +65,7 @@ CK_SPARSITY = {
 
 # Junction-residual constants: |Delta(k) q| at the O(k) entries around a
 # segment boundary is at most JOIN_CONST[k] * n_i^{-(2k-1)/2} (family
-# maxima 2.0 / 15.9 / 80.6 / 1632, plus margin).
+# maxima 1.994 / 14.16 / 80.74 / 1340.2, plus margin).
 JOIN_CONST = {
     1: 2.5,
     2: 18.0,

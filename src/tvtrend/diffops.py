@@ -135,16 +135,14 @@ def polynomial_basis(n, k):
 
 def falling_factorial_columns(n, k, rows):
     """Falling-factorial columns phi_j for 1-based rows j in [1, n]
-    (Delta phi_j = e_j): C(i - j + k - 1, k - 1) for i >= j, as the running
-    product prod_r (i - j + r) / r, and 0 above row j.  The product depends
-    on i - j alone, so it is taken once, for i - j = 0..n-1, and each column
-    is that ramp moved down to row j."""
+    (Delta phi_j = e_j): C(i - j + k - 1, k - 1) for i >= j, as k - 1
+    cumulative sums of ones (exact integers below 2^53), and 0 above row j.
+    The sums depend on i - j alone, so they are taken once, for i - j =
+    0..n-1, and each column is that ramp moved down to row j."""
     rows = [integer("1-based row", j, ValueError, 1) for j in rows]
-    shift = np.arange(n)
     ramp = np.ones(n)
-    for r in range(1, k):
-        ramp *= shift + r
-        ramp /= r
+    for _ in range(k - 1):
+        ramp = ramp.cumsum()
     cols = np.zeros((n, len(rows)))
     for c, j in enumerate(rows):
         cols[j - 1:, c] = ramp[:max(n - j + 1, 0)]
@@ -179,19 +177,17 @@ def pinv_column_sqnorms(n, k):
 
     Column j is the falling-factorial column phi_j with its polynomial part
     projected out, so ||psi_j||^2 = ||phi_j||^2 - ||Q' phi_j||^2 for an
-    orthonormal polynomial basis Q: ||phi_j||^2 is a cumulative sum of
-    squared binomials C(t+k-1, k-1)^2 and Q' phi_j is ``dual_witness`` of
-    each column of Q.  Both are taken on the right half of the index set,
-    where the falling-factorial columns have comparable size to their
-    anti-projections (no cancellation), and mirrored by the reversal
-    symmetry ||psi_j|| = ||psi_{n+k+1-j}||.
+    orthonormal polynomial basis Q: ||phi_j||^2 is a cumulative sum of the
+    squared ``falling_factorial_columns`` ramp C(t+k-1, k-1)^2 and Q' phi_j
+    is ``dual_witness`` of each column of the cached Q.  Both are taken on
+    the right half of the index set, where the falling-factorial columns
+    have comparable size to their anti-projections (no cancellation), and
+    mirrored by the reversal symmetry ||psi_j|| = ||psi_{n+k+1-j}||.
     """
     m = DiffOperator(n, k).m
     half0 = (m - 1) // 2
-    binom = np.ones(m - half0)
-    for _ in range(k - 1):
-        binom = binom.cumsum()
-    proj = dual_witness(polynomial_basis(n, k)[half0:], k)
+    binom = falling_factorial_columns(m - half0, k, [1])[:, 0]
+    proj = dual_witness(_cached_polynomial_basis(n, k)[half0:], k)
     right = np.cumsum(binom ** 2)[::-1] - np.sum(proj ** 2, axis=1)
     out = np.empty(m)
     out[half0:] = right

@@ -131,24 +131,31 @@ def objective(f, y, lam, k):
 
 
 def polynomial_fit(y, k):
-    """Least-squares projection onto degree < k discrete polynomials."""
-    y = np.asarray(y, dtype=float)
-    Q = _cached_polynomial_basis(len(y), k)
-    return Q @ (Q.T @ y)
+    """Least-squares projection onto degree < k discrete polynomials; y and
+    (n, k) follow the input rules of ``fit``."""
+    y = signal(y)
+    return _projection(y, shape(len(y), k, ValueError)[1])
 
 
 def lambda_max(y, k):
     """Smallest lambda at which the fit collapses to the polynomial fit,
-    max_j |(Delta^+' (y - poly fit))_j| / n."""
-    y = np.asarray(y, dtype=float)
-    return _lambda_max_of(_polynomial_witness(y, k), len(y))
+    max_j |(Delta^+' (y - poly fit))_j| / n; y and (n, k) follow the input
+    rules of ``fit``."""
+    y = signal(y)
+    return _lambda_max_of(_polynomial_witness(y, shape(len(y), k, ValueError)[1]), len(y))
+
+
+def _projection(y, k):
+    """``polynomial_fit`` of a checked y and k."""
+    Q = _cached_polynomial_basis(len(y), k)
+    return Q @ (Q.T @ y)
 
 
 def _polynomial_witness(y, k):
     """``dual_witness`` of the residual off the polynomial fit: its largest
     |entry| is n lambda_max, and over n lambda it is the dual of the empty
-    face."""
-    return dual_witness(y - polynomial_fit(y, k), k)
+    face.  y and k are checked (``fit``)."""
+    return dual_witness(y - _projection(y, k), k)
 
 
 def _lambda_max_of(witness, n):
@@ -694,11 +701,9 @@ def tv1d_exact(y, lam):
     y = signal(y)
     lam = float(real("lambda", lam, ValueError, "nonnegative"))
     n = len(y)
-    x = np.empty(n)
-    if n == 0:
-        return x
-    if n == 1 or lam == 0:
+    if n <= 1 or lam == 0:
         return y.copy()
+    x = np.empty(n)
     ys = y.tolist()
     neg_lam = -lam
     k = k0 = kminus = kplus = 0
@@ -786,29 +791,27 @@ def fit(y, cfg):
     if lam == 0.0:
         return _result(y, cfg, y.copy(), np.zeros(n - k), 0.0, True, iters=0)
     if cfg.algorithm == "dp_k1":
-        f_hat = tv1d_exact(y, n * lam)
-        return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=n)
-    witness = _polynomial_witness(y, k)
-    if lam >= _lambda_max_of(witness, n):
+        f_hat, iters = tv1d_exact(y, n * lam), n
+    elif lam >= _lambda_max_of(witness := _polynomial_witness(y, k), n):
         # The minimizer is the polynomial fit, so a candidate that fails its
         # certificate fails on float64 rounding alone and is returned as it is.
-        f_hat = _restricted_solve(y, k, lam, [], [])[0]
-        return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=0)
-    seen = set()                    # the states the polishes have passed through
-    for it, f, z in _candidates(y, cfg):
-        if z is None:
-            break
-        supp = np.nonzero(z)[0]
-        active, signs = supp + k + 1, np.sign(z[supp])
-        state = (active.tobytes(), signs.tobytes())
-        if state in seen:
-            continue
-        seen.add(state)
-        hit = _polish(y, k, lam, active, signs, tol, witness, seen)
-        if hit is not None:
-            return _result(y, cfg, *hit, iters=it)
-    # Every polish gave up: ADMM's final iterate, with its own certificate.
-    return _result(y, cfg, f, *_certificate(y, f, lam, k, tol), iters=cfg.max_iter)
+        f_hat, iters = _restricted_solve(y, k, lam, [], [])[0], 0
+    else:
+        seen = set()                # the states the polishes have passed through
+        for iters, f_hat, z in _candidates(y, cfg):
+            if z is None:           # every polish gave up: ADMM's final iterate
+                break               # at iteration max_iter
+            supp = np.nonzero(z)[0]
+            active, signs = supp + k + 1, np.sign(z[supp])
+            state = (active.tobytes(), signs.tobytes())
+            if state in seen:
+                continue
+            seen.add(state)
+            hit = _polish(y, k, lam, active, signs, tol, witness, seen)
+            if hit is not None:
+                return _result(y, cfg, *hit, iters=iters)
+    # The unpolished fits, each with its own certificate.
+    return _result(y, cfg, f_hat, *_certificate(y, f_hat, lam, k, tol), iters=iters)
 
 
 def check_basic_inequality(result, y, f0, f):

@@ -30,8 +30,8 @@ from . import theory
 from ._checks import flag, integer, real, shape
 from ._output import csv_text, json_text, write_text
 from .constants import UV_DEFAULT, minimum_segment_length
-from .diffops import (ActiveSet, block_column_sqnorms, dual_witness, falling_factorial_columns,
-                      polynomial_basis)
+from .diffops import (ActiveSet, _cached_polynomial_basis, block_column_sqnorms, dual_witness,
+                      falling_factorial_columns)
 from .estimator import FitConfig, fit
 from .sparsity import gamma_closed_form
 
@@ -190,7 +190,7 @@ class EventGeometry:
 
     @classmethod
     def from_active_set(cls, S):
-        segments = tuple((a - 1, b, polynomial_basis(nb, min(S.k, nb)))
+        segments = tuple((a - 1, b, _cached_polynomial_basis(nb, min(S.k, nb)))
                          for a, b, nb in S.blocks())
         _rows, sqnorms = block_column_sqnorms(S)
         return cls(k=S.k, segments=segments, psi_scale=math.sqrt(S.n) * np.sqrt(sqnorms))

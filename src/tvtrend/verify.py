@@ -67,8 +67,8 @@ def suite_norms():
     return _report("norms", checks)
 
 
-def suite_interpolants(instances=40, seed=20250809):
-    rng = np.random.default_rng(seed)
+def suite_interpolants():
+    instances, rng = 40, np.random.default_rng(20250809)
     checks = []
     for k in (1, 2, 3, 4):
         bad = []
@@ -96,8 +96,8 @@ def suite_interpolants(instances=40, seed=20250809):
     return _report("interpolants", checks)
 
 
-def suite_sparsity(instances=12, seed=20250810):
-    rng = np.random.default_rng(seed)
+def suite_sparsity():
+    instances, rng = 12, np.random.default_rng(20250810)
     checks = []
     bad, worst_gap = [], 0.0
     for i in range(instances):
@@ -176,7 +176,7 @@ _SUITE_RUNS = {"norms": suite_norms, "interpolants": suite_interpolants,
 SUITES = tuple(_SUITE_RUNS)
 
 
-def run_suite(name, **kwargs):
+def run_suite(name):
     if name not in _SUITE_RUNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _SUITE_RUNS[name](**kwargs)
+    return _SUITE_RUNS[name]()

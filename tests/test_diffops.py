@@ -93,6 +93,14 @@ class TestFallingFactorial:
             expected = np.where(i >= j, i - j + 1, 0.0)
             assert np.array_equal(psi[:, j - 3], expected)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_binomials_exact_at_scale(self, k):
+        # At n = 300 000 the k = 4 binomials reach 4.5e15; a running product
+        # prod_r (t + r) / r passes 2^53 on its way there and rounds.
+        n = 300_000
+        exact = np.array([math.comb(t + k - 1, k - 1) for t in range(n)], dtype=float)
+        assert np.array_equal(dop.falling_factorial_columns(n, k, [1])[:, 0], exact)
+
     def test_stacked_inverse_identity(self):
         # oracle: dense matrix inversion of the stacked system; its last
         # n - k columns are the falling-factorial columns, and Delta phi_j = e_j

@@ -56,6 +56,10 @@ ENTRIES = {
     "FitConfig.lam": ("real", ValueError, lambda v: est.FitConfig(lam=v, k=1)),
     "FitConfig.tol_kkt": ("real", ValueError, lambda v: est.FitConfig(lam=1.0, k=1, tol_kkt=v)),
     "fit.y": ("signal", ValueError, lambda v: est.fit([0.0, v, 0.0], est.FitConfig(lam=0.5, k=1))),
+    "lambda_max.y": ("signal", ValueError, lambda v: est.lambda_max([0.0, v, 0.0, 1.0], 1)),
+    "lambda_max.k": ("integer", ValueError, lambda v: est.lambda_max([1.0, 2.0, 3.0], v)),
+    "polynomial_fit.y": ("signal", ValueError, lambda v: est.polynomial_fit([0.0, v, 1.0], 1)),
+    "polynomial_fit.k": ("integer", ValueError, lambda v: est.polynomial_fit([1.0, 2.0, 3.0], v)),
     "tv1d_exact.lam": ("real", ValueError, lambda v: est.tv1d_exact(np.arange(5.0), v)),
     "tv1d_exact.y": ("signal", ValueError, lambda v: est.tv1d_exact([0.0, v, 0.0], 0.5)),
     "compute_weights.lam": ("real", ValueError,
@@ -95,6 +99,27 @@ def test_good_inputs_pass_every_rule():
     assert cfg.lam == 0.5 and type(cfg.lam) is np.float64
     assert theory.lambda0(np.float64(U), 10, 5) == theory.lambda0(U, 10, 5)
     _experiment(jump_delta=-4, u=3, lambda_rule="fixed", lambda_value=2)
+
+
+@pytest.mark.parametrize("func", [est.lambda_max, est.polynomial_fit])
+@pytest.mark.parametrize("y, k", [(np.ones((4, 2)), 1), ([0.0, math.nan, 0.0, 1.0], 1),
+                                  ([0.0, math.inf, 1.0], 1), ([1.0, 2.0, 3.0], 0),
+                                  ([1.0, 2.0, 3.0], 3), ([1.0, 2.0, 3.0], 5), ([1.0], 1)])
+def test_polynomial_entry_points_take_the_rules_of_fit(func, y, k):
+    # the shapes and signals that fit refuses, refused before any LAPACK call
+    with pytest.raises(ValueError) as info:
+        func(y, k)
+    assert type(info.value) is ValueError
+
+
+def test_fit_checks_its_signal_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(est, "signal", lambda y: calls.append(y) or np.asarray(y, dtype=float))
+    y = np.repeat([0.0, 2.0], 20) + 0.1 * np.arange(40) % 0.3
+    for lam in (0.05, 10.0):        # a polished fit and the polynomial fit
+        calls.clear()
+        est.fit(y, est.FitConfig(lam=lam, k=2))
+        assert len(calls) == 1
 
 
 def test_config_integer_beyond_float_range_is_an_input_error(tmp_path, capsys):

@@ -147,6 +147,57 @@ def test_fit_result_built_in_one_place():
     assert not {"_polish", "_certificate", "objective", "FitResult"} & set(_called_names(gen))
 
 
+def test_fit_certifies_at_one_site():
+    """The unpolished exits of ``fit`` (``dp_k1``, the polynomial fit at
+    lambda >= lambda_max and ADMM's final iterate when every polish gives up)
+    share one ``_certificate`` call."""
+    tree = ast.parse(inspect.getsource(est.fit))
+    assert _called_names(tree).count("_certificate") == 1
+
+
+def test_verify_suites_take_no_options():
+    """``run_suite`` takes the suite name alone, and no suite has a knob."""
+    assert list(inspect.signature(verify.run_suite).parameters) == ["name"]
+    for run in verify._SUITE_RUNS.values():
+        assert not inspect.signature(run).parameters
+
+
+class TestOneQRPerShape:
+    """The degree < k polynomial basis of a shape is factored once: the
+    column lengths of Delta(k)^+ and the event geometry of ``prepare`` read
+    the cached basis that the fit reads."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        for cache in (dop._cached_polynomial_basis, dop._cached_pinv_sqnorms,
+                      est._cached_face_constants):
+            cache.cache_clear()
+        calls = []
+        geqrf = dop.dgeqrf
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return geqrf(*args, **kwargs)
+
+        monkeypatch.setattr(dop, "dgeqrf", counting)
+        return calls
+
+    def test_first_fit_at_a_new_shape(self, qr_calls):
+        y = np.repeat([0.0, 3.0, -2.0, 1.0], 50) + np.random.default_rng(5).standard_normal(200)
+        res = est.fit(y, est.FitConfig(lam=0.02, k=2))
+        assert res.converged and res.iters >= 1 and np.any(np.diff(res.f_hat, 2) != 0.0)
+        assert qr_calls == [(200, 2)]
+
+    def test_prepare_twice(self, qr_calls):
+        cfg = exp.ExperimentConfig.from_json(Path(__file__).resolve().parents[1] / "configs"
+                                             / "k1_coverage.json")
+        exp.prepare(cfg)
+        assert len(qr_calls) == len({nb for _, _, nb in exp.generate_signal(cfg)[1].blocks()})
+        qr_calls.clear()
+        exp.prepare(cfg)
+        assert qr_calls == []
+
+
 def test_fit_certifies_no_trigger_iterate(monkeypatch):
     """A raw ADMM iterate ends no fit before ``max_iter``: with every polish
     giving up, ``_certificate`` is called once, on the final iterate, even
