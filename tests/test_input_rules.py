@@ -102,11 +102,11 @@ def test_good_inputs_pass_every_rule():
 
 
 @pytest.mark.parametrize("func", [est.lambda_max, est.polynomial_fit])
-@pytest.mark.parametrize("y, k", [(np.ones((4, 2)), 1), ([0.0, math.nan, 0.0, 1.0], 1),
-                                  ([0.0, math.inf, 1.0], 1), ([1.0, 2.0, 3.0], 0),
+@pytest.mark.parametrize("y, k", [(np.ones((4, 2)), 1), ([1.0, 2.0, 3.0], 0),
                                   ([1.0, 2.0, 3.0], 3), ([1.0, 2.0, 3.0], 5), ([1.0], 1)])
 def test_polynomial_entry_points_take_the_rules_of_fit(func, y, k):
-    # the shapes and signals that fit refuses, refused before any LAPACK call
+    # the shapes that fit refuses (a non-finite y is in ENTRIES), refused
+    # before any LAPACK call
     with pytest.raises(ValueError) as info:
         func(y, k)
     assert type(info.value) is ValueError
